@@ -11,8 +11,8 @@ import json
 import random
 import sys
 
-from .engine import GameKind, Player, apply_move, initial_state, is_terminal, legal_moves
-from .errors import CoinGameError, ParseError
+from .engine import GameKind, Player, apply_move, initial_state, is_terminal
+from .errors import CoinGameError, IllegalMove, ParseError
 from .gamesat import Mover, format_dnf, parse_dnf
 from .multigraph import canonical_text, parse_text, to_dot
 from .reduce import (
@@ -259,10 +259,15 @@ def _parse_transcript_line(line: str) -> int | None:
         return None
     tokens = body.split()
     if tokens[0] == "cut" and len(tokens) == 2:
-        return int(tokens[1])
-    if len(tokens) >= 5 and tokens[0] == "ply" and tokens[3] == "cut":
-        return int(tokens[4])
-    raise ParseError(f"unrecognized transcript line: {line.strip()!r}")
+        token = tokens[1]
+    elif len(tokens) >= 5 and tokens[0] == "ply" and tokens[3] == "cut":
+        token = tokens[4]
+    else:
+        raise ParseError(f"unrecognized transcript line: {line.strip()!r}")
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"bad string id {token!r} in transcript line: {line.strip()!r}") from None
 
 
 def _cmd_replay(args) -> int:
@@ -273,10 +278,11 @@ def _cmd_replay(args) -> int:
         sid = _parse_transcript_line(line)
         if sid is None:
             continue
-        if sid not in legal_moves(state, kind):
+        try:
+            state = apply_move(state, kind, sid)
+        except IllegalMove:
             print(f"illegal cut {sid} at ply {plies + 1}", file=sys.stderr)
             return 1
-        state = apply_move(state, kind, sid)
         plies += 1
     outcome = is_terminal(state, kind)
     if outcome is not None:

@@ -15,7 +15,7 @@ start are inert: never freed, never scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateInput, IllegalMove
@@ -58,11 +58,8 @@ class GameState:
         return self.scores[0] if p is Player.P1 else self.scores[1]
 
     def alive_degree(self, coin: int) -> int:
-        return sum(
-            (s.a == coin) + (s.b == coin)
-            for s in self.board.strings
-            if s.id in self.alive
-        )
+        """Alive strings at ``coin``; walks only that coin's strings."""
+        return len(self.alive.intersection(self.board.incidence[coin]))
 
 
 @dataclass(frozen=True)
@@ -83,14 +80,9 @@ def initial_state(board: Multigraph, mover: Player = Player.P1) -> GameState:
     return GameState(board, frozenset(range(board.string_count)), mover)
 
 
-def _freed_coins(state: GameState, sid: int) -> tuple[int, ...]:
+def _freed_coins(state: GameState, sid: int) -> list[int]:
     """Coins whose last alive string is ``sid``."""
-    s = state.board.strings[sid]
-    freed = []
-    for c in set(s.coin_endpoints()):
-        if state.alive_degree(c) == 1:
-            freed.append(c)
-    return tuple(freed)
+    return [c for c in state.board.strings[sid].coin_endpoints() if state.alive_degree(c) == 1]
 
 
 def legal_moves(state: GameState, kind: GameKind) -> set[int]:
@@ -105,27 +97,25 @@ def apply_move(state: GameState, kind: GameKind, sid: int) -> GameState:
     if sid not in state.alive:
         raise IllegalMove(f"string {sid} is not alive")
     freed = _freed_coins(state, sid)
-    if kind is GameKind.COINS_ARE_LAVA:
-        if freed:
-            raise IllegalMove(f"string {sid} would free coin(s) {freed}")
-        return replace(state, alive=state.alive - {sid}, mover=state.mover.other)
+    if freed and kind is GameKind.COINS_ARE_LAVA:
+        raise IllegalMove(f"string {sid} would free coin(s) {tuple(freed)}")
     alive = state.alive - {sid}
-    if freed:
-        # Free move: the capturing player cuts again.
-        scores = state.scores
-        if kind is GameKind.STRINGS_AND_COINS:
-            gain = len(freed)
-            if state.mover is Player.P1:
-                scores = (scores[0] + gain, scores[1])
-            else:
-                scores = (scores[0], scores[1] + gain)
-        return replace(state, alive=alive, scores=scores)
-    return replace(state, alive=alive, mover=state.mover.other)
+    if not freed:
+        return GameState(state.board, alive, state.mover.other, state.scores)
+    # Free move: the capturing player cuts again.
+    scores = state.scores
+    if kind is GameKind.STRINGS_AND_COINS:
+        gain = len(freed)
+        if state.mover is Player.P1:
+            scores = (scores[0] + gain, scores[1])
+        else:
+            scores = (scores[0], scores[1] + gain)
+    return GameState(state.board, alive, state.mover, scores)
 
 
 def is_terminal(state: GameState, kind: GameKind) -> Outcome | None:
     if kind is GameKind.COINS_ARE_LAVA:
-        if legal_moves(state, kind):
+        if any(not _freed_coins(state, sid) for sid in state.alive):
             return None
         return Outcome(state.mover.other)
     if state.alive:
@@ -159,7 +149,7 @@ class LiveBoard:
         self.alive_count = board.string_count
         self.degree = board.degrees()
         self._ends = [(s.a, s.b) for s in board.strings]
-        self._incidence = board.incidence()
+        self._incidence = board.incidence
         # frozen[sid] is True once cutting sid would free a coin.
         self.frozen = [False] * board.string_count
         self.legal_count = board.string_count

@@ -36,7 +36,10 @@ class StringEdge:
         return (self.a, self.b)
 
     def coin_endpoints(self) -> tuple[int, ...]:
-        return tuple(e for e in (self.a, self.b) if is_coin(e))
+        a, b = self.a, self.b
+        if is_coin(a):
+            return (a, b) if is_coin(b) else (a,)
+        return (b,) if is_coin(b) else ()
 
     def touches(self, coin: int) -> bool:
         return self.a == coin or self.b == coin
@@ -64,7 +67,7 @@ class Multigraph:
 
     coin_count: int = 0
     strings: tuple[StringEdge, ...] = ()
-    labels: dict[int, str] = field(default_factory=dict)
+    labels: dict[int, str] = field(default_factory=dict, compare=False)
 
     @property
     def string_count(self) -> int:
@@ -87,15 +90,17 @@ class Multigraph:
                 deg[s.b] += 1
         return deg
 
-    def incidence(self) -> list[list[int]]:
-        """String ids incident to each coin, ascending."""
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """String ids incident to each coin, ascending, each listed once;
+        computed once per board."""
         inc: list[list[int]] = [[] for _ in range(self.coin_count)]
         for s in self.strings:
             if is_coin(s.a):
                 inc[s.a].append(s.id)
             if is_coin(s.b) and s.b != s.a:
                 inc[s.b].append(s.id)
-        return inc
+        return tuple(map(tuple, inc))
 
     def _check_endpoint(self, e: int) -> None:
         if e != GROUND and not (0 <= e < self.coin_count):

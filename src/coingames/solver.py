@@ -6,9 +6,15 @@ value "does the mover win" depends only on the alive set, and in
 Strings-and-Coins the optimal future net score for the mover is
 mover-symmetric (both players face identical move rights).
 
-``naive_solve`` is an independent correctness oracle: direct recursion,
-no memoization, no short-circuiting; every child is evaluated.  It is
-factorially slow and capped at 12 strings.
+``naive_solve`` is an independent correctness oracle: plain minimax
+over the engine's ``GameState`` rules (``legal_moves``, ``apply_move``,
+``is_terminal``) with no short-circuiting, memoized on the full state
+(alive strings, mover, scores).  It stays independent of ``solve``: it
+shares no code with ``_Search``'s bitmask rules, and its memo key keeps
+the mover and scores, so it does not lean on the mover symmetry that
+``solve`` assumes for Strings-and-Coins.  A fault in either shows up as
+a disagreement.  It is exponential in the string count and capped at 14
+strings.
 
 A loony position has a degree-2 coin adjacent to exactly one degree-1
 coin; the mover wins Nimstring from it with a scripted opening of one
@@ -19,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import GameKind, GameState, Player
+from .engine import GameKind, GameState, Player, apply_move, is_terminal, legal_moves
 from .errors import BudgetExceeded, DegenerateInput
 from .multigraph import GROUND, is_coin
 
 DEFAULT_BUDGET = 24
-NAIVE_BUDGET = 12
+NAIVE_BUDGET = 14
 
 
 @dataclass(frozen=True)
@@ -202,106 +208,42 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
 
 
 def naive_solve(state: GameState, kind: GameKind, budget: int = NAIVE_BUDGET) -> SolveResult:
-    """Oracle twin of ``solve``: unmemoized, exhaustive, no short-circuit."""
+    """Oracle twin of ``solve``: plain minimax over the engine's rules,
+    every child expanded, memoized on the full state (alive strings,
+    mover, scores) with a fresh memo per call.  ``states_visited`` counts
+    the distinct states evaluated, terminal ones included."""
     if len(state.alive) > budget:
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed naive budget {budget}")
-    s = _Search(state)
-    # The tree is factorial in the string count, so the degree updates
-    # are inlined on locals; _Search rejects self-loops, hence a and b
-    # are distinct coins whenever both are coins (GROUND is negative).
-    ea, eb, deg = s.ea, s.eb, s.deg
-    states = 0
+    if state.board.has_self_loop:
+        raise DegenerateInput("board has a self-loop")
+    sac = kind is GameKind.STRINGS_AND_COINS
+    # Values are absolute: the final P1-minus-P2 margin in
+    # Strings-and-Coins, else the winner under optimal play.  The key
+    # packs the alive set into a bitmask to keep the memo small.
+    memo: dict[tuple[int, bool, tuple[int, int]], int | Player] = {}
 
-    def nim(mask: int) -> bool:
-        nonlocal states
-        if mask == 0:
-            return False
-        states += 1
-        win = False
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            i = bit.bit_length() - 1
-            a, b = ea[i], eb[i]
-            f = 0
-            if a >= 0:
-                if deg[a] == 1:
-                    f += 1
-                deg[a] -= 1
-            if b >= 0:
-                if deg[b] == 1:
-                    f += 1
-                deg[b] -= 1
-            child = nim(mask ^ bit)
-            if a >= 0:
-                deg[a] += 1
-            if b >= 0:
-                deg[b] += 1
-            win = win or (child if f else not child)
-        return win
+    def value(st: GameState) -> int | Player:
+        key = (sum(map((1).__lshift__, st.alive)), st.mover is Player.P1, st.scores)
+        if key in memo:
+            return memo[key]
+        outcome = is_terminal(st, kind)
+        if outcome is not None:
+            v = outcome.scores[0] - outcome.scores[1] if sac else outcome.winner
+        else:
+            children = [value(apply_move(st, kind, sid)) for sid in legal_moves(st, kind)]
+            if sac:
+                v = max(children) if st.mover is Player.P1 else min(children)
+            else:
+                v = st.mover if st.mover in children else st.mover.other
+        memo[key] = v
+        return v
 
-    def lava(mask: int) -> bool:
-        nonlocal states
-        states += 1
-        win = False
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            i = bit.bit_length() - 1
-            a, b = ea[i], eb[i]
-            if (a >= 0 and deg[a] == 1) or (b >= 0 and deg[b] == 1):
-                continue
-            if a >= 0:
-                deg[a] -= 1
-            if b >= 0:
-                deg[b] -= 1
-            child = lava(mask ^ bit)
-            if a >= 0:
-                deg[a] += 1
-            if b >= 0:
-                deg[b] += 1
-            win = win or not child
-        return win
-
-    def sac(mask: int) -> int:
-        nonlocal states
-        if mask == 0:
-            return 0
-        states += 1
-        best = None
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            i = bit.bit_length() - 1
-            a, b = ea[i], eb[i]
-            f = 0
-            if a >= 0:
-                if deg[a] == 1:
-                    f += 1
-                deg[a] -= 1
-            if b >= 0:
-                if deg[b] == 1:
-                    f += 1
-                deg[b] -= 1
-            child = sac(mask ^ bit)
-            if a >= 0:
-                deg[a] += 1
-            if b >= 0:
-                deg[b] += 1
-            val = f + child if f else -child
-            if best is None or val > best:
-                best = val
-        return best
-
-    mask0 = s.full_mask
-    if kind is GameKind.STRINGS_AND_COINS:
-        net = sac(mask0)
-        return SolveResult(kind, net_for_mover=net, states_visited=states)
-    win = nim(mask0) if kind is GameKind.NIMSTRING else lava(mask0)
-    return SolveResult(kind, winner_for_mover=win, states_visited=states)
+    v = value(state)
+    if sac:
+        margin = v - (state.scores[0] - state.scores[1])
+        net = margin if state.mover is Player.P1 else -margin
+        return SolveResult(kind, net_for_mover=net, states_visited=len(memo))
+    return SolveResult(kind, winner_for_mover=v is state.mover, states_visited=len(memo))
 
 
 def winner_of(state: GameState, kind: GameKind, result: SolveResult) -> Player | None:

@@ -43,7 +43,7 @@ from .strategy import (
     script_for,
 )
 
-NAIVE_CROSSCHECK_LIMIT = 10  # strings; full-tree recursion above this is too slow
+NAIVE_CROSSCHECK_LIMIT = 14  # strings; the oracle is exponential, so larger H sides are skipped
 
 
 @dataclass
@@ -114,9 +114,9 @@ class RandomMultigraphs:
 
     def _size(self, rng: random.Random, lo: int, hi: int) -> int:
         if self.small_bias:
-            # Min of two draws: the naive full-expansion oracle is
-            # factorial in string count, so most instances must be small
-            # while the occasional one still reaches the cap.
+            # Min of two draws: the oracle expands every child and is
+            # exponential in string count, so most instances must be
+            # small while the occasional one still reaches the cap.
             return min(rng.randint(lo, hi), rng.randint(lo, hi))
         return rng.randint(lo, hi)
 
@@ -175,9 +175,9 @@ def _nim_winner(g: Multigraph) -> Player:
 
 
 def check_oracle(gen: RandomMultigraphs, count: int) -> CampaignReport:
-    """Memoized solver against the naive full-expansion recursion on
-    every game kind: winners must agree, and for Strings-and-Coins the
-    net score for the mover must agree exactly."""
+    """Memoized solver against the engine-backed oracle on every game
+    kind: winners must agree, and for Strings-and-Coins the net score
+    for the mover must agree exactly."""
     report = CampaignReport("oracle", seed=gen.seed, details={"comparisons": 0})
     for g in gen.instances(count):
         report.count += 1

@@ -281,12 +281,32 @@ def test_play_then_replay_round_trip(formula, tmp_path, capsys):
 
 def test_replay_flags_illegal_transcripts(board, tmp_path, capsys):
     transcript = tmp_path / "bogus.log"
-    transcript.write_text("cut 0\ncut 0\n")
+    cases = [
+        ("nimstring", "cut 0\ncut 0\n", "illegal cut 0 at ply 2"),
+        # After cut 0, string 1 is coin 1's last alive string.
+        ("lava", "cut 0\ncut 1\n", "illegal cut 1 at ply 2"),
+        ("nimstring", "cut 999\n", "illegal cut 999 at ply 1"),
+        ("nimstring", "cut 1\ncut -1\n", "illegal cut -1 at ply 2"),
+    ]
+    for game, text, message in cases:
+        transcript.write_text(text)
+        code = run(
+            ["replay", "--in", board, "--game", game, "--transcript", str(transcript)]
+        )
+        assert code == 1, text
+        assert message in capsys.readouterr().err
+
+
+def test_replay_rejects_malformed_string_id(board, tmp_path, capsys):
+    transcript = tmp_path / "bogus.log"
+    transcript.write_text("cut 0\ncut abc\n")
     code = run(
         ["replay", "--in", board, "--game", "nimstring", "--transcript", str(transcript)]
     )
-    assert code == 1
-    assert "illegal cut 0 at ply 2" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_replay_reports_in_progress(board, tmp_path, capsys):

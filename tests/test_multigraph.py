@@ -66,6 +66,14 @@ def test_rope_builder_and_labels():
         b.add_rope(c, GROUND, 0)
 
 
+def test_labels_do_not_affect_equality_or_hash():
+    g = cycle_graph(3)
+    labelled = Multigraph(g.coin_count, g.strings, {0: "wire", 2: "clause"})
+    assert labelled == g
+    assert hash(labelled) == hash(g)
+    assert len({g, labelled, parse_text(canonical_text(labelled))}) == 1
+
+
 def test_functional_add_string_does_not_mutate():
     g = Multigraph(coin_count=1)
     g2, sid = add_string(g, 0, GROUND)
@@ -139,9 +147,9 @@ def test_incidence_lists_each_string_once():
     b.add_string(c0, c1)
     b.add_string(c0, GROUND)
     g = b.build()
-    inc = g.incidence()
-    assert inc[0] == [0, 1]
-    assert inc[1] == [0]
+    inc = g.incidence
+    assert inc[0] == (0, 1)
+    assert inc[1] == (0,)
 
 
 def test_ropes_group_parallel_strings():

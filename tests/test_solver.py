@@ -1,9 +1,9 @@
 """Exact game values on small boards and solver/oracle agreement.
 
-The literal values pinned here were computed by the unmemoized
-full-expansion recursion and cross-checked by hand against chain
-arithmetic: an opened chain of k coins is worth k to the opener's
-opponent, so a lone open k-chain scores net -k for the mover.
+The literal values pinned here were computed by the full-expansion
+oracle and cross-checked by hand against chain arithmetic: an opened
+chain of k coins is worth k to the opener's opponent, so a lone open
+k-chain scores net -k for the mover.
 """
 
 import random
@@ -166,7 +166,7 @@ def test_no_loony_witness_on_plain_cycle():
 )
 @settings(max_examples=60, deadline=None)
 def test_memoized_solver_matches_naive(seed: int, kind: GameKind):
-    """Property: the memoized solver and the full-expansion recursion
+    """Property: the memoized solver and the full-expansion oracle
     agree on the winner (and on the exact net for Strings-and-Coins)."""
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(1, 4), rng.randint(0, 7), 0.3)
@@ -176,6 +176,20 @@ def test_memoized_solver_matches_naive(seed: int, kind: GameKind):
     if kind is GameKind.STRINGS_AND_COINS:
         assert fast.net_for_mover == slow.net_for_mover
     assert fast.winner_for_mover == slow.winner_for_mover
+
+
+def test_oracle_matches_solver_past_the_criterion_1_cap():
+    """Seeded boards of 11-13 strings, above criterion 1's 10-string
+    cap, solved by both solvers under every rule set."""
+    rng = random.Random(1113)
+    for strings in (11, 11, 12, 12, 13):
+        g = random_multigraph(rng, rng.randint(2, 5), strings, 0.3)
+        state = initial_state(g)
+        for kind in GameKind:
+            fast = solve(state, kind)
+            slow = naive_solve(state, kind)
+            assert slow.winner_for_mover == fast.winner_for_mover, (kind, strings)
+            assert slow.net_for_mover == fast.net_for_mover, (kind, strings)
 
 
 @given(seed=st.integers(min_value=0, max_value=2000))
