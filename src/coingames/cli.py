@@ -16,6 +16,8 @@ from .errors import CoinGameError, IllegalMove, ParseError
 from .gamesat import Mover, format_dnf, parse_dnf
 from .multigraph import canonical_text, parse_text, to_dot
 from .reduce import (
+    DEFAULT_CHAIN_LEN,
+    DEFAULT_STRING_CAP,
     artifact_from_json,
     artifact_to_json,
     compile_gamesat_to_lava,
@@ -23,7 +25,7 @@ from .reduce import (
     reduce_lava_to_nimstring,
     reduce_nimstring_to_sac,
 )
-from .solver import solve, winner_of
+from .solver import DEFAULT_BUDGET, solve, winner_of
 from .strategy import FallonScript, GreedyDisabler, TrudyScript, UniformRandom, playout
 from .verify import (
     LoonyPlanter,
@@ -40,7 +42,7 @@ from .verify import (
     random_multigraph,
 )
 
-KIND_NAMES = {"sac": GameKind.STRINGS_AND_COINS, "nimstring": GameKind.NIMSTRING, "lava": GameKind.COINS_ARE_LAVA}
+_GAMES = sorted(kind.value for kind in GameKind)
 
 
 def _read(path: str) -> str:
@@ -61,17 +63,9 @@ def _load_formula(path: str):
     return parse_dnf(_read(path))
 
 
-def _player(text: str) -> Player:
-    return Player.P1 if text.upper() == "P1" else Player.P2
-
-
-def _mover(text: str) -> Mover:
-    return Mover.TRUDY if text.lower() == "trudy" else Mover.FALLON
-
-
 def _cmd_solve(args) -> int:
-    kind = KIND_NAMES[args.game]
-    state = initial_state(_load_graph(args.infile), _player(args.first))
+    kind = GameKind(args.game)
+    state = initial_state(_load_graph(args.infile), Player(args.first))
     result = solve(state, kind, budget=args.budget)
     winner = winner_of(state, kind, result)
     if kind is GameKind.STRINGS_AND_COINS:
@@ -99,7 +93,7 @@ def _cmd_reduce(args) -> int:
         print(f"coins={h.coin_count} strings={h.string_count}")
         return 0
     formula = _load_formula(args.formula)
-    first = _mover(args.first)
+    first = Mover(args.first)
     if args.reduction == "gamesat-to-lava":
         artifact = compile_gamesat_to_lava(formula, args.N, first, string_cap=args.string_cap)
         _write(args.out, canonical_text(artifact.graph))
@@ -155,7 +149,7 @@ def _cmd_verify(args) -> int:
         return _emit_report(check_loony(gen, args.count), args.out)
     if args.check == "structure":
         if args.formula:
-            report = check_structure(_load_formula(args.formula), args.N, _mover(args.first))
+            report = check_structure(_load_formula(args.formula), args.N, Mover(args.first))
             return _emit_report(report, args.out)
         rng = random.Random(args.seed)
         failures = 0
@@ -177,7 +171,7 @@ def _cmd_verify(args) -> int:
     if args.check == "strategies":
         report = campaign_strategies(
             _load_formula(args.formula),
-            _mover(args.first),
+            Mover(args.first),
             N_values=tuple(range(args.N_min, args.N_max + 1)),
             seeds=args.seeds,
         )
@@ -271,8 +265,8 @@ def _parse_transcript_line(line: str) -> int | None:
 
 
 def _cmd_replay(args) -> int:
-    kind = KIND_NAMES[args.game]
-    state = initial_state(_load_graph(args.infile), _player(args.first))
+    kind = GameKind(args.game)
+    state = initial_state(_load_graph(args.infile), Player(args.first))
     plies = 0
     for line in _read(args.transcript).splitlines():
         sid = _parse_transcript_line(line)
@@ -298,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a board exactly")
-    p.add_argument("--game", choices=sorted(KIND_NAMES), required=True)
+    p.add_argument("--game", choices=_GAMES, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--first", choices=("P1", "P2"), default="P1")
-    p.add_argument("--budget", type=int, default=24, help="max strings the solver will accept")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max strings the solver will accept")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="winner-preserving reductions")
@@ -315,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = rsub.add_parser("lava-to-nim")
     r.add_argument("--in", dest="infile", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--chain-len", type=int, default=5)
+    r.add_argument("--chain-len", type=int, default=DEFAULT_CHAIN_LEN)
     r.set_defaults(func=_cmd_reduce)
 
     r = rsub.add_parser("gamesat-to-lava")
@@ -324,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--first", choices=("trudy", "fallon"), required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--plan")
-    r.add_argument("--string-cap", type=int, default=200000)
+    r.add_argument("--string-cap", type=int, default=DEFAULT_STRING_CAP)
     r.set_defaults(func=_cmd_reduce)
 
     r = rsub.add_parser("pipeline")
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out-nim", required=True)
     r.add_argument("--out-sac", required=True)
     r.add_argument("--plan")
-    r.add_argument("--chain-len", type=int, default=5)
+    r.add_argument("--chain-len", type=int, default=DEFAULT_CHAIN_LEN)
     r.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("verify", help="verification campaigns (JSON report)")
@@ -436,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="validate a transcript against the rules")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--game", choices=sorted(KIND_NAMES), required=True)
+    p.add_argument("--game", choices=_GAMES, required=True)
     p.add_argument("--transcript", required=True)
     p.add_argument("--first", choices=("P1", "P2"), default="P1")
     p.set_defaults(func=_cmd_replay)

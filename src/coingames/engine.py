@@ -27,13 +27,6 @@ class GameKind(Enum):
     NIMSTRING = "nimstring"
     COINS_ARE_LAVA = "lava"
 
-    @classmethod
-    def from_text(cls, text: str) -> "GameKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown game kind {text!r}")
-
 
 class Player(Enum):
     P1 = "P1"

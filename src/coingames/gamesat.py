@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, FormulaError, ParseError
@@ -82,15 +83,11 @@ class DnfFormula:
     def unset_assignment(self) -> Assignment:
         return (None,) * self.variable_count
 
-
-@dataclass(frozen=True)
-class GameSatState:
-    assignment: Assignment
-    mover: Mover
-
-    @property
-    def terminal(self) -> bool:
-        return None not in self.assignment
+    @cached_property
+    def _attractors(self) -> tuple["_GsSolver", "_GsSolver"]:
+        """Attractor tables indexed by ``allow_skip``: filled lazily and
+        shared by every solve and move query on this formula."""
+        return (_GsSolver(self, allow_skip=False), _GsSolver(self, allow_skip=True))
 
 
 def evaluate(f: DnfFormula, assignment: Sequence[Optional[bool]]) -> bool:
@@ -99,30 +96,6 @@ def evaluate(f: DnfFormula, assignment: Sequence[Optional[bool]]) -> bool:
     if any(v is None for v in assignment):
         raise FormulaError("assignment has unset variables")
     return any(all(assignment[v] for v in clause) for clause in f.clauses)
-
-
-def gamesat_moves(state: GameSatState) -> list[tuple]:
-    """Moves as tuples: ("set", var, value) for each unset var and value,
-    plus ("skip",).  Empty at terminal states."""
-    if state.terminal:
-        return []
-    moves: list[tuple] = []
-    for v, cur in enumerate(state.assignment):
-        if cur is None:
-            moves.append(("set", v, True))
-            moves.append(("set", v, False))
-    moves.append(("skip",))
-    return moves
-
-
-def apply_gamesat_move(state: GameSatState, move: tuple) -> GameSatState:
-    if move[0] == "skip":
-        return GameSatState(state.assignment, state.mover.other)
-    _, v, value = move
-    if state.assignment[v] is not None:
-        raise FormulaError(f"variable {v} already set")
-    assignment = state.assignment[:v] + (value,) + state.assignment[v + 1 :]
-    return GameSatState(assignment, state.mover.other)
 
 
 def _set_children(assignment: Assignment) -> list[Assignment]:
@@ -199,7 +172,7 @@ def solve_gamesat(
         raise BudgetExceeded(f"{f.variable_count} variables exceed budget {budget}")
     if assignment is None:
         assignment = f.unset_assignment()
-    pair = _GsSolver(f, allow_skip).pair(tuple(assignment))
+    pair = f._attractors[allow_skip].pair(tuple(assignment))
     return pair[0] if first is Mover.TRUDY else pair[1]
 
 
@@ -224,7 +197,7 @@ def winning_set_move(
     first, preferred value (Trudy true, Fallon false) first."""
     if f.variable_count > budget:
         raise BudgetExceeded(f"{f.variable_count} variables exceed budget {budget}")
-    solver = _GsSolver(f, allow_skip=True)
+    solver = f._attractors[True]
     target = GameSatValue.TRUDY_WINS if mover is Mover.TRUDY else GameSatValue.FALLON_WINS
     here = solver.pair(tuple(assignment))[0 if mover is Mover.TRUDY else 1]
     if here is not target:

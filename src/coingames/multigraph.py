@@ -10,9 +10,9 @@ dead in a separate alive set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvalidEndpoint, ParseError
 
@@ -77,10 +77,6 @@ class Multigraph:
     def has_self_loop(self) -> bool:
         return any(s.is_self_loop() for s in self.strings)
 
-    def degree(self, coin: int) -> int:
-        """Number of string endpoints at ``coin``; a self-loop counts 2."""
-        return sum((s.a == coin) + (s.b == coin) for s in self.strings)
-
     def degrees(self) -> list[int]:
         deg = [0] * self.coin_count
         for s in self.strings:
@@ -101,10 +97,6 @@ class Multigraph:
             if is_coin(s.b) and s.b != s.a:
                 inc[s.b].append(s.id)
         return tuple(map(tuple, inc))
-
-    def _check_endpoint(self, e: int) -> None:
-        if e != GROUND and not (0 <= e < self.coin_count):
-            raise InvalidEndpoint(f"endpoint {e} out of range (coins: {self.coin_count})")
 
 
 @dataclass
@@ -139,27 +131,6 @@ class GraphBuilder:
 
     def build(self) -> Multigraph:
         return Multigraph(self.coin_count, tuple(self._strings), dict(self._labels))
-
-
-def add_coin(g: Multigraph) -> tuple[Multigraph, int]:
-    return replace(g, coin_count=g.coin_count + 1), g.coin_count
-
-
-def add_string(g: Multigraph, a: int, b: int) -> tuple[Multigraph, int]:
-    g._check_endpoint(a)
-    g._check_endpoint(b)
-    sid = g.string_count
-    return replace(g, strings=g.strings + (StringEdge(sid, a, b),)), sid
-
-
-def add_rope(g: Multigraph, a: int, b: int, width: int) -> tuple[Multigraph, list[int]]:
-    if width < 1:
-        raise ValueError("rope width must be >= 1")
-    ids = []
-    for _ in range(width):
-        g, sid = add_string(g, a, b)
-        ids.append(sid)
-    return g, ids
 
 
 def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:
@@ -297,7 +268,3 @@ def to_dot(
         lines.append(f"  {na} -- {nb} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def iter_strings(g: Multigraph) -> Iterator[StringEdge]:
-    return iter(g.strings)

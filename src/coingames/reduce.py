@@ -32,7 +32,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .engine import Player
-from .errors import FormulaError, ReductionError
+from .errors import FormulaError, ParseError, ReductionError
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, parse_dnf, solve_gamesat
 from .multigraph import GROUND, GraphBuilder, Multigraph, StringEdge, cycle_graph, disjoint_union
 
@@ -84,10 +84,6 @@ class AugmentedFormula:
         keys += [f"singleton:{v}" for v in range(self.variable_count)]
         keys.append("empty")
         return keys
-
-    @property
-    def clause_gadget_count(self) -> int:
-        return len(self.real) + self.variable_count + 1
 
 
 def augment_formula(f: DnfFormula) -> AugmentedFormula:
@@ -198,9 +194,6 @@ class ReductionArtifact:
 
     def wire_plans(self) -> list[GadgetPlan]:
         return [p for p in self.plan if p.kind == "wire"]
-
-    def clause_plans(self) -> dict[str, GadgetPlan]:
-        return {p.clause: p for p in self.plan if p.kind == "clause"}
 
     def pad_id(self) -> int | None:
         for p in self.plan:
@@ -357,7 +350,6 @@ def compile_gamesat_to_lava(
     N: int,
     first: Mover,
     string_cap: int = DEFAULT_STRING_CAP,
-    apply_parity_fix: bool = True,
 ) -> ReductionArtifact:
     """Compile a positive DNF into a Coins-are-Lava instance.
 
@@ -381,10 +373,7 @@ def compile_gamesat_to_lava(
         "N": N,
         "N_advisory_ok": N >= (m * m * n * n),
     }
-    artifact = ReductionArtifact(graph, tuple(plan), N, first, f, root, predicted)
-    if apply_parity_fix:
-        artifact = fix_parity(artifact, first)
-    return artifact
+    return fix_parity(ReductionArtifact(graph, tuple(plan), N, first, f, root, predicted), first)
 
 
 def full_pipeline(
@@ -415,20 +404,59 @@ def artifact_to_json(a: ReductionArtifact) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# The fields each gadget kind must carry: string-id ranges, then coins.
+_GADGET_FIELDS = {
+    "variable": (("bottom", "top"), ("mid_coin", "output_coin")),
+    "wire": (("bottom", "top"), ("input_coin", "mid_coin", "output_coin")),
+    "clause": (("rope",), ("input_coin",)),
+    "pad": (("rope",), ()),
+}
+
+
 def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
-    doc = json.loads(text)
-    plans = []
-    for g in doc["gadgets"]:
-        for rng in ("bottom", "top", "rope"):
-            if g.get(rng) is not None:
-                g[rng] = tuple(g[rng])
-        plans.append(GadgetPlan(**g))
-    return ReductionArtifact(
-        graph=graph,
-        plan=tuple(plans),
-        N=doc["N"],
-        first=Mover(doc["first"]),
-        formula=parse_dnf(doc["formula"]),
-        root_coin=doc["root_coin"],
-        predicted=doc["predicted"],
-    )
+    """Load a plan written by ``artifact_to_json`` for ``graph``.  Raises
+    ParseError unless the document has the written shape, every gadget
+    kind is known, every id range lies inside the board without overlap
+    and holds one rope (strands sharing their endpoints), and every coin
+    is on the board."""
+    try:
+        doc = json.loads(text)
+        plans = tuple(
+            GadgetPlan(**{k: tuple(v) if k in ("bottom", "top", "rope") else v for k, v in g.items()})
+            for g in doc["gadgets"]
+        )
+        artifact = ReductionArtifact(
+            graph=graph,
+            plan=plans,
+            N=doc["N"],
+            first=Mover(doc["first"]),
+            formula=parse_dnf(doc["formula"]),
+            root_coin=doc["root_coin"],
+            predicted=doc["predicted"],
+        )
+        GameSatValue(artifact.predicted["gamesat_value"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed plan: {exc!r}") from None
+    used: set[int] = set()
+    coins = [artifact.root_coin]
+    for p in plans:
+        if not isinstance(p.kind, str) or p.kind not in _GADGET_FIELDS:
+            raise ParseError(f"plan: unknown gadget kind {p.kind!r}")
+        ranges, coin_fields = _GADGET_FIELDS[p.kind]
+        coins += [getattr(p, name) for name in coin_fields]
+        for name in ranges:
+            rng = getattr(p, name)
+            if rng is None or len(rng) != 2 or not all(type(x) is int for x in rng):
+                raise ParseError(f"plan: {p.kind} gadget needs an id range {name}")
+            if not 0 <= rng[0] < rng[1] <= graph.string_count:
+                raise ParseError(f"plan: range {list(rng)} outside [0, {graph.string_count})")
+            ids = range(*rng)
+            if not used.isdisjoint(ids):
+                raise ParseError(f"plan: range {list(rng)} overlaps another gadget")
+            used.update(ids)
+            if len({graph.strings[sid].pair() for sid in ids}) != 1:
+                raise ParseError(f"plan: strands of rope {list(rng)} do not share endpoints")
+    for coin in coins:
+        if type(coin) is not int or not 0 <= coin < graph.coin_count:
+            raise ParseError(f"plan: coin {coin!r} out of range (coins: {graph.coin_count})")
+    return artifact

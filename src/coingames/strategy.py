@@ -179,18 +179,6 @@ class ArtifactTracker:
             return True
         return any(w.disabled for w in self.clause_wires[key])
 
-    def census(self) -> dict:
-        f = self.artifact.formula
-        return {
-            "variables": {
-                f.names[i]: self.var_bottom[i].alive + self.var_top[i].alive
-                for i in range(f.variable_count)
-            },
-            "wires": {str(w.index): w.bottom.alive + w.top.alive for w in self.wires},
-            "clauses": {key: rope.alive for key, rope in self.clause_rope.items()},
-            "pad": self.pad.alive if self.pad else 0,
-        }
-
 
 def is_fallon_terminal(census: dict) -> bool:
     return (
@@ -723,10 +711,12 @@ class TrudyScript(_ScriptBase):
                     return sid
         return None
 
-    def _urgent(self):
+    def _rivals(self) -> list[_Wire]:
+        """Live level-2 wires, not protected, into a non-empty clause
+        that is not yet doomed: each could still carry a rival survivor."""
         t = self.tracker
         protected = self._protected()
-        raced = [
+        return [
             w
             for w in t.wires
             if w.level == 2
@@ -734,8 +724,10 @@ class TrudyScript(_ScriptBase):
             and w.index not in protected
             and w.target != "empty"
             and not t.doomed(w.target)
-            and w.top.alive < w.top.width
         ]
+
+    def _urgent(self):
+        raced = [w for w in self._rivals() if w.top.alive < w.top.width]
         raced.sort(key=lambda w: (w.top.alive, w.index))
         return self._disable_first(raced)
 
@@ -749,18 +741,7 @@ class TrudyScript(_ScriptBase):
     def _post_sweep(self):
         if self.c_prime is None or self._activation_work(self.c_prime) > 0:
             return None
-        t = self.tracker
-        protected = self._protected()
-        rest = [
-            w
-            for w in t.wires
-            if w.level == 2
-            and w.hp > 0
-            and w.index not in protected
-            and w.target != "empty"
-            and not t.doomed(w.target)
-        ]
-        return self._disable_first(rest)
+        return self._disable_first(self._rivals())
 
     def _ropes(self):
         t = self.tracker

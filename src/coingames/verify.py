@@ -19,11 +19,12 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .engine import GameKind, GameState, Player, initial_state
+from .engine import GameKind, Player, initial_state
 from .errors import BudgetExceeded, StrategyError
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, skip_dominance_check, solve_gamesat
 from .multigraph import GROUND, GraphBuilder, Multigraph, canonical_text, ropes
 from .reduce import (
+    DEFAULT_CHAIN_LEN,
     ReductionArtifact,
     closed_form_counts,
     compile_gamesat_to_lava,
@@ -169,11 +170,6 @@ def enumerate_small_formulas(max_n: int, max_m: int):
                 yield DnfFormula(n, tuple(clause_combo))
 
 
-def _nim_winner(g: Multigraph) -> Player:
-    state = initial_state(g)
-    return winner_of(state, GameKind.NIMSTRING, solve(state, GameKind.NIMSTRING))
-
-
 def check_oracle(gen: RandomMultigraphs, count: int) -> CampaignReport:
     """Memoized solver against the engine-backed oracle on every game
     kind: winners must agree, and for Strings-and-Coins the net score
@@ -203,37 +199,34 @@ def check_oracle(gen: RandomMultigraphs, count: int) -> CampaignReport:
     return report
 
 
-def check_lemma1(gen: RandomMultigraphs, count: int) -> CampaignReport:
-    """Winner of Nimstring on G equals the winner of Strings-and-Coins
-    on G plus a fresh cycle; draws on the point side count as
-    mismatches.  A tenth of the instances are re-solved with the naive
-    oracle on both sides (size permitting)."""
-    report = CampaignReport("lemma1", seed=gen.seed, details={"crosschecked": 0, "draws": 0})
-    for i, g in enumerate(gen.instances(count)):
+def _check_reduction(report: CampaignReport, instances, reduce, g_side, h_side) -> CampaignReport:
+    """The loop shared by the lemma campaigns.  Each side is a pair
+    (report key, game kind): every G is reduced to H, both are solved,
+    and the winners must be equal; a draw, possible only on a
+    Strings-and-Coins H, is a mismatch and counted in ``draws``.  Every
+    tenth instance is re-solved with the naive oracle on each side
+    within ``NAIVE_CROSSCHECK_LIMIT``."""
+    for i, g in enumerate(instances):
         report.count += 1
-        h = reduce_nimstring_to_sac(g)
+        solved = []
         try:
-            nim_state = initial_state(g)
-            nim_winner = winner_of(nim_state, GameKind.NIMSTRING, solve(nim_state, GameKind.NIMSTRING))
-            sac_state = initial_state(h)
-            sac_winner = winner_of(sac_state, GameKind.STRINGS_AND_COINS, solve(sac_state, GameKind.STRINGS_AND_COINS))
+            for board, (key, kind) in ((g, g_side), (reduce(g), h_side)):
+                state = initial_state(board)
+                solved.append((key, kind, state, winner_of(state, kind, solve(state, kind))))
         except BudgetExceeded:
             report.skipped += 1
             continue
-        ok = sac_winner is not None and nim_winner == sac_winner
-        if sac_winner is None:
+        (g_key, _, _, g_winner), (h_key, _, _, h_winner) = solved
+        ok = h_winner is not None and g_winner == h_winner
+        if h_winner is None:
             report.details["draws"] += 1
         if i % 10 == 0:
-            crosscheck_ok = True
-            nim_naive = naive_solve(nim_state, GameKind.NIMSTRING)
-            if winner_of(nim_state, GameKind.NIMSTRING, nim_naive) != nim_winner:
-                crosscheck_ok = False
-            if h.string_count <= NAIVE_CROSSCHECK_LIMIT:
-                sac_naive = naive_solve(sac_state, GameKind.STRINGS_AND_COINS)
-                if winner_of(sac_state, GameKind.STRINGS_AND_COINS, sac_naive) != sac_winner:
-                    crosscheck_ok = False
-            report.details["crosschecked"] += 1
-            ok = ok and crosscheck_ok
+            rechecked = [s for s in solved if s[2].board.string_count <= NAIVE_CROSSCHECK_LIMIT]
+            for _, kind, state, winner in rechecked:
+                if winner_of(state, kind, naive_solve(state, kind)) != winner:
+                    ok = False
+            if rechecked:
+                report.details["crosschecked"] += 1
         if ok:
             report.passes += 1
         else:
@@ -241,14 +234,28 @@ def check_lemma1(gen: RandomMultigraphs, count: int) -> CampaignReport:
             report.counterexamples.append(
                 {
                     "instance": canonical_text(g),
-                    "nim_winner": nim_winner.value,
-                    "sac_winner": sac_winner.value if sac_winner else "Draw",
+                    g_key: g_winner.value,
+                    h_key: h_winner.value if h_winner else "Draw",
                 }
             )
     return report
 
 
-def check_lemma3(gen: RandomMultigraphs, count: int, chain_len: int = 5) -> CampaignReport:
+def check_lemma1(gen: RandomMultigraphs, count: int) -> CampaignReport:
+    """Winner of Nimstring on G equals the winner of Strings-and-Coins
+    on G plus a fresh cycle; draws on the point side count as
+    mismatches."""
+    report = CampaignReport("lemma1", seed=gen.seed, details={"crosschecked": 0, "draws": 0})
+    return _check_reduction(
+        report,
+        gen.instances(count),
+        reduce_nimstring_to_sac,
+        ("nim_winner", GameKind.NIMSTRING),
+        ("sac_winner", GameKind.STRINGS_AND_COINS),
+    )
+
+
+def check_lemma3(gen: RandomMultigraphs, count: int, chain_len: int = DEFAULT_CHAIN_LEN) -> CampaignReport:
     """Winner of Coins-are-Lava on G equals the winner of Nimstring on
     G with every coin anchored to ground by a chain.
 
@@ -257,39 +264,13 @@ def check_lemma3(gen: RandomMultigraphs, count: int, chain_len: int = 5) -> Camp
     frees it, and the freshly earned move lands on a loony position, so
     the Nimstring side gains a winning escape that Lava lacks."""
     report = CampaignReport("lemma3", seed=gen.seed, details={"crosschecked": 0})
-    for i, g in enumerate(gen.instances(count)):
-        report.count += 1
-        h = reduce_lava_to_nimstring(g, chain_len)
-        try:
-            lava_state = initial_state(g)
-            lava_winner = winner_of(lava_state, GameKind.COINS_ARE_LAVA, solve(lava_state, GameKind.COINS_ARE_LAVA))
-            nim_state = initial_state(h)
-            nim_winner = winner_of(nim_state, GameKind.NIMSTRING, solve(nim_state, GameKind.NIMSTRING))
-        except BudgetExceeded:
-            report.skipped += 1
-            continue
-        ok = lava_winner == nim_winner
-        if i % 10 == 0:
-            lava_naive = naive_solve(lava_state, GameKind.COINS_ARE_LAVA)
-            if winner_of(lava_state, GameKind.COINS_ARE_LAVA, lava_naive) != lava_winner:
-                ok = False
-            if h.string_count <= NAIVE_CROSSCHECK_LIMIT:
-                nim_naive = naive_solve(nim_state, GameKind.NIMSTRING)
-                if winner_of(nim_state, GameKind.NIMSTRING, nim_naive) != nim_winner:
-                    ok = False
-            report.details["crosschecked"] += 1
-        if ok:
-            report.passes += 1
-        else:
-            report.fails += 1
-            report.counterexamples.append(
-                {
-                    "instance": canonical_text(g),
-                    "lava_winner": lava_winner.value,
-                    "nim_winner": nim_winner.value,
-                }
-            )
-    return report
+    return _check_reduction(
+        report,
+        gen.instances(count),
+        lambda g: reduce_lava_to_nimstring(g, chain_len),
+        ("lava_winner", GameKind.COINS_ARE_LAVA),
+        ("nim_winner", GameKind.NIMSTRING),
+    )
 
 
 @dataclass

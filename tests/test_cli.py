@@ -309,6 +309,33 @@ def test_replay_rejects_malformed_string_id(board, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _compile(tmp_path, text: str, name: str) -> tuple[str, str]:
+    formula = tmp_path / f"{name}.dnf"
+    formula.write_text(text)
+    board = tmp_path / f"{name}.txt"
+    plan = tmp_path / f"{name}.json"
+    argv = ["reduce", "gamesat-to-lava", "--formula", str(formula), "--N", "2", "--first", "trudy"]
+    assert run(argv + ["--out", str(board), "--plan", str(plan)]) == 0
+    return str(board), str(plan)
+
+
+@pytest.mark.parametrize("plan_of", ["malformed-json", "other-board"])
+def test_play_rejects_a_plan_that_does_not_fit(plan_of, tmp_path, capsys):
+    board, plan = _compile(tmp_path, CONJUNCTION, "conj")
+    if plan_of == "malformed-json":
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"N": 2,')
+        plan = str(bad)
+    else:
+        _, plan = _compile(tmp_path, "x1 x2\nx2 x3\n", "chain")
+    capsys.readouterr()
+    code = run(["play", "--in", board, "--plan", plan, "--policy-a", "random", "--policy-b", "random"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_replay_reports_in_progress(board, tmp_path, capsys):
     transcript = tmp_path / "partial.log"
     transcript.write_text("cut 0\n")

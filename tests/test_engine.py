@@ -29,14 +29,6 @@ def two_chain():
     return b.build()
 
 
-def test_game_kind_from_text():
-    assert GameKind.from_text("sac") is GameKind.STRINGS_AND_COINS
-    assert GameKind.from_text("nimstring") is GameKind.NIMSTRING
-    assert GameKind.from_text("lava") is GameKind.COINS_ARE_LAVA
-    with pytest.raises(ValueError):
-        GameKind.from_text("chess")
-
-
 def test_player_other():
     assert Player.P1.other is Player.P2
     assert Player.P2.other is Player.P1

@@ -1,5 +1,6 @@
 """Set-or-skip satisfiability game: parsing, evaluation, and solved values."""
 
+import itertools
 import random
 
 import pytest
@@ -8,13 +9,10 @@ from hypothesis import given, settings, strategies as st
 from coingames.errors import FormulaError, ParseError
 from coingames.gamesat import (
     DnfFormula,
-    GameSatState,
     GameSatValue,
     Mover,
-    apply_gamesat_move,
     evaluate,
     format_dnf,
-    gamesat_moves,
     parse_dnf,
     skip_dominance_check,
     solve_gamesat,
@@ -68,26 +66,6 @@ def test_mover_other():
     assert Mover.FALLON.other is Mover.TRUDY
 
 
-def test_moves_are_set_or_skip():
-    state = GameSatState((None, None), Mover.TRUDY)
-    moves = gamesat_moves(state)
-    assert ("skip",) in moves
-    assert ("set", 0, True) in moves
-    assert ("set", 0, False) in moves
-    assert len(moves) == 5
-    nxt = apply_gamesat_move(state, ("set", 1, True))
-    assert nxt.assignment == (None, True)
-    assert nxt.mover is Mover.FALLON
-    skip = apply_gamesat_move(state, ("skip",))
-    assert skip.assignment == (None, None)
-    assert skip.mover is Mover.FALLON
-    with pytest.raises(FormulaError):
-        apply_gamesat_move(nxt, ("set", 1, False))
-    done = GameSatState((True, False), Mover.TRUDY)
-    assert done.terminal
-    assert gamesat_moves(done) == []
-
-
 # Values frozen from the attractor solver across both movers, with and
 # without skips.
 @pytest.mark.parametrize(
@@ -139,6 +117,22 @@ def test_winning_set_move_preserves_the_win():
 def test_winning_set_move_returns_none_for_the_loser():
     f = parse_dnf("x1 x2")
     assert winning_set_move(f, f.unset_assignment(), Mover.TRUDY) is None
+
+
+def test_cached_tables_keep_the_skip_rules_apart():
+    # Both tables live on the formula; filling the no-skip table first
+    # must not leak into the with-skip answers, or the reverse.
+    for f in enumerate_small_formulas(3, 2):
+        for allow_skip in (False, True):
+            for first in Mover:
+                solve_gamesat(f, first, allow_skip=allow_skip)
+        for a in itertools.product((None, True, False), repeat=f.variable_count):
+            for allow_skip in (False, True):
+                for first in Mover:
+                    fresh = DnfFormula(f.variable_count, f.clauses)
+                    assert fresh == f
+                    got = solve_gamesat(f, first, allow_skip=allow_skip, assignment=a)
+                    assert got is solve_gamesat(fresh, first, allow_skip=allow_skip, assignment=a)
 
 
 def test_formula_validation():

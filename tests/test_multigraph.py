@@ -11,8 +11,6 @@ from coingames.multigraph import (
     GraphBuilder,
     Multigraph,
     StringEdge,
-    add_rope,
-    add_string,
     canonical_text,
     cycle_graph,
     disjoint_union,
@@ -42,8 +40,6 @@ def test_builder_counts_and_degrees():
     g = b.build()
     assert g.coin_count == 2
     assert g.string_count == 2
-    assert g.degree(c0) == 2
-    assert g.degree(c1) == 1
     assert g.degrees() == [2, 1]
 
 
@@ -60,7 +56,7 @@ def test_rope_builder_and_labels():
     ids = b.add_rope(c, GROUND, 3, label="anchor")
     g = b.build()
     assert ids == [0, 1, 2]
-    assert g.degree(c) == 3
+    assert g.degrees()[c] == 3
     assert all(g.labels[sid] == "anchor" for sid in ids)
     with pytest.raises(ValueError):
         b.add_rope(c, GROUND, 0)
@@ -74,24 +70,6 @@ def test_labels_do_not_affect_equality_or_hash():
     assert len({g, labelled, parse_text(canonical_text(labelled))}) == 1
 
 
-def test_functional_add_string_does_not_mutate():
-    g = Multigraph(coin_count=1)
-    g2, sid = add_string(g, 0, GROUND)
-    assert g.string_count == 0
-    assert g2.string_count == 1
-    assert sid == 0
-    g3, ids = add_rope(g2, 0, GROUND, 2)
-    assert g2.string_count == 1
-    assert g3.string_count == 3
-    assert ids == [1, 2]
-
-
-def test_add_string_checks_endpoints():
-    g = Multigraph(coin_count=1)
-    with pytest.raises(InvalidEndpoint):
-        add_string(g, 0, 3)
-
-
 def test_self_loop_detection():
     b = GraphBuilder()
     c = b.add_coin()
@@ -99,7 +77,7 @@ def test_self_loop_detection():
     g = b.build()
     assert g.has_self_loop
     assert g.strings[0].is_self_loop()
-    assert g.degree(c) == 2
+    assert g.degrees()[c] == 2
 
 
 def test_ground_loop_is_not_a_self_loop():

@@ -7,13 +7,15 @@ m + n + 1 clause gadgets, and T(N) = 2n + W1(N + N^2) + W2(N^3 + N^4)
 recomputed by recounting compiled graphs string by string.
 """
 
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coingames.engine import GameKind, Player, initial_state
-from coingames.errors import FormulaError, ReductionError
+from coingames.errors import FormulaError, ParseError, ReductionError
 from coingames.gamesat import GameSatValue, Mover, parse_dnf
 from coingames.multigraph import GROUND, GraphBuilder, cycle_graph
 from coingames.reduce import (
@@ -113,7 +115,7 @@ def test_augment_formula_keys():
         "singleton:2",
         "empty",
     ]
-    assert aug.clause_gadget_count == 7
+    assert len(aug.clause_keys()) == closed_form_counts(f)["clause_gadgets"] == 7
 
 
 def test_augment_formula_rejects_small_clauses():
@@ -163,14 +165,15 @@ def test_compiled_artifact_structure():
     wires = art.wire_plans()
     assert sum(1 for w in wires if w.level == 1) == 9
     assert sum(1 for w in wires if w.level == 2) == 11
-    assert len(art.clause_plans()) == 7
+    clauses = [p for p in art.plan if p.kind == "clause"]
+    assert len(clauses) == 7
     # Every level-1 wire: bottom rope N, top rope N^2.
     for w in wires:
         lo = art.N ** (2 * w.level - 1)
         hi = art.N ** (2 * w.level)
         assert w.bottom[1] - w.bottom[0] == lo
         assert w.top[1] - w.top[0] == hi
-    for p in art.clause_plans().values():
+    for p in clauses:
         assert p.rope[1] - p.rope[0] == art.N**5
 
 
@@ -255,6 +258,45 @@ def test_artifact_json_round_trip():
     assert back.predicted == art.predicted
     assert back.plan == art.plan
     assert set(back.formula.clauses) == set(f.clauses)
+
+
+def _drop_first_variable_into_a_pad(doc):
+    doc["gadgets"] = doc["gadgets"][1:] + [{"kind": "pad", "rope": [0, 2]}]
+
+
+def _set(path, value):
+    def mutate(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_set(["gadgets"], 7), "malformed plan"),
+        (_set(["first"], "nobody"), "malformed plan"),
+        (_set(["gadgets", 0, "colour"], "red"), "malformed plan"),
+        (_set(["predicted", "gamesat_value"], "Maybe"), "malformed plan"),
+        (_set(["gadgets", 0, "kind"], "gizmo"), "unknown gadget kind"),
+        (_set(["gadgets", 0, "kind"], ["variable"]), "unknown gadget kind"),
+        (_set(["gadgets", 0, "bottom"], ["a", 1]), "needs an id range"),
+        (_set(["gadgets", -1, "rope"], [200, 300]), "outside [0, 265)"),
+        (_set(["gadgets", 1, "bottom"], [0, 1]), "overlaps another gadget"),
+        (_drop_first_variable_into_a_pad, "do not share endpoints"),
+        (_set(["gadgets", 2, "mid_coin"], 16), "coin 16 out of range"),
+        (_set(["root_coin"], -1), "coin -1 out of range"),
+    ],
+)
+def test_artifact_from_json_rejects_plans_that_do_not_fit_the_board(mutate, message):
+    art = compile_gamesat_to_lava(parse_dnf("x1 x2"), 2, Mover.TRUDY)
+    doc = json.loads(artifact_to_json(art))
+    mutate(doc)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        artifact_from_json(json.dumps(doc), art.graph)
 
 
 @given(seed=st.integers(min_value=0, max_value=3000))
