@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=_GAMES, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--first", choices=("P1", "P2"), default="P1")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max strings the solver will accept")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="accept boards of at most 2^BUDGET rope-quotient states")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="winner-preserving reductions")

@@ -417,8 +417,11 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
     """Load a plan written by ``artifact_to_json`` for ``graph``.  Raises
     ParseError unless the document has the written shape, every gadget
     kind is known, every id range lies inside the board without overlap
-    and holds one rope (strands sharing their endpoints), and every coin
-    is on the board."""
+    and holds one rope (strands sharing their endpoints), every coin is
+    on the board, and the gadgets fit the plan's formula: one variable
+    gadget per variable in order, one clause gadget per clause key, and
+    every wire from a variable (level 1) or the root (level 2) into a
+    clause key."""
     try:
         doc = json.loads(text)
         plans = tuple(
@@ -459,4 +462,18 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
     for coin in coins:
         if type(coin) is not int or not 0 <= coin < graph.coin_count:
             raise ParseError(f"plan: coin {coin!r} out of range (coins: {graph.coin_count})")
+    f = artifact.formula
+    if [p.var for p in plans if p.kind == "variable"] != list(range(f.variable_count)):
+        raise ParseError(f"plan: variable gadgets do not match the formula's {f.variable_count} variables")
+    keys = AugmentedFormula(f.clauses, f.variable_count).clause_keys()
+    planned = [p.clause for p in plans if p.kind == "clause"]
+    if len(planned) != len(keys) or any(key not in planned for key in keys):
+        raise ParseError("plan: clause gadgets do not match the formula's clause keys")
+    var_sources = [f"var:{i}" for i in range(f.variable_count)]
+    for p in plans:
+        if p.kind == "wire" and not (
+            (p.level == 1 and p.source in var_sources or p.level == 2 and p.source == "root")
+            and p.target in keys
+        ):
+            raise ParseError(f"plan: level-{p.level!r} wire {p.source!r} -> {p.target!r} does not fit the formula")
     return artifact

@@ -1,10 +1,19 @@
 """Exact solvers for all three games, plus loony-position tools.
 
-``solve`` does full-depth memoized search over alive-string bitmasks.
-The memo key is the alive set alone: in Nimstring and Coins-are-Lava the
-value "does the mover win" depends only on the alive set, and in
-Strings-and-Coins the optimal future net score for the mover is
-mover-symmetric (both players face identical move rights).
+``solve`` does full-depth memoized search over the rope quotient of the
+position.  Parallel strings (a rope: same endpoint pair) are
+interchangeable, so the search lists each rope's strings together and
+only ever cuts a rope's last alive string; the alive strings of a rope
+are then always a prefix of it, and a position is its alive count per
+rope.  A board whose ropes have widths w visits at most the product of
+(w + 1) states instead of 2^E, and ``budget`` bounds that product by
+2^budget (the same as a string budget on boards without parallel
+strings).  The memo key is that alive bitmask alone: in Nimstring and
+Coins-are-Lava the value "does the mover win" depends only on the alive
+set, and in Strings-and-Coins the optimal future net score for the mover
+is mover-symmetric (both players face identical move rights).  The
+search recurses once per cut, so a position with more than
+``MAX_DEPTH`` alive strings is refused whatever its budget.
 
 ``naive_solve`` is an independent correctness oracle: plain minimax
 over the engine's ``GameState`` rules (``legal_moves``, ``apply_move``,
@@ -23,14 +32,18 @@ or two cuts, chosen by solving the remainder graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .engine import GameKind, GameState, Player, apply_move, is_terminal, legal_moves
 from .errors import BudgetExceeded, DegenerateInput
-from .multigraph import GROUND, is_coin
+from .multigraph import GROUND, is_coin, ropes
 
 DEFAULT_BUDGET = 24
 NAIVE_BUDGET = 14
+# Deepest search ``solve`` accepts: one Python frame per cut, kept well
+# under the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 400
 
 
 @dataclass(frozen=True)
@@ -55,11 +68,20 @@ class LoonyWitness:
 
 
 class _Search:
-    def __init__(self, state: GameState):
+    def __init__(self, state: GameState, groups: list[list[int]]):
         if state.board.has_self_loop:
             raise DegenerateInput("board has a self-loop")
         board = state.board
-        self.ids = sorted(state.alive)
+        # Rope by rope, in order of each rope's lowest string id, and
+        # within a rope from its highest id down.  ``higher[i]`` masks
+        # the later positions of i's rope: i is cut only when none of
+        # them is alive, so the rope's lowest id goes first.
+        self.ids, self.higher = [], []
+        for group in groups:
+            start = len(self.ids)
+            self.ids.extend(reversed(group))
+            span = ((1 << len(group)) - 1) << start
+            self.higher.extend(span & ~((2 << i) - 1) for i in range(start, len(self.ids)))
         self.ea = [board.strings[sid].a for sid in self.ids]
         self.eb = [board.strings[sid].b for sid in self.ids]
         self.deg = [0] * board.coin_count
@@ -72,13 +94,17 @@ class _Search:
         self.states = 0
 
     def moves(self, mask: int) -> tuple[list[int], list[int]]:
-        """(freeing, non-freeing) move positions, each ascending."""
+        """(freeing, non-freeing) move positions, one per alive rope, each
+        ascending; from the full mask these are the ropes' lowest string
+        ids in ascending order."""
         freeing, plain = [], []
         m = mask
         while m:
             bit = m & -m
             m ^= bit
             i = bit.bit_length() - 1
+            if mask & self.higher[i]:
+                continue
             if self._freed(i):
                 freeing.append(i)
             else:
@@ -170,10 +196,18 @@ def _sac_net(s: _Search, mask: int, memo: dict[int, int]) -> int:
 
 
 def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Exact optimal value of ``state`` under ``kind`` by memoized search."""
-    if len(state.alive) > budget:
-        raise BudgetExceeded(f"{len(state.alive)} alive strings exceed budget {budget}")
-    s = _Search(state)
+    """Exact optimal value of ``state`` under ``kind`` by memoized search
+    over the rope quotient; refuses positions with more than 2^budget
+    quotient states or more than ``MAX_DEPTH`` alive strings."""
+    groups = list(ropes(state.board, state.alive).values())
+    need = (math.prod(len(group) + 1 for group in groups) - 1).bit_length()
+    if need > budget:
+        raise BudgetExceeded(
+            f"{len(state.alive)} alive strings in {len(groups)} ropes need budget {need}, above {budget}"
+        )
+    if len(state.alive) > MAX_DEPTH:
+        raise BudgetExceeded(f"{len(state.alive)} alive strings exceed search depth {MAX_DEPTH}")
+    s = _Search(state, groups)
     mask0 = s.full_mask
     if kind is GameKind.STRINGS_AND_COINS:
         memo_n: dict[int, int] = {}
@@ -300,9 +334,6 @@ def loony_first_move(
     Otherwise cut only b and let the opponent face the lone a plus a
     remainder they cannot afford.
     """
-    remainder = state.alive - {w.a, w.b}
-    if len(remainder) > budget:
-        raise BudgetExceeded(f"remainder has {len(remainder)} strings, budget {budget}")
-    sub = GameState(state.board, frozenset(remainder), state.mover)
+    sub = GameState(state.board, state.alive - {w.a, w.b}, state.mover)
     res = solve(sub, GameKind.NIMSTRING, budget)
     return [w.a, w.b] if res.winner_for_mover else [w.b]

@@ -1,6 +1,7 @@
 """Command line round-trips: every subcommand, every exit code."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,20 @@ def test_solve_sac_score_line(board, capsys):
 def test_solve_budget_exhaustion_is_usage_error(board, capsys):
     assert run(["solve", "--game", "sac", "--in", board, "--budget", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_refuses_a_search_deeper_than_its_ceiling(tmp_path, capsys):
+    """An open chain of 1,199 coins (1,200 strings) fits a budget of
+    5000 but would recurse once per string."""
+    chain = ["coins 1199", "string 0 ground 0"]
+    chain += [f"string {i} {i - 1} {i}" for i in range(1, 1199)]
+    chain.append("string 1199 1198 ground")
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join(chain) + "\n")
+    assert run(["solve", "--game", "nimstring", "--in", str(path), "--budget", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "search depth" in err
+    assert err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):
@@ -319,17 +334,23 @@ def _compile(tmp_path, text: str, name: str) -> tuple[str, str]:
     return str(board), str(plan)
 
 
-@pytest.mark.parametrize("plan_of", ["malformed-json", "other-board"])
+@pytest.mark.parametrize("plan_of", ["malformed-json", "other-board", "foreign-variable"])
 def test_play_rejects_a_plan_that_does_not_fit(plan_of, tmp_path, capsys):
     board, plan = _compile(tmp_path, CONJUNCTION, "conj")
+    bad = tmp_path / "bad.json"
     if plan_of == "malformed-json":
-        bad = tmp_path / "bad.json"
         bad.write_text('{"N": 2,')
         plan = str(bad)
-    else:
+    elif plan_of == "other-board":
         _, plan = _compile(tmp_path, "x1 x2\nx2 x3\n", "chain")
+    else:
+        # A wire from a variable the two-variable formula lacks.
+        doc = json.loads(Path(plan).read_text())
+        next(g for g in doc["gadgets"] if g["kind"] == "wire")["source"] = "var:7"
+        bad.write_text(json.dumps(doc))
+        plan = str(bad)
     capsys.readouterr()
-    code = run(["play", "--in", board, "--plan", plan, "--policy-a", "random", "--policy-b", "random"])
+    code = run(["play", "--in", board, "--plan", plan, "--policy-a", "greedy", "--policy-b", "fallon-script"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -289,6 +289,12 @@ def _set(path, value):
         (_drop_first_variable_into_a_pad, "do not share endpoints"),
         (_set(["gadgets", 2, "mid_coin"], 16), "coin 16 out of range"),
         (_set(["root_coin"], -1), "coin -1 out of range"),
+        (_set(["formula"], "x1 x2 x3"), "variable gadgets do not match the formula's 3 variables"),
+        (_set(["gadgets", 1, "var"], 5), "variable gadgets do not match the formula's 2 variables"),
+        (_set(["gadgets", 12, "clause"], "real:0"), "do not match the formula's clause keys"),
+        (_set(["gadgets", 2, "source"], "var:7"), "level-1 wire 'var:7' -> 'real:0' does not fit"),
+        (_set(["gadgets", 4, "source"], "var:0"), "level-2 wire 'var:0' -> 'real:0' does not fit"),
+        (_set(["gadgets", 3, "target"], "real:1"), "level-1 wire 'var:1' -> 'real:1' does not fit"),
     ],
 )
 def test_artifact_from_json_rejects_plans_that_do_not_fit_the_board(mutate, message):

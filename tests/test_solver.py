@@ -6,16 +6,19 @@ chain of k coins is worth k to the opener's opponent, so a lone open
 k-chain scores net -k for the mover.
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coingames.engine import GameKind, Player, initial_state
+from coingames.engine import GameKind, Player, apply_move, initial_state, legal_moves
 from coingames.errors import BudgetExceeded
-from coingames.multigraph import GROUND, GraphBuilder, cycle_graph
+from coingames.multigraph import GROUND, GraphBuilder, cycle_graph, ropes
+from coingames.reduce import reduce_nimstring_to_sac
 from coingames.solver import (
     DEFAULT_BUDGET,
+    MAX_DEPTH,
     NAIVE_BUDGET,
     find_loony_witnesses,
     loony_first_move,
@@ -128,8 +131,6 @@ def test_principal_move_is_optimal():
     assert r.principal_move in (0, 1, 2)
     # Principal move of a solved win must itself lead to a position the
     # opponent loses.
-    from coingames.engine import apply_move
-
     nxt = apply_move(state, GameKind.NIMSTRING, r.principal_move)
     assert solve(nxt, GameKind.NIMSTRING).winner_for_mover is False
 
@@ -219,3 +220,95 @@ def test_memoization_never_expands_more_states(seed: int):
             solve(state, kind).states_visited
             <= naive_solve(state, kind).states_visited
         )
+
+
+def rope_board(rng: random.Random, coins: int, strings: int):
+    """Ropes of width 2-5 (the last may be narrower) between random
+    distinct endpoints until ``strings`` strings are placed; two ropes on
+    one pair merge into a wider one."""
+    b = GraphBuilder()
+    b.add_coins(coins)
+    ends = [GROUND] + list(range(coins))
+    while strings > 0:
+        a, c = rng.sample(ends, 2)
+        width = min(strings, rng.randint(2, 5))
+        b.add_rope(a, c, width)
+        strings -= width
+    return b.build()
+
+
+def quotient_states(g) -> int:
+    return math.prod(len(group) + 1 for group in ropes(g).values())
+
+
+def margin_for(state, kind, player) -> int:
+    """Final score margin of ``player`` under optimal Strings-and-Coins
+    play from ``state``."""
+    net = solve(state, kind).net_for_mover
+    lead = state.score(player) - state.score(player.other)
+    return lead + (net if state.mover is player else -net)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=5000),
+    coins=st.integers(min_value=1, max_value=4),
+    strings=st.integers(min_value=2, max_value=NAIVE_BUDGET - 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_rope_quotient_matches_oracle_on_rope_heavy_boards(seed: int, coins: int, strings: int):
+    """Property: on boards built from ropes, the quotient search agrees
+    with the oracle under every rule set, visits at most prod(w + 1)
+    states, and its principal move is legal and keeps the solved value.
+    Boards stop at 12 strings: the oracle needs about 2.5 s for the three
+    rule sets on a 14-string rope board."""
+    g = rope_board(random.Random(seed), coins, strings)
+    state = initial_state(g)
+    for kind in GameKind:
+        fast = solve(state, kind)
+        slow = naive_solve(state, kind)
+        assert fast.winner_for_mover == slow.winner_for_mover, kind
+        assert fast.net_for_mover == slow.net_for_mover, kind
+        assert fast.states_visited <= quotient_states(g), kind
+        if fast.principal_move is None:
+            assert kind is not GameKind.STRINGS_AND_COINS and not fast.winner_for_mover
+            continue
+        assert fast.principal_move in legal_moves(state, kind), kind
+        # Ties within a rope go to its lowest string id, as in a search
+        # over every string in id order.
+        assert fast.principal_move == min(ropes(g)[g.strings[fast.principal_move].pair()])
+        nxt = apply_move(state, kind, fast.principal_move)
+        if kind is GameKind.STRINGS_AND_COINS:
+            assert margin_for(nxt, kind, state.mover) == fast.net_for_mover
+        else:
+            assert fast.winner_for_mover
+            assert winner_of(nxt, kind, solve(nxt, kind)) is state.mover, kind
+
+
+@pytest.mark.parametrize("seed,winner", [(0, Player.P2), (1, Player.P1), (2, Player.P1)])
+def test_lemma1_pair_above_the_old_string_budget(seed: int, winner: Player):
+    """A Lemma-1 pair whose Strings-and-Coins side has 26 strings, most
+    of them in ropes: above the string budget, within the state budget."""
+    g = rope_board(random.Random(seed), 3, 22)
+    h = reduce_nimstring_to_sac(g)
+    assert h.string_count > DEFAULT_BUDGET
+    assert quotient_states(h) <= 2**DEFAULT_BUDGET
+    gs, hs = initial_state(g), initial_state(h)
+    assert winner_of(gs, GameKind.NIMSTRING, solve(gs, GameKind.NIMSTRING)) is winner
+    assert winner_of(hs, GameKind.STRINGS_AND_COINS, solve(hs, GameKind.STRINGS_AND_COINS)) is winner
+
+
+def test_budget_counts_quotient_states():
+    """A rope of w strings is w + 1 states: 2^budget states admit a rope
+    of width 2^budget - 1 but no wider, and the depth ceiling refuses
+    long boards whatever the budget."""
+    for width, ok in ((7, True), (8, False)):
+        b = GraphBuilder()
+        b.add_rope(GROUND, b.add_coin(), width)
+        state = initial_state(b.build())
+        if ok:
+            assert solve(state, GameKind.NIMSTRING, budget=3).winner_for_mover is (width % 2 == 0)
+        else:
+            with pytest.raises(BudgetExceeded, match="need budget 4, above 3"):
+                solve(state, GameKind.NIMSTRING, budget=3)
+    with pytest.raises(BudgetExceeded, match="search depth"):
+        solve(initial_state(open_chain(MAX_DEPTH)), GameKind.NIMSTRING, budget=MAX_DEPTH + 1)
