@@ -6,7 +6,8 @@ class CoinGameError(Exception):
 
 
 class ParseError(CoinGameError):
-    """A text input (board, formula, or transcript) is malformed."""
+    """An input is malformed: a text input (board, formula, plan or
+    transcript) or a command-line flag, such as a size out of range."""
 
 
 class InvalidEndpoint(CoinGameError):

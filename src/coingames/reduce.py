@@ -184,11 +184,6 @@ class ReductionArtifact:
     def player_for(self, side: Mover) -> Player:
         return self.trudy_player if side is Mover.TRUDY else self.fallon_player
 
-    @property
-    def predicted_winner(self) -> Player:
-        value = self.predicted["gamesat_value"]
-        return self.trudy_player if value == GameSatValue.TRUDY_WINS.value else self.fallon_player
-
     def variable_plans(self) -> list[GadgetPlan]:
         return [p for p in self.plan if p.kind == "variable"]
 
@@ -418,10 +413,11 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
     ParseError unless the document has the written shape, every gadget
     kind is known, every id range lies inside the board without overlap
     and holds one rope (strands sharing their endpoints), every coin is
-    on the board, and the gadgets fit the plan's formula: one variable
+    on the board, the gadgets fit the plan's formula (one variable
     gadget per variable in order, one clause gadget per clause key, and
     every wire from a variable (level 1) or the root (level 2) into a
-    clause key."""
+    clause key), and every string of the board belongs to a gadget, as
+    the playout's tracker needs."""
     try:
         doc = json.loads(text)
         plans = tuple(
@@ -476,4 +472,7 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
             and p.target in keys
         ):
             raise ParseError(f"plan: level-{p.level!r} wire {p.source!r} -> {p.target!r} does not fit the formula")
+    if len(used) < graph.string_count:
+        orphan = min(set(range(graph.string_count)) - used)
+        raise ParseError(f"plan: string {orphan} belongs to no gadget")
     return artifact

@@ -1,25 +1,36 @@
 """Exact solvers for all three games, plus loony-position tools.
 
-``solve`` does full-depth memoized search over the rope quotient of the
-position.  Parallel strings (a rope: same endpoint pair) are
-interchangeable, so the search lists each rope's strings together and
-only ever cuts a rope's last alive string; the alive strings of a rope
-are then always a prefix of it, and a position is its alive count per
-rope.  A board whose ropes have widths w visits at most the product of
-(w + 1) states instead of 2^E, and ``budget`` bounds that product by
-2^budget (the same as a string budget on boards without parallel
-strings).  The memo key is that alive bitmask alone: in Nimstring and
-Coins-are-Lava the value "does the mover win" depends only on the alive
-set, and in Strings-and-Coins the optimal future net score for the mover
-is mover-symmetric (both players face identical move rights).  The
-search recurses once per cut, so a position with more than
-``MAX_DEPTH`` alive strings is refused whatever its budget.
+``solve`` runs one memoized negamax, ``_value``, for all three games.
+Its value is for the player to move: the net score still to come in
+Strings-and-Coins, and +1 (win) or -1 (loss) in Nimstring and
+Coins-are-Lava.  The games share their one move, cutting a string, and
+differ in two rules: a cut that frees a coin is illegal in Lava and
+scores the coin in Strings-and-Coins.  In every game a freeing cut keeps
+the turn, so that child's value keeps its sign (plus the coins it
+scores); any other cut passes the turn and negates it.  A win/loss node
+stops at its first winning child.  The principal move is the first
+child, in search order, worth the root's value.
+
+The search runs over the rope quotient of the position.  Parallel
+strings (a rope: same endpoint pair) are interchangeable, so the search
+lists each rope's strings together and only ever cuts a rope's last
+alive string; the alive strings of a rope are then always a prefix of
+it, and a position is its alive count per rope.  A board whose ropes
+have widths w visits at most the product of (w + 1) states instead of
+2^E, and ``budget`` bounds that product by 2^budget (the same as a
+string budget on boards without parallel strings).  The memo key is
+that alive bitmask alone: in Nimstring and Coins-are-Lava the value
+depends only on the alive set, and in Strings-and-Coins the optimal
+future net score for the mover is mover-symmetric (both players face
+identical move rights).  The search recurses once per cut, so a
+position with more than ``MAX_DEPTH`` alive strings is refused whatever
+its budget.
 
 ``naive_solve`` is an independent correctness oracle: plain minimax
 over the engine's ``GameState`` rules (``legal_moves``, ``apply_move``,
 ``is_terminal``) with no short-circuiting, memoized on the full state
 (alive strings, mover, scores).  It stays independent of ``solve``: it
-shares no code with ``_Search``'s bitmask rules, and its memo key keeps
+shares no code with ``_Search`` or ``_value``, and its memo key keeps
 the mover and scores, so it does not lean on the mover symmetry that
 ``solve`` assumes for Strings-and-Coins.  A fault in either shows up as
 a disagreement.  It is exponential in the string count and capped at 14
@@ -37,7 +48,7 @@ from dataclasses import dataclass
 
 from .engine import GameKind, GameState, Player, apply_move, is_terminal, legal_moves
 from .errors import BudgetExceeded, DegenerateInput
-from .multigraph import GROUND, is_coin, ropes
+from .multigraph import is_coin, ropes
 
 DEFAULT_BUDGET = 24
 NAIVE_BUDGET = 14
@@ -68,7 +79,7 @@ class LoonyWitness:
 
 
 class _Search:
-    def __init__(self, state: GameState, groups: list[list[int]]):
+    def __init__(self, state: GameState, groups: list[list[int]], kind: GameKind):
         if state.board.has_self_loop:
             raise DegenerateInput("board has a self-loop")
         board = state.board
@@ -92,11 +103,24 @@ class _Search:
                 self.deg[b] += 1
         self.full_mask = (1 << len(self.ids)) - 1
         self.states = 0
+        # The three games differ only here.  Lava forbids freeing cuts;
+        # only Strings-and-Coins scores a freed coin; a node of a
+        # win/loss game stops at its first win.  ``floor`` is below every
+        # move's value, so a position with no move is lost.  ``leaves``
+        # seeds the memo: outside Lava the empty board is a terminal the
+        # search does not count, while Lava visits it as a position with
+        # no legal cut.
+        sac = kind is GameKind.STRINGS_AND_COINS
+        self.cuts_freeing = kind is not GameKind.COINS_ARE_LAVA
+        self.points = 1 if sac else 0
+        self.floor = -board.coin_count - 1 if sac else -1
+        self.stop = None if sac else 1
+        self.leaves = {} if kind is GameKind.COINS_ARE_LAVA else {0: 0 if sac else -1}
 
-    def moves(self, mask: int) -> tuple[list[int], list[int]]:
-        """(freeing, non-freeing) move positions, one per alive rope, each
-        ascending; from the full mask these are the ropes' lowest string
-        ids in ascending order."""
+    def moves(self, mask: int) -> list[int]:
+        """Move positions, one per alive rope: the freeing ones ascending,
+        then the others ascending (Lava: the others only).  From the full
+        mask these are the ropes' lowest string ids in ascending order."""
         freeing, plain = [], []
         m = mask
         while m:
@@ -109,7 +133,7 @@ class _Search:
                 freeing.append(i)
             else:
                 plain.append(i)
-        return freeing, plain
+        return freeing + plain if self.cuts_freeing else plain
 
     def _freed(self, i: int) -> int:
         a, b = self.ea[i], self.eb[i]
@@ -134,63 +158,30 @@ class _Search:
         if is_coin(b):
             self.deg[b] += 1
 
+    def signed(self, freed: int, value: int) -> int:
+        """The mover's value of a cut that frees ``freed`` coins into a
+        position worth ``value`` to its own mover: a freeing cut keeps
+        the turn (and scores its coins), any other cut passes it."""
+        return value + freed * self.points if freed else -value
 
-def _nim_win(s: _Search, mask: int, memo: dict[int, bool]) -> bool:
-    if mask == 0:
-        return False
+
+def _value(s: _Search, mask: int, memo: dict[int, int]) -> int:
+    """Negamax value of ``mask`` for the player to move: the net score
+    still to come in Strings-and-Coins, +1 (win) or -1 (loss) otherwise."""
     cached = memo.get(mask)
     if cached is not None:
         return cached
     s.states += 1
-    freeing, plain = s.moves(mask)
-    win = False
-    for i in freeing + plain:
+    best = s.floor
+    for i in s.moves(mask):
         f = s._freed(i)
         s._drop(i)
-        child = _nim_win(s, mask ^ (1 << i), memo)
+        value = s.signed(f, _value(s, mask ^ (1 << i), memo))
         s._restore(i)
-        if (f and child) or (not f and not child):
-            win = True
-            break
-    memo[mask] = win
-    return win
-
-
-def _lava_win(s: _Search, mask: int, memo: dict[int, bool]) -> bool:
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    s.states += 1
-    freeing, plain = s.moves(mask)
-    win = False
-    for i in plain:
-        s._drop(i)
-        child = _lava_win(s, mask ^ (1 << i), memo)
-        s._restore(i)
-        if not child:
-            win = True
-            break
-    memo[mask] = win
-    return win
-
-
-def _sac_net(s: _Search, mask: int, memo: dict[int, int]) -> int:
-    if mask == 0:
-        return 0
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    s.states += 1
-    freeing, plain = s.moves(mask)
-    best = None
-    for i in freeing + plain:
-        f = s._freed(i)
-        s._drop(i)
-        child = _sac_net(s, mask ^ (1 << i), memo)
-        s._restore(i)
-        val = f + child if f else -child
-        if best is None or val > best:
-            best = val
+        if value > best:
+            best = value
+            if best == s.stop:
+                break
     memo[mask] = best
     return best
 
@@ -207,38 +198,26 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
         )
     if len(state.alive) > MAX_DEPTH:
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed search depth {MAX_DEPTH}")
-    s = _Search(state, groups)
-    mask0 = s.full_mask
-    if kind is GameKind.STRINGS_AND_COINS:
-        memo_n: dict[int, int] = {}
-        net = _sac_net(s, mask0, memo_n)
-        pm = None
-        freeing, plain = s.moves(mask0)
-        for i in freeing + plain:
-            f = s._freed(i)
-            s._drop(i)
-            child = _sac_net(s, mask0 ^ (1 << i), memo_n)
-            s._restore(i)
-            if (f + child if f else -child) == net:
-                pm = s.ids[i]
-                break
-        return SolveResult(kind, net_for_mover=net, principal_move=pm, states_visited=s.states)
-    memo_b: dict[int, bool] = {}
-    fn = _nim_win if kind is GameKind.NIMSTRING else _lava_win
-    win = fn(s, mask0, memo_b)
+    s = _Search(state, groups, kind)
+    memo = dict(s.leaves)
+    root = s.full_mask
+    value = _value(s, root, memo)
+    # The first move worth the root's value, in search order; a lost
+    # win/loss root (worth the floor) has none.  Every child this loop
+    # reaches is already in the memo, so it visits no new state.
     pm = None
-    if win:
-        freeing, plain = s.moves(mask0)
-        order = freeing + plain if kind is GameKind.NIMSTRING else plain
-        for i in order:
+    if value != s.floor:
+        for i in s.moves(root):
             f = s._freed(i)
             s._drop(i)
-            child = fn(s, mask0 ^ (1 << i), memo_b)
+            child = s.signed(f, _value(s, root ^ (1 << i), memo))
             s._restore(i)
-            if (f and child) or (not f and not child):
+            if child == value:
                 pm = s.ids[i]
                 break
-    return SolveResult(kind, winner_for_mover=win, principal_move=pm, states_visited=s.states)
+    if kind is GameKind.STRINGS_AND_COINS:
+        return SolveResult(kind, net_for_mover=value, principal_move=pm, states_visited=s.states)
+    return SolveResult(kind, winner_for_mover=value > 0, principal_move=pm, states_visited=s.states)
 
 
 def naive_solve(state: GameState, kind: GameKind, budget: int = NAIVE_BUDGET) -> SolveResult:
@@ -295,26 +274,22 @@ def winner_of(state: GameState, kind: GameKind, result: SolveResult) -> Player |
 
 def find_loony_witnesses(state: GameState) -> list[LoonyWitness]:
     board = state.board
-    deg = [0] * board.coin_count
-    incident: list[list[int]] = [[] for _ in range(board.coin_count)]
-    for sid in state.alive:
-        s = board.strings[sid]
-        for c in set(s.coin_endpoints()):
-            deg[c] += (s.a == c) + (s.b == c)
-            incident[c].append(sid)
+    if board.has_self_loop:
+        raise DegenerateInput("board has a self-loop")
     out = []
-    for coin_b in range(board.coin_count):
-        if deg[coin_b] != 2 or len(incident[coin_b]) != 2:
+    for coin_b, strings in enumerate(board.incidence):
+        incident = [sid for sid in strings if sid in state.alive]
+        if len(incident) != 2:
             continue
         degree1_neighbors = set()
-        for sid in incident[coin_b]:
+        for sid in incident:
             other = board.strings[sid].other_end(coin_b)
-            if is_coin(other) and deg[other] == 1:
+            if is_coin(other) and state.alive_degree(other) == 1:
                 degree1_neighbors.add(other)
         if len(degree1_neighbors) != 1:
             continue
         coin_a = degree1_neighbors.pop()
-        s1, s2 = sorted(incident[coin_b])
+        s1, s2 = incident
         a = s1 if board.strings[s1].touches(coin_a) else s2
         b = s2 if a == s1 else s1
         out.append(LoonyWitness(a, b, coin_a, coin_b))

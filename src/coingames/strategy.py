@@ -96,7 +96,9 @@ class _Wire:
 
 class ArtifactTracker:
     """Incremental per-gadget state over a live board: rope counters,
-    wire HP, clause dooms, and the induced variable assignment."""
+    wire HP, clause dooms, and the induced variable assignment.  A
+    playout keeps one, observes each cut into it once, and hands it to
+    both policies."""
 
     def __init__(self, artifact: ReductionArtifact, live: LiveBoard):
         self.artifact = artifact
@@ -152,6 +154,17 @@ class ArtifactTracker:
             raise StrategyError(f"tracker out of sync at string {sid}")
         rope.alive -= 1
 
+    def census(self) -> dict:
+        """Alive strings per gadget, keyed in plan order."""
+        names = self.artifact.formula.names
+        variables = enumerate(zip(self.var_bottom, self.var_top))
+        return {
+            "variables": {names[v]: bot.alive + top.alive for v, (bot, top) in variables},
+            "wires": {str(w.index): w.bottom.alive + w.top.alive for w in self.wires},
+            "clauses": {key: rope.alive for key, rope in self.clause_rope.items()},
+            "pad": self.pad.alive if self.pad is not None else 0,
+        }
+
     def wire_part(self, sid: int) -> tuple[_Wire, str] | None:
         return self._part[sid]
 
@@ -199,13 +212,15 @@ def is_trudy_terminal(census: dict) -> bool:
 
 
 class Policy:
-    """Interface: reset before a playout, observe every cut by either
-    player, choose a legal string id when it is this policy's turn."""
+    """Interface: reset before a playout with the playout's tracker
+    (which carries the artifact and the live board, and has already seen
+    each cut when ``observe`` runs), observe every cut by either player,
+    choose a legal string id when it is this policy's turn."""
 
     name = "policy"
     phase: int | str = "-"
 
-    def reset(self, artifact: ReductionArtifact | None, live: LiveBoard, seat: Player, seed: int) -> None:
+    def reset(self, tracker: ArtifactTracker, seat: Player, seed: int) -> None:
         raise NotImplementedError
 
     def observe(self, sid: int, mine: bool) -> None:
@@ -223,10 +238,10 @@ class UniformRandom(Policy):
 
     name = "random"
 
-    def reset(self, artifact, live, seat, seed):
-        self.live = live
+    def reset(self, tracker, seat, seed):
+        self.live = tracker.live
         self.rng = random.Random(f"{seed}/{seat.value}")
-        self.pool = list(range(live.board.string_count))
+        self.pool = list(range(self.live.board.string_count))
 
     def choose(self) -> int:
         while True:
@@ -250,13 +265,10 @@ class GreedyDisabler(Policy):
         self.artifact = artifact
         self.target_side = target_side
 
-    def reset(self, artifact, live, seat, seed):
-        self.live = live
-        self.tracker = ArtifactTracker(self.artifact, live)
+    def reset(self, tracker, seat, seed):
+        self.live = tracker.live
+        self.tracker = tracker
         self.scan_at = 0
-
-    def observe(self, sid, mine):
-        self.tracker.observe(sid)
 
     def _good_wires(self) -> list[_Wire]:
         t = self.tracker
@@ -324,10 +336,10 @@ class _ScriptBase(Policy):
     def __init__(self, artifact: ReductionArtifact):
         self.artifact = artifact
 
-    def reset(self, artifact, live, seat, seed):
-        self.live = live
+    def reset(self, tracker, seat, seed):
+        self.live = tracker.live
         self.seat = seat
-        self.tracker = ArtifactTracker(self.artifact, live)
+        self.tracker = tracker
         self.scan_at = 0
         self.deferred: set[int] = set()
         self.last_opp: tuple[_Wire, str] | None = None
@@ -335,7 +347,6 @@ class _ScriptBase(Policy):
         self._classified = False
 
     def observe(self, sid, mine):
-        self.tracker.observe(sid)
         if not mine:
             self.last_opp = self.tracker.wire_part(sid)
 
@@ -782,8 +793,9 @@ def playout(
     seed and the policies.  Raises StrategyError if a policy emits an
     illegal move (a test failure signal, never auto-corrected)."""
     live = LiveBoard(artifact.graph, GameKind.COINS_ARE_LAVA, Player.P1)
-    policy_p1.reset(artifact, live, Player.P1, seed)
-    policy_p2.reset(artifact, live, Player.P2, seed)
+    tracker = ArtifactTracker(artifact, live)
+    policy_p1.reset(tracker, Player.P1, seed)
+    policy_p2.reset(tracker, Player.P2, seed)
     labels = artifact.graph.labels
     lines: list[str] = []
     ply = 0
@@ -799,6 +811,7 @@ def playout(
                 f"policy {policy.name} at seat {mover.value} chose illegal string {sid}"
             )
         live.cut(sid)
+        tracker.observe(sid)
         ply += 1
         lines.append(
             f"ply {ply} {mover.value} cut {sid} # {labels.get(sid, '-')} phase={policy.phase}"
@@ -806,39 +819,14 @@ def playout(
         policy_p1.observe(sid, mover is Player.P1)
         policy_p2.observe(sid, mover is Player.P2)
     stuck = live.mover
-    census = _final_census(artifact, live)
     return PlayoutRecord(
         winner=stuck.other,
         stuck=stuck,
         plies=ply,
         lines=lines,
-        census=census,
+        census=tracker.census(),
         policy_names=(policy_p1.name, policy_p2.name),
     )
-
-
-def _final_census(artifact: ReductionArtifact, live: LiveBoard) -> dict:
-    f = artifact.formula
-
-    def alive_in(rng: tuple[int, int]) -> int:
-        return sum(1 for sid in range(rng[0], rng[1]) if live.alive[sid])
-
-    variables = {}
-    wires = {}
-    clauses = {}
-    pad = 0
-    wi = 0
-    for p in artifact.plan:
-        if p.kind == "variable":
-            variables[f.names[p.var]] = alive_in(p.bottom) + alive_in(p.top)
-        elif p.kind == "wire":
-            wires[str(wi)] = alive_in(p.bottom) + alive_in(p.top)
-            wi += 1
-        elif p.kind == "clause":
-            clauses[p.clause] = alive_in(p.rope)
-        elif p.kind == "pad":
-            pad = alive_in(p.rope)
-    return {"variables": variables, "wires": wires, "clauses": clauses, "pad": pad}
 
 
 def script_for(side: Mover, artifact: ReductionArtifact) -> Policy:

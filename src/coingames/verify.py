@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .engine import GameKind, Player, initial_state
-from .errors import BudgetExceeded, StrategyError
+from .errors import BudgetExceeded, ParseError, StrategyError
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, skip_dominance_check, solve_gamesat
 from .multigraph import GROUND, GraphBuilder, Multigraph, canonical_text, ropes
 from .reduce import (
@@ -77,11 +77,20 @@ class CampaignReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    """Refuse a size below ``low`` (a generator argument, usually a CLI
+    flag) with ParseError."""
+    if value < low:
+        raise ParseError(f"{name} must be at least {low}, got {value}")
+
+
 def random_multigraph(
     rng: random.Random, coin_count: int, string_count: int, ground_prob: float
 ) -> Multigraph:
     """Random board without self-loops.  Each endpoint is ground with
     probability ``ground_prob``, otherwise a uniform coin."""
+    _at_least("coin count", coin_count, 0)
+    _at_least("string count", string_count, 0)
     b = GraphBuilder()
     b.add_coins(coin_count)
     for _ in range(string_count):
@@ -113,6 +122,10 @@ class RandomMultigraphs:
     no_isolated: bool = False
     small_bias: bool = False
 
+    def __post_init__(self):
+        _at_least("max coins", self.max_coins, 1)
+        _at_least("max strings", self.max_strings, 0)
+
     def _size(self, rng: random.Random, lo: int, hi: int) -> int:
         if self.small_bias:
             # Min of two draws: the oracle expands every child and is
@@ -139,6 +152,8 @@ class RandomMultigraphs:
 def random_formula(rng: random.Random, max_n: int = 4, max_m: int = 3) -> DnfFormula:
     """Random positive DNF meeting the compiler preconditions: every
     clause has at least 2 variables and every variable occurs."""
+    _at_least("max variables", max_n, 2)
+    _at_least("max clauses", max_m, 1)
     n = rng.randint(2, max_n)
     m = rng.randint(1, max_m)
     clauses: list[frozenset[int]] = []

@@ -377,6 +377,27 @@ def test_gen_multigraph_is_seed_deterministic(capsys):
     assert g.string_count == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen multigraph --coins -1 --strings 3 --seed 1",
+        "gen multigraph --coins 2 --strings -3 --seed 1",
+        "gen formula --max-n 1 --seed 1",
+        "gen formula --max-m 0 --seed 1",
+        "verify lemma1 --seed 1 --max-coins 0",
+        "verify lemma3 --seed 1 --max-coins 0",
+        "verify oracle --seed 1 --max-coins 0",
+        "verify oracle --seed 1 --max-strings -1",
+    ],
+)
+def test_out_of_range_size_flags_are_usage_errors(argv, capsys):
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_gen_formula(capsys):
     assert run(["gen", "formula", "--seed", "2", "--max-n", "3", "--max-m", "2"]) == 0
     out = capsys.readouterr().out

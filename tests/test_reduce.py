@@ -230,11 +230,11 @@ def test_player_mapping_follows_first_mover():
     assert art.fallon_player is Player.P2
     assert art.player_for(Mover.FALLON) is Player.P2
     assert art.predicted["gamesat_value"] == GameSatValue.TRUDY_WINS.value
-    assert art.predicted_winner is Player.P1
+    assert art.player_for(Mover.TRUDY) is Player.P1
     art2 = compile_gamesat_to_lava(f, 2, Mover.FALLON)
     assert art2.trudy_player is Player.P2
     assert art2.predicted["gamesat_value"] == GameSatValue.FALLON_WINS.value
-    assert art2.predicted_winner is Player.P1
+    assert art2.player_for(Mover.FALLON) is Player.P1
 
 
 def test_full_pipeline_chains_all_three_reductions():
@@ -262,6 +262,11 @@ def test_artifact_json_round_trip():
 
 def _drop_first_variable_into_a_pad(doc):
     doc["gadgets"] = doc["gadgets"][1:] + [{"kind": "pad", "rope": [0, 2]}]
+
+
+def _shrink_last_clause_rope(doc):
+    rope = [g for g in doc["gadgets"] if g["kind"] == "clause"][-1]["rope"]
+    rope[1] -= 1
 
 
 def _set(path, value):
@@ -295,6 +300,7 @@ def _set(path, value):
         (_set(["gadgets", 2, "source"], "var:7"), "level-1 wire 'var:7' -> 'real:0' does not fit"),
         (_set(["gadgets", 4, "source"], "var:0"), "level-2 wire 'var:0' -> 'real:0' does not fit"),
         (_set(["gadgets", 3, "target"], "real:1"), "level-1 wire 'var:1' -> 'real:1' does not fit"),
+        (_shrink_last_clause_rope, "belongs to no gadget"),
     ],
 )
 def test_artifact_from_json_rejects_plans_that_do_not_fit_the_board(mutate, message):

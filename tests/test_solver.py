@@ -12,14 +12,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coingames.engine import GameKind, Player, apply_move, initial_state, legal_moves
-from coingames.errors import BudgetExceeded
+from coingames.engine import GameKind, GameState, Player, apply_move, initial_state, legal_moves
+from coingames.errors import BudgetExceeded, DegenerateInput
 from coingames.multigraph import GROUND, GraphBuilder, cycle_graph, ropes
 from coingames.reduce import reduce_nimstring_to_sac
 from coingames.solver import (
     DEFAULT_BUDGET,
     MAX_DEPTH,
     NAIVE_BUDGET,
+    SolveResult,
     find_loony_witnesses,
     loony_first_move,
     naive_solve,
@@ -40,6 +41,9 @@ def open_chain(k: int):
     return b.build()
 
 
+SAC, NIM, LAVA = GameKind.STRINGS_AND_COINS, GameKind.NIMSTRING, GameKind.COINS_ARE_LAVA
+
+
 def test_single_pendant_coin_values():
     # One coin, one string to ground: the cut scores the coin but the
     # extra move lands on an empty board.
@@ -47,38 +51,68 @@ def test_single_pendant_coin_values():
     c = b.add_coin()
     b.add_string(GROUND, c)
     state = initial_state(b.build())
-    assert solve(state, GameKind.STRINGS_AND_COINS).net_for_mover == 1
-    assert solve(state, GameKind.NIMSTRING).winner_for_mover is False
+    assert solve(state, SAC) == SolveResult(SAC, net_for_mover=1, principal_move=0, states_visited=1)
+    assert solve(state, NIM) == SolveResult(NIM, winner_for_mover=False, states_visited=1)
+    assert solve(state, LAVA) == SolveResult(LAVA, winner_for_mover=False, states_visited=1)
+
+
+# The results below pin the principal move (the first best cut in
+# search order; none from a lost position) and the exact number of
+# states the search visits, early stops and uncounted leaves included.
 
 
 @pytest.mark.parametrize(
-    "k,net",
-    [(1, -1), (2, -2), (3, -3), (4, -4)],
+    "k,net,states",
+    [(1, -1, 2), (2, -2, 7), (3, -3, 15), (4, -4, 31)],
 )
-def test_open_chain_net_scores(k: int, net: int):
+def test_open_chain_net_scores(k: int, net: int, states: int):
     """The mover must open the lone chain and loses every coin in it."""
     state = initial_state(open_chain(k))
-    assert solve(state, GameKind.STRINGS_AND_COINS).net_for_mover == net
+    assert solve(state, SAC) == SolveResult(SAC, net_for_mover=net, principal_move=0, states_visited=states)
 
 
 @pytest.mark.parametrize(
-    "k,mover_wins",
-    [(1, True), (2, True), (3, False), (4, False)],
+    "k,mover_wins,move,states",
+    [(1, True, 0, 2), (2, True, 1, 6), (3, False, None, 12), (4, False, None, 17)],
 )
-def test_open_chain_nimstring_values(k: int, mover_wins: bool):
+def test_open_chain_nimstring_values(k: int, mover_wins: bool, move, states: int):
     state = initial_state(open_chain(k))
-    assert solve(state, GameKind.NIMSTRING).winner_for_mover is mover_wins
+    expected = SolveResult(NIM, winner_for_mover=mover_wins, principal_move=move, states_visited=states)
+    assert solve(state, NIM) == expected
 
 
 @pytest.mark.parametrize(
-    "n,net,nim_win,lava_win",
-    [(3, -3, True, True), (4, -4, False, False)],
+    "k,mover_wins,move,states",
+    [(1, True, 0, 2), (2, True, 1, 4), (3, False, None, 8), (4, True, 2, 9)],
 )
-def test_cycle_values(n: int, net: int, nim_win: bool, lava_win: bool):
+def test_open_chain_lava_values(k: int, mover_wins: bool, move, states: int):
+    state = initial_state(open_chain(k))
+    expected = SolveResult(LAVA, winner_for_mover=mover_wins, principal_move=move, states_visited=states)
+    assert solve(state, LAVA) == expected
+
+
+@pytest.mark.parametrize(
+    "n,sac,nim,lava",
+    [
+        (3, (-3, 0, 7), (True, 0, 4), (True, 0, 2)),
+        (4, (-4, 0, 15), (False, None, 15), (False, None, 7)),
+    ],
+)
+def test_cycle_values(n: int, sac, nim, lava):
+    """Each rule set's (value, principal move, states visited)."""
     state = initial_state(cycle_graph(n))
-    assert solve(state, GameKind.STRINGS_AND_COINS).net_for_mover == net
-    assert solve(state, GameKind.NIMSTRING).winner_for_mover is nim_win
-    assert solve(state, GameKind.COINS_ARE_LAVA).winner_for_mover is lava_win
+    net, move, states = sac
+    assert solve(state, SAC) == SolveResult(SAC, net_for_mover=net, principal_move=move, states_visited=states)
+    for kind, (win, move, states) in ((NIM, nim), (LAVA, lava)):
+        expected = SolveResult(kind, winner_for_mover=win, principal_move=move, states_visited=states)
+        assert solve(state, kind) == expected
+
+
+def test_empty_board_has_no_principal_move():
+    state = initial_state(GraphBuilder().build())
+    assert solve(state, SAC) == SolveResult(SAC, net_for_mover=0)
+    assert solve(state, NIM) == SolveResult(NIM, winner_for_mover=False)
+    assert solve(state, LAVA) == SolveResult(LAVA, winner_for_mover=False, states_visited=1)
 
 
 def test_stuck_mover_loses_everywhere():
@@ -159,6 +193,15 @@ def test_loony_witness_on_minimal_pattern():
 def test_no_loony_witness_on_plain_cycle():
     state = initial_state(cycle_graph(4))
     assert find_loony_witnesses(state) == []
+
+
+def test_loony_witnesses_refuse_a_self_loop():
+    b = GraphBuilder()
+    c = b.add_coin()
+    b.add_string(c, c)
+    b.add_string(c, GROUND)
+    with pytest.raises(DegenerateInput):
+        find_loony_witnesses(GameState(b.build(), frozenset({0, 1})))
 
 
 @given(

@@ -29,7 +29,7 @@ def compiled(text: str, first: Mover):
 
 def hero_and_artifact(text: str, first: Mover):
     art = compiled(text, first)
-    side = Mover.TRUDY if art.predicted_winner is art.trudy_player else Mover.FALLON
+    side = Mover.TRUDY if art.predicted["gamesat_value"] == "TrudyWins" else Mover.FALLON
     return art, side
 
 
@@ -94,8 +94,8 @@ def test_predicted_winner_wins_each_matchup(text, first, opponent):
             opp = script_for(side.other, art)
         p1, p2, hero = seat_policies(art, side, opp)
         record = playout(art, p1, p2, seed=seed)
-        assert record.winner is art.predicted_winner
-        assert record.stuck is art.predicted_winner.other
+        assert record.winner is art.player_for(side)
+        assert record.stuck is art.player_for(side.other)
         if side is Mover.TRUDY:
             assert is_trudy_terminal(record.census)
         else:
@@ -125,7 +125,7 @@ def test_playout_rejects_illegal_policy_moves():
     class Stubborn(Policy):
         name = "stubborn"
 
-        def reset(self, artifact, live, seat, seed):
+        def reset(self, tracker, seat, seed):
             pass
 
         def choose(self):
