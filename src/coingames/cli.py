@@ -7,11 +7,12 @@ unreadable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 
-from .engine import GameKind, Player, apply_move, initial_state, is_terminal
+from .engine import GameKind, LiveBoard, Player, initial_state
 from .errors import CoinGameError, IllegalMove, ParseError
 from .gamesat import Mover, format_dnf, parse_dnf
 from .multigraph import canonical_text, parse_text, to_dot
@@ -265,29 +266,48 @@ def _parse_transcript_line(line: str) -> int | None:
 
 
 def _cmd_replay(args) -> int:
-    kind = GameKind(args.game)
-    state = initial_state(_load_graph(args.infile), Player(args.first))
+    graph = _load_graph(args.infile)
+    live = LiveBoard(graph, GameKind(args.game), Player(args.first))
     plies = 0
     for line in _read(args.transcript).splitlines():
         sid = _parse_transcript_line(line)
         if sid is None:
             continue
         try:
-            state = apply_move(state, kind, sid)
+            # LiveBoard indexes lists by id: -1 would reach the last string.
+            if not 0 <= sid < graph.string_count:
+                raise IllegalMove(f"string {sid} is not on the board")
+            live.cut(sid)
         except IllegalMove:
             print(f"illegal cut {sid} at ply {plies + 1}", file=sys.stderr)
             return 1
         plies += 1
-    outcome = is_terminal(state, kind)
+    outcome = live.outcome()
     if outcome is not None:
         a, b = outcome.scores
         print(f"winner={outcome.winner_text} score={a}-{b} plies={plies}")
     else:
-        print(f"status=in-progress mover={state.mover.value} plies={plies}")
+        print(f"status=in-progress mover={live.mover.value} plies={plies}")
     return 0
 
 
+# Campaign and generator sizes: below 1 a campaign checks nothing and
+# still reports success.
+_SIZE_FLAGS = ("count", "seeds", "minimum", "max_n", "max_m")
+
+
+def _check_sizes(args) -> None:
+    for name in _SIZE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ParseError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later
+    ``run`` in the process: ``parse_args`` returns a fresh Namespace each
+    time and nothing changes the parser once built."""
     parser = argparse.ArgumentParser(prog="coingames", description="String-cutting games toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -439,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_sizes(args)
         return args.func(args)
     except CoinGameError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ Three constructions:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import Player
 from .errors import FormulaError, ParseError, ReductionError
@@ -154,6 +154,10 @@ class GadgetPlan:
             if rng is not None:
                 ids.extend(range(rng[0], rng[1]))
         return ids
+
+
+# Field order is the key order of each gadget in a written plan.
+_PLAN_FIELDS = tuple(f.name for f in fields(GadgetPlan))
 
 
 @dataclass
@@ -393,7 +397,7 @@ def artifact_to_json(a: ReductionArtifact) -> str:
         "root_coin": a.root_coin,
         "predicted": a.predicted,
         "gadgets": [
-            {k: v for k, v in asdict(p).items() if v is not None} for p in a.plan
+            {k: v for k in _PLAN_FIELDS if (v := getattr(p, k)) is not None} for p in a.plan
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

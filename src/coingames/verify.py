@@ -84,6 +84,12 @@ def _at_least(name: str, value: int, low: int) -> None:
         raise ParseError(f"{name} must be at least {low}, got {value}")
 
 
+def _probability(name: str, value: float) -> None:
+    """Refuse a probability outside [0, 1] (NaN included) with ParseError."""
+    if not 0 <= value <= 1:
+        raise ParseError(f"{name} must be in [0, 1], got {value}")
+
+
 def random_multigraph(
     rng: random.Random, coin_count: int, string_count: int, ground_prob: float
 ) -> Multigraph:
@@ -91,6 +97,7 @@ def random_multigraph(
     probability ``ground_prob``, otherwise a uniform coin."""
     _at_least("coin count", coin_count, 0)
     _at_least("string count", string_count, 0)
+    _probability("ground probability", ground_prob)
     b = GraphBuilder()
     b.add_coins(coin_count)
     for _ in range(string_count):
@@ -125,6 +132,7 @@ class RandomMultigraphs:
     def __post_init__(self):
         _at_least("max coins", self.max_coins, 1)
         _at_least("max strings", self.max_strings, 0)
+        _probability("ground probability", self.ground_prob)
 
     def _size(self, rng: random.Random, lo: int, hi: int) -> int:
         if self.small_bias:

@@ -1,11 +1,16 @@
 """Command line round-trips: every subcommand, every exit code."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coingames.cli import run
+from coingames.cli import build_parser, run
+from coingames.engine import GameKind, Player, apply_move, initial_state, is_terminal
+from coingames.errors import IllegalMove
 from coingames.multigraph import parse_text
 
 
@@ -388,6 +393,19 @@ def test_gen_multigraph_is_seed_deterministic(capsys):
         "verify lemma3 --seed 1 --max-coins 0",
         "verify oracle --seed 1 --max-coins 0",
         "verify oracle --seed 1 --max-strings -1",
+        "verify oracle --seed 1 --count 0",
+        "verify lemma1 --seed 1 --count -5",
+        "verify loony --seed 1 --count -3",
+        "verify structure --count 0",
+        "verify parity --minimum -2",
+        "verify skip-dominance --max-n 0",
+        "verify skip-dominance --max-m 0",
+        "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob 7",
+        "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob -0.5",
+        "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob nan",
+        "verify oracle --seed 1 --ground-prob 7",
+        "verify lemma1 --seed 1 --ground-prob -1",
+        "verify lemma3 --seed 1 --ground-prob 1.5",
     ],
 )
 def test_out_of_range_size_flags_are_usage_errors(argv, capsys):
@@ -396,6 +414,11 @@ def test_out_of_range_size_flags_are_usage_errors(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_a_strategies_campaign_of_no_seeds_is_a_usage_error(formula, capsys):
+    assert run(["verify", "strategies", "--formula", formula, "--first", "trudy", "--seeds", "0"]) == 2
+    assert capsys.readouterr().err == "error: --seeds must be at least 1, got 0\n"
 
 
 def test_gen_formula(capsys):
@@ -467,3 +490,141 @@ def test_export_dot_showcase_clause_rope_count(tmp_path):
     assert dot.count("darkgreen") == 8 * 32
     # Trudy moving first on this formula needs the parity pad.
     assert dot.count("gray") == 1
+
+
+def test_a_reused_parser_leaks_no_flag_between_runs(formula, tmp_path, capsys):
+    board, plan = tmp_path / "lava.txt", tmp_path / "plan.json"
+    argv = ["reduce", "gamesat-to-lava", "--formula", formula, "--N", "2", "--first", "fallon"]
+    assert run(argv + ["--out", str(board), "--plan", str(plan)]) == 0
+    assert plan.exists()
+    plan.unlink()
+    assert run(argv + ["--out", str(board)]) == 0
+    assert not plan.exists()
+    assert build_parser() is build_parser()
+
+
+def test_a_failed_run_does_not_poison_the_next(board, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run(["solve", "--game", "checkers", "--in", board])
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["solve", "--game", "sac", "--in", str(tmp_path / "nope.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert run(["solve", "--game", "nimstring", "--in", board]) == 0
+    assert capsys.readouterr().out.startswith("winner=P1 ")
+
+
+@pytest.fixture(scope="module")
+def played(tmp_path_factory):
+    """A compiled Lava board and the transcript of one random game on it."""
+    root = tmp_path_factory.mktemp("played")
+    formula, board, plan, transcript = (root / n for n in ("f.dnf", "lava.txt", "plan.json", "game.log"))
+    formula.write_text(CONJUNCTION)
+    argv = ["reduce", "gamesat-to-lava", "--formula", str(formula), "--N", "2", "--first", "trudy"]
+    assert run(argv + ["--out", str(board), "--plan", str(plan)]) == 0
+    argv = ["play", "--in", str(board), "--plan", str(plan), "--policy-a", "random", "--policy-b", "greedy"]
+    assert run(argv + ["--seed", "5", "--out", str(transcript)]) == 0
+    return board.read_text(), transcript.read_text()
+
+
+def _replay_by_gamestate(board_text: str, kind: GameKind, first: str, sids: list[int]) -> tuple[int, str]:
+    """What ``replay`` must report, folded over the immutable GameState rules."""
+    state = initial_state(parse_text(board_text), Player(first))
+    for ply, sid in enumerate(sids, start=1):
+        try:
+            state = apply_move(state, kind, sid)
+        except IllegalMove:
+            return 1, f"illegal cut {sid} at ply {ply}"
+    outcome = is_terminal(state, kind)
+    if outcome is None:
+        return 0, f"status=in-progress mover={state.mover.value} plies={len(sids)}"
+    a, b = outcome.scores
+    return 0, f"winner={outcome.winner_text} score={a}-{b} plies={len(sids)}"
+
+
+@pytest.mark.parametrize("game", ["lava", "nimstring", "sac"])
+@pytest.mark.parametrize("first", ["P1", "P2"])
+@pytest.mark.parametrize("variant", ["played", "prefix", "completed"])
+def test_replay_matches_the_gamestate_rules(played, game, first, variant, tmp_path, capsys):
+    """The played game, its first seven plies, and the played game
+    followed by a cut of every remaining string in id order: a Lava game
+    ends there with an illegal cut, Nimstring and Strings-and-Coins ones
+    with a winner."""
+    board_text, transcript_text = played
+    lines = transcript_text.splitlines()
+    sids = [int(line.split()[4]) for line in lines]
+    if variant == "prefix":
+        lines, sids = lines[:7], sids[:7]
+    elif variant == "completed":
+        rest = sorted(set(range(parse_text(board_text).string_count)) - set(sids))
+        lines += [f"cut {sid}" for sid in rest]
+        sids += rest
+    board, transcript = tmp_path / "board.txt", tmp_path / "game.log"
+    board.write_text(board_text)
+    transcript.write_text("\n".join(lines) + "\n")
+    code = run(["replay", "--in", str(board), "--game", game, "--transcript", str(transcript), "--first", first])
+    expected_code, expected_line = _replay_by_gamestate(board_text, GameKind(game), first, sids)
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert (captured.err if code else captured.out) == expected_line + "\n"
+
+
+_TOKENS = ("", "0", "1", "-1", "7", "264", "265", "999", "abc", "1.5", "+3", "cut", "ply", "coins", "string", "ground", "#")
+_EDITS = st.tuples(
+    st.sampled_from(("board", "transcript")),
+    st.sampled_from(("drop", "repeat", "swap", "insert", "cut", "token")),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+    st.sampled_from(_TOKENS),
+)
+
+
+def _edit(lines: list[str], op: str, i: int, j: int, token: str) -> None:
+    if not lines:
+        lines.append(token)
+        return
+    i, j = i % len(lines), j % len(lines)
+    if op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(j, lines[i])
+    elif op == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "insert":
+        lines.insert(i, token)
+    elif op == "cut":
+        lines.insert(i, f"cut {token}")
+    else:
+        words = lines[i].split(" ")
+        words[j % len(words)] = token
+        lines[i] = " ".join(words)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(_EDITS, max_size=4),
+    game=st.sampled_from(["lava", "nimstring", "sac"]),
+    first=st.sampled_from(["P1", "P2"]),
+)
+def test_replay_of_mutated_files_exits_cleanly(played, fuzz_dir, edits, game, first):
+    texts = {"board": played[0].splitlines(), "transcript": played[1].splitlines()}
+    for target, op, i, j, token in edits:
+        _edit(texts[target], op, i, j, token)
+    board, transcript = fuzz_dir / "board.txt", fuzz_dir / "game.log"
+    board.write_text("\n".join(texts["board"]) + "\n")
+    transcript.write_text("\n".join(texts["transcript"]) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["replay", "--in", str(board), "--game", game, "--transcript", str(transcript), "--first", first])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and out.startswith(("winner=", "status=in-progress")) and out.count("\n") == 1
+    elif code == 1:
+        assert out == "" and err.startswith("illegal cut ") and err.count("\n") == 1
+    else:
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -7,6 +7,7 @@ m + n + 1 clause gadgets, and T(N) = 2n + W1(N + N^2) + W2(N^3 + N^4)
 recomputed by recounting compiled graphs string by string.
 """
 
+import hashlib
 import json
 import random
 import re
@@ -258,6 +259,25 @@ def test_artifact_json_round_trip():
     assert back.predicted == art.predicted
     assert back.plan == art.plan
     assert set(back.formula.clauses) == set(f.clauses)
+
+
+@pytest.mark.parametrize(
+    "text, first, size, digest",
+    [
+        # Every gadget kind, the parity pad included.
+        ("x1 x2 x3\nx2 x3\nx3 x4\n", Mover.TRUDY, 8834,
+         "d8682d53634e11da9e267d034ebdf4f2caf31708a7fca30e77f4ab6bb6e9397f"),
+        ("x1 x2\n", Mover.FALLON, 3305,
+         "9b44bddb4133d9293d4b74b71dc4e3c5bf2f9425bd63a3d25cd92f24afc2f95c"),
+    ],
+)
+def test_plan_files_are_byte_stable(text, first, size, digest):
+    """Plan text pinned as written before ``artifact_to_json`` stopped
+    deep-copying gadgets: key order, omitted ``None`` fields, ranges as
+    lists."""
+    plan = artifact_to_json(compile_gamesat_to_lava(parse_dnf(text), 2, first))
+    assert len(plan) == size
+    assert hashlib.sha256(plan.encode()).hexdigest() == digest
 
 
 def _drop_first_variable_into_a_pad(doc):
