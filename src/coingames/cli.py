@@ -354,68 +354,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification campaigns (JSON report)")
     vsub = p.add_subparsers(dest="check", required=True)
+    # What every campaign shares: its handler, and an optional file that
+    # also receives the report.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out")
+    report.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("oracle")
+    v = vsub.add_parser("oracle", parents=[report])
     v.add_argument("--count", type=int, default=200)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--max-coins", type=int, default=5)
     v.add_argument("--max-strings", type=int, default=10)
     v.add_argument("--ground-prob", type=float, default=0.3)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("lemma1")
+    v = vsub.add_parser("lemma1", parents=[report])
     v.add_argument("--count", type=int, default=100)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--max-coins", type=int, default=4)
     v.add_argument("--max-strings", type=int, default=7)
     v.add_argument("--ground-prob", type=float, default=0.3)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("lemma3")
+    v = vsub.add_parser("lemma3", parents=[report])
     v.add_argument("--count", type=int, default=100)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--max-coins", type=int, default=2)
     v.add_argument("--max-strings", type=int, default=4)
     v.add_argument("--ground-prob", type=float, default=0.4)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("loony")
+    v = vsub.add_parser("loony", parents=[report])
     v.add_argument("--count", type=int, default=100)
     v.add_argument("--seed", type=int, required=True)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("structure")
+    v = vsub.add_parser("structure", parents=[report])
     v.add_argument("--formula", help="audit one formula instead of a random sweep")
     v.add_argument("--N", type=int, default=2)
     v.add_argument("--first", choices=("trudy", "fallon"), default="trudy")
     v.add_argument("--count", type=int, default=50)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("strategies")
+    v = vsub.add_parser("strategies", parents=[report])
     v.add_argument("--formula", required=True)
     v.add_argument("--first", choices=("trudy", "fallon"), required=True)
     v.add_argument("--seeds", type=int, default=200)
     v.add_argument("--N-min", dest="N_min", type=int, default=2)
     v.add_argument("--N-max", dest="N_max", type=int, default=4)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("parity")
+    v = vsub.add_parser("parity", parents=[report])
     v.add_argument("--minimum", type=int, default=50)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("skip-dominance")
+    v = vsub.add_parser("skip-dominance", parents=[report])
     v.add_argument("--max-n", type=int, default=3)
     v.add_argument("--max-m", type=int, default=3)
-    v.add_argument("--out")
-    v.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("play", help="run scripted or random policies on a compiled board")
     p.add_argument("--in", dest="infile", required=True)

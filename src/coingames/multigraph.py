@@ -18,6 +18,11 @@ from .errors import InvalidEndpoint, ParseError
 
 # Endpoint encoding: a coin index (>= 0) or GROUND.
 GROUND = -1
+# Most coins a board file may declare.  Boards allocate per-coin tables,
+# so an absurd header would exhaust memory before any move is checked;
+# the largest compiled board (N=5 majority: 34 coins, 30,401 strings)
+# is far below.
+MAX_COINS = 1_000_000
 
 
 def is_coin(endpoint: int) -> bool:
@@ -197,6 +202,8 @@ def parse_text(text: str) -> Multigraph:
                 raise ParseError(f"line {lineno}: bad coin count {parts[1]!r}") from None
             if coin_count < 0:
                 raise ParseError(f"line {lineno}: negative coin count")
+            if coin_count > MAX_COINS:
+                raise ParseError(f"line {lineno}: coin count {coin_count} above {MAX_COINS}")
         elif parts[0] == "string":
             if coin_count is None:
                 raise ParseError(f"line {lineno}: string record before coins header")

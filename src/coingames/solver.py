@@ -7,9 +7,26 @@ Coins-are-Lava.  The games share their one move, cutting a string, and
 differ in two rules: a cut that frees a coin is illegal in Lava and
 scores the coin in Strings-and-Coins.  In every game a freeing cut keeps
 the turn, so that child's value keeps its sign (plus the coins it
-scores); any other cut passes the turn and negates it.  A win/loss node
-stops at its first winning child.  The principal move is the first
-child, in search order, worth the root's value.
+scores); any other cut passes the turn and negates it.
+
+The negamax is fail-soft alpha-beta.  A position searched on the window
+(alpha, beta) returns its exact value when that lies strictly inside
+the window, else a bound on the side it fell: an upper bound at or
+below alpha, a lower bound at or above beta.  A plain cut searches its
+child on (-beta, -alpha) and negates the result; a freeing cut that
+scores g coins searches its child on (alpha - g, beta - g) and adds g.
+Each position's window is first clamped to the range of its value: plus
+or minus the coins that still have an alive string in
+Strings-and-Coins, plus or minus 1 in the win/loss games.  The memo
+keeps a (lower, upper) bound pair per position and narrows the window
+with it.  In Nimstring and Lava the clamp leaves only the window
+(-1, 1), so every stored bound is exact and a beta cut is the stop at
+the first winning child: the win/loss search is a plain negamax with
+early stop.  The principal move is recorded while the root is searched
+on the full window: the first child, in search order, worth the root's
+value.  A lost win/loss root has none.  ``states_visited`` counts the
+distinct positions expanded: one searched again under another window
+counts once, and one that the clamp alone answers is not expanded.
 
 The search runs over the rope quotient of the position.  Parallel
 strings (a rope: same endpoint pair) are interchangeable, so the search
@@ -95,27 +112,31 @@ class _Search:
             self.higher.extend(span & ~((2 << i) - 1) for i in range(start, len(self.ids)))
         self.ea = [board.strings[sid].a for sid in self.ids]
         self.eb = [board.strings[sid].b for sid in self.ids]
-        self.deg = [0] * board.coin_count
+        # Alive degree per coin, then one slot for the ground, which
+        # ``GROUND`` (-1) indexes: it starts at 2, so it never reads 1 and
+        # the ground is never freed.
+        self.deg = [0] * board.coin_count + [2]
         for a, b in zip(self.ea, self.eb):
-            if is_coin(a):
-                self.deg[a] += 1
-            if is_coin(b):
-                self.deg[b] += 1
+            self.deg[a] += 1
+            self.deg[b] += 1
         self.full_mask = (1 << len(self.ids)) - 1
         self.states = 0
+        self.principal = None
         # The three games differ only here.  Lava forbids freeing cuts;
-        # only Strings-and-Coins scores a freed coin; a node of a
-        # win/loss game stops at its first win.  ``floor`` is below every
-        # move's value, so a position with no move is lost.  ``leaves``
-        # seeds the memo: outside Lava the empty board is a terminal the
-        # search does not count, while Lava visits it as a position with
-        # no legal cut.
+        # only Strings-and-Coins scores a freed coin.  ``reach`` bounds
+        # the value of the position being searched: the coins that still
+        # have an alive string in Strings-and-Coins (a freeing cut lowers
+        # it by the coins it scores), 1 in the win/loss games.  ``floor``
+        # is below every move's value, so a position with no move is
+        # lost.  ``leaves`` seeds the memo: outside Lava the empty board
+        # is a terminal the search does not count, while Lava visits it as
+        # a position with no legal cut.
         sac = kind is GameKind.STRINGS_AND_COINS
         self.cuts_freeing = kind is not GameKind.COINS_ARE_LAVA
         self.points = 1 if sac else 0
+        self.reach = sum(1 for d in self.deg[:-1] if d) if sac else 1
         self.floor = -board.coin_count - 1 if sac else -1
-        self.stop = None if sac else 1
-        self.leaves = {} if kind is GameKind.COINS_ARE_LAVA else {0: 0 if sac else -1}
+        self.leaves = {} if kind is GameKind.COINS_ARE_LAVA else {0: (0, 0) if sac else (-1, -1)}
 
     def moves(self, mask: int) -> list[int]:
         """Move positions, one per alive rope: the freeing ones ascending,
@@ -136,53 +157,65 @@ class _Search:
         return freeing + plain if self.cuts_freeing else plain
 
     def _freed(self, i: int) -> int:
-        a, b = self.ea[i], self.eb[i]
-        n = 0
-        if is_coin(a) and self.deg[a] == 1:
-            n += 1
-        if is_coin(b) and b != a and self.deg[b] == 1:
-            n += 1
-        return n
+        return (self.deg[self.ea[i]] == 1) + (self.deg[self.eb[i]] == 1)
 
     def _drop(self, i: int) -> None:
-        a, b = self.ea[i], self.eb[i]
-        if is_coin(a):
-            self.deg[a] -= 1
-        if is_coin(b):
-            self.deg[b] -= 1
+        self.deg[self.ea[i]] -= 1
+        self.deg[self.eb[i]] -= 1
 
     def _restore(self, i: int) -> None:
-        a, b = self.ea[i], self.eb[i]
-        if is_coin(a):
-            self.deg[a] += 1
-        if is_coin(b):
-            self.deg[b] += 1
-
-    def signed(self, freed: int, value: int) -> int:
-        """The mover's value of a cut that frees ``freed`` coins into a
-        position worth ``value`` to its own mover: a freeing cut keeps
-        the turn (and scores its coins), any other cut passes it."""
-        return value + freed * self.points if freed else -value
+        self.deg[self.ea[i]] += 1
+        self.deg[self.eb[i]] += 1
 
 
-def _value(s: _Search, mask: int, memo: dict[int, int]) -> int:
-    """Negamax value of ``mask`` for the player to move: the net score
-    still to come in Strings-and-Coins, +1 (win) or -1 (loss) otherwise."""
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    s.states += 1
-    best = s.floor
+def _value(s: _Search, mask: int, alpha: int, beta: int, memo: dict[int, tuple[int, int]]) -> int:
+    """Fail-soft alpha-beta value of ``mask`` for the player to move: the
+    net score still to come in Strings-and-Coins, +1 (win) or -1 (loss)
+    otherwise.  A result inside (alpha, beta) is exact; one at or below
+    alpha is an upper bound on the value, one at or above beta a lower
+    bound.  ``memo`` keeps a (lower, upper) bound pair per mask."""
+    entry = memo.get(mask)
+    if entry is None:
+        lo, hi = -s.reach, s.reach
+    else:
+        lo, hi = entry
+        if lo == hi:
+            return lo
+    if lo >= beta:
+        return lo
+    if hi <= alpha:
+        return hi
+    if entry is None:
+        s.states += 1
+    alpha, beta = max(alpha, lo), min(beta, hi)
+    a, best = alpha, s.floor
     for i in s.moves(mask):
         f = s._freed(i)
         s._drop(i)
-        value = s.signed(f, _value(s, mask ^ (1 << i), memo))
+        if f:
+            # The mover keeps the turn and scores g: shift the window.
+            g = f * s.points
+            s.reach -= g
+            value = _value(s, mask ^ (1 << i), a - g, beta - g, memo) + g
+            s.reach += g
+        else:
+            value = -_value(s, mask ^ (1 << i), -beta, -a, memo)
         s._restore(i)
         if value > best:
             best = value
-            if best == s.stop:
+            # Only the root records: it runs on its full window, so a
+            # child that raises ``best`` there returns its exact value.
+            if mask == s.full_mask:
+                s.principal = s.ids[i]
+            if best >= beta:
                 break
-    memo[mask] = best
+            a = max(a, best)
+    if best <= alpha:
+        memo[mask] = (lo, best)
+    elif best >= beta:
+        memo[mask] = (best, hi)
+    else:
+        memo[mask] = (best, best)
     return best
 
 
@@ -199,25 +232,11 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
     if len(state.alive) > MAX_DEPTH:
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed search depth {MAX_DEPTH}")
     s = _Search(state, groups, kind)
-    memo = dict(s.leaves)
-    root = s.full_mask
-    value = _value(s, root, memo)
-    # The first move worth the root's value, in search order; a lost
-    # win/loss root (worth the floor) has none.  Every child this loop
-    # reaches is already in the memo, so it visits no new state.
-    pm = None
-    if value != s.floor:
-        for i in s.moves(root):
-            f = s._freed(i)
-            s._drop(i)
-            child = s.signed(f, _value(s, root ^ (1 << i), memo))
-            s._restore(i)
-            if child == value:
-                pm = s.ids[i]
-                break
+    # ``floor`` is below every value and ``-floor`` above: the full window.
+    value = _value(s, s.full_mask, s.floor, -s.floor, dict(s.leaves))
     if kind is GameKind.STRINGS_AND_COINS:
-        return SolveResult(kind, net_for_mover=value, principal_move=pm, states_visited=s.states)
-    return SolveResult(kind, winner_for_mover=value > 0, principal_move=pm, states_visited=s.states)
+        return SolveResult(kind, net_for_mover=value, principal_move=s.principal, states_visited=s.states)
+    return SolveResult(kind, winner_for_mover=value > 0, principal_move=s.principal, states_visited=s.states)
 
 
 def naive_solve(state: GameState, kind: GameKind, budget: int = NAIVE_BUDGET) -> SolveResult:

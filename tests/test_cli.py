@@ -85,6 +85,19 @@ def test_malformed_board_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "replay"])
+def test_a_huge_coin_count_is_usage_error(command, tmp_path, capsys):
+    """The header is refused before any per-coin table is allocated."""
+    board, transcript = tmp_path / "huge.txt", tmp_path / "game.log"
+    board.write_text(f"coins {10**12}\nstring 0 0 ground\n")
+    transcript.write_text("cut 0\n")
+    extra = ["--transcript", str(transcript)] if command == "replay" else []
+    assert run([command, "--game", "sac", "--in", str(board), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: coin count") and captured.err.count("\n") == 1
+
+
 def test_unknown_game_is_rejected_by_argparse(board):
     with pytest.raises(SystemExit):
         run(["solve", "--game", "checkers", "--in", board])
@@ -191,6 +204,26 @@ def test_verify_oracle_small(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["ok"] is True
     assert doc["count"] == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--seed", "1"],
+        ["lemma1", "--seed", "1"],
+        ["lemma3", "--seed", "1"],
+        ["loony", "--seed", "1"],
+        ["structure"],
+        ["strategies", "--formula", "f.dnf", "--first", "trudy"],
+        ["parity"],
+        ["skip-dominance"],
+    ],
+)
+def test_every_campaign_takes_an_optional_out_file(argv):
+    parser = build_parser()
+    assert parser.parse_args(["verify", *argv]).out is None
+    args = parser.parse_args(["verify", *argv, "--out", "report.json"])
+    assert args.out == "report.json" and args.func.__name__ == "_cmd_verify"
 
 
 def test_verify_lemma_checks_small(capsys):
@@ -628,3 +661,43 @@ def test_replay_of_mutated_files_exits_cleanly(played, fuzz_dir, edits, game, fi
     else:
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# Thirteen strings, four of them ropes of two: 2,592 quotient states,
+# within a budget of 12.
+FUZZ_BOARD = """coins 4
+string 0 0 1
+string 1 0 1
+string 2 1 2
+string 3 2 ground
+string 4 2 ground
+string 5 3 0
+string 6 3 2
+string 7 ground 1
+string 8 3 ground
+string 9 0 2
+string 10 1 3
+string 11 1 3
+string 12 3 ground
+"""
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(_EDITS, max_size=4))
+def test_solve_of_mutated_boards_exits_cleanly(fuzz_dir, edits):
+    """Every edit lands on the board; the edits' targets are ignored."""
+    lines = FUZZ_BOARD.splitlines()
+    for _, op, i, j, token in edits:
+        _edit(lines, op, i, j, token)
+    board = fuzz_dir / "solve.txt"
+    board.write_text("\n".join(lines) + "\n")
+    for game in ("lava", "nimstring", "sac"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["solve", "--game", game, "--in", str(board), "--budget", "12"])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == "" and out.startswith("winner=") and out.count("\n") == 1
+        else:
+            assert code == 2
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -63,7 +63,7 @@ def test_single_pendant_coin_values():
 
 @pytest.mark.parametrize(
     "k,net,states",
-    [(1, -1, 2), (2, -2, 7), (3, -3, 15), (4, -4, 31)],
+    [(1, -1, 2), (2, -2, 6), (3, -3, 10), (4, -4, 15)],
 )
 def test_open_chain_net_scores(k: int, net: int, states: int):
     """The mover must open the lone chain and loses every coin in it."""
@@ -94,8 +94,8 @@ def test_open_chain_lava_values(k: int, mover_wins: bool, move, states: int):
 @pytest.mark.parametrize(
     "n,sac,nim,lava",
     [
-        (3, (-3, 0, 7), (True, 0, 4), (True, 0, 2)),
-        (4, (-4, 0, 15), (False, None, 15), (False, None, 7)),
+        (3, (-3, 0, 6), (True, 0, 4), (True, 0, 2)),
+        (4, (-4, 0, 10), (False, None, 15), (False, None, 7)),
     ],
 )
 def test_cycle_values(n: int, sac, nim, lava):
@@ -327,11 +327,15 @@ def test_rope_quotient_matches_oracle_on_rope_heavy_boards(seed: int, coins: int
             assert winner_of(nxt, kind, solve(nxt, kind)) is state.mover, kind
 
 
-@pytest.mark.parametrize("seed,winner", [(0, Player.P2), (1, Player.P1), (2, Player.P1)])
-def test_lemma1_pair_above_the_old_string_budget(seed: int, winner: Player):
-    """A Lemma-1 pair whose Strings-and-Coins side has 26 strings, most
-    of them in ropes: above the string budget, within the state budget."""
-    g = rope_board(random.Random(seed), 3, 22)
+@pytest.mark.parametrize(
+    "seed,coins,strings,winner",
+    [(0, 3, 22, Player.P2), (1, 3, 22, Player.P1), (2, 3, 22, Player.P1), (2, 4, 30, Player.P1)],
+)
+def test_lemma1_pair_above_the_old_string_budget(seed: int, coins: int, strings: int, winner: Player):
+    """A Lemma-1 pair whose Strings-and-Coins side has 26 or 35 strings,
+    most of them in ropes: above the string budget, within the state
+    budget."""
+    g = rope_board(random.Random(seed), coins, strings)
     h = reduce_nimstring_to_sac(g)
     assert h.string_count > DEFAULT_BUDGET
     assert quotient_states(h) <= 2**DEFAULT_BUDGET
