@@ -274,9 +274,6 @@ def _cmd_replay(args) -> int:
         if sid is None:
             continue
         try:
-            # LiveBoard indexes lists by id: -1 would reach the last string.
-            if not 0 <= sid < graph.string_count:
-                raise IllegalMove(f"string {sid} is not on the board")
             live.cut(sid)
         except IllegalMove:
             print(f"illegal cut {sid} at ply {plies + 1}", file=sys.stderr)

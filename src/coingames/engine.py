@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateInput, IllegalMove
-from .multigraph import GROUND, Multigraph, is_coin
+from .multigraph import Multigraph
 
 
 class GameKind(Enum):
@@ -136,6 +136,8 @@ class LiveBoard:
             raise DegenerateInput("board has a self-loop; freeing semantics undefined")
         self.board = board
         self.kind = kind
+        self._lava = kind is GameKind.COINS_ARE_LAVA
+        self._sac = kind is GameKind.STRINGS_AND_COINS
         self.mover = mover
         self.scores = [0, 0]
         self.alive = [True] * board.string_count
@@ -156,24 +158,15 @@ class LiveBoard:
                 self.frozen[sid] = True
                 self.legal_count -= 1
 
-    def freed_by(self, sid: int) -> int:
-        a, b = self._ends[sid]
-        n = 0
-        if is_coin(a) and self.degree[a] == 1:
-            n += 1
-        if is_coin(b) and b != a and self.degree[b] == 1:
-            n += 1
-        return n
-
     def is_legal(self, sid: int) -> bool:
-        if not self.alive[sid]:
+        """Whether ``sid`` names a string of the board that the mover may
+        cut; ids outside ``range(string_count)`` are never legal."""
+        if not 0 <= sid < len(self.alive) or not self.alive[sid]:
             return False
-        if self.kind is GameKind.COINS_ARE_LAVA:
-            return not self.frozen[sid]
-        return True
+        return not (self._lava and self.frozen[sid])
 
     def has_legal_move(self) -> bool:
-        if self.kind is GameKind.COINS_ARE_LAVA:
+        if self._lava:
             return self.legal_count > 0
         return self.alive_count > 0
 
@@ -183,24 +176,33 @@ class LiveBoard:
     def cut(self, sid: int) -> int:
         """Apply a cut for the current mover; returns coins freed (0 in
         Coins-are-Lava, where freeing cuts raise IllegalMove)."""
-        if not self.is_legal(sid):
+        alive = self.alive
+        if not 0 <= sid < len(alive) or not alive[sid]:
             raise IllegalMove(f"string {sid} is not a legal cut")
-        freed = self.freed_by(sid)
-        if self.kind is GameKind.COINS_ARE_LAVA and freed:
-            raise IllegalMove(f"string {sid} would free a coin")
-        self.alive[sid] = False
-        self.alive_count -= 1
-        if not self.frozen[sid]:
-            self.legal_count -= 1
+        # An alive string frees a coin exactly when it is frozen (its
+        # coin is down to this one string), so only frozen cuts count.
+        freed = 0
         a, b = self._ends[sid]
-        for c in (a, b) if a != b else (a,):
-            if is_coin(c):
-                self.degree[c] -= 1
-                if self.degree[c] == 1:
-                    self._freeze_last_string(c)
-        if self.kind is GameKind.COINS_ARE_LAVA or not freed:
-            self.mover = self.mover.other
-        elif self.kind is GameKind.STRINGS_AND_COINS:
+        degree = self.degree
+        if self.frozen[sid]:
+            if self._lava:
+                raise IllegalMove(f"string {sid} is not a legal cut")
+            freed = (a >= 0 and degree[a] == 1) + (b >= 0 and degree[b] == 1)
+        else:
+            self.legal_count -= 1
+        alive[sid] = False
+        self.alive_count -= 1
+        if a >= 0:
+            degree[a] -= 1
+            if degree[a] == 1:
+                self._freeze_last_string(a)
+        if b >= 0:
+            degree[b] -= 1
+            if degree[b] == 1:
+                self._freeze_last_string(b)
+        if not freed:
+            self.mover = Player.P2 if self.mover is Player.P1 else Player.P1
+        elif self._sac:
             self.scores[0 if self.mover is Player.P1 else 1] += freed
         return freed
 

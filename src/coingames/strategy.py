@@ -31,15 +31,27 @@ The decisive facts the waterfalls are built on:
 Legality does the rest: the Lava rules freeze any string whose cut
 would free a coin, so "keep one wire per variable" and "the root stays
 supported" are enforced by the board itself.
+
+Re-evaluating every ply stays cheap because the facts the waterfalls
+branch on are monotone and move only when a rope empties, a few dozen
+times in a game of thousands of plies.  ``ArtifactTracker`` keeps them
+current inside ``observe``: the set of doomed clauses (a wire's bottom
+rope or a clause rope emptied), the induced assignment (a variable
+rope emptied), and an ``epoch`` that counts emptied ropes.  Each policy
+rebuilds the wire lists its stages read from those facts once per
+epoch, as tuples, and per ply only re-sorts them by rope counts.  The
+tracker and those lists live for one playout: ``playout`` makes a new
+tracker and ``Policy.reset`` starts every policy afresh.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .engine import GameKind, LiveBoard, Player
-from .errors import StrategyError
+from .errors import IllegalMove, StrategyError
 from .gamesat import Mover, winning_set_move
 from .reduce import ReductionArtifact
 
@@ -49,16 +61,12 @@ class _Rope:
     contiguous id range.  All strands of a rope share endpoints, so they
     are always equally legal; one representative id suffices."""
 
-    __slots__ = ("start", "stop", "alive", "cursor")
+    __slots__ = ("start", "stop", "width", "alive", "cursor")
 
     def __init__(self, rng: tuple[int, int]):
         self.start, self.stop = rng
-        self.alive = self.stop - self.start
+        self.width = self.alive = self.stop - self.start
         self.cursor = self.start
-
-    @property
-    def width(self) -> int:
-        return self.stop - self.start
 
     def lowest_alive(self, live: LiveBoard) -> int | None:
         while self.cursor < self.stop and not live.alive[self.cursor]:
@@ -72,7 +80,7 @@ class _Rope:
         return None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Wire:
     index: int
     level: int
@@ -98,7 +106,12 @@ class ArtifactTracker:
     """Incremental per-gadget state over a live board: rope counters,
     wire HP, clause dooms, and the induced variable assignment.  A
     playout keeps one, observes each cut into it once, and hands it to
-    both policies."""
+    both policies.
+
+    Dooms and the assignment change only when some rope's ``alive``
+    reaches 0, so ``observe`` updates them there and ``doomed`` and
+    ``assignment`` are plain reads.  ``epoch`` counts those events:
+    anything computed from emptiness alone holds until it moves."""
 
     def __init__(self, artifact: ReductionArtifact, live: LiveBoard):
         self.artifact = artifact
@@ -113,6 +126,9 @@ class ArtifactTracker:
         self.clause_wires: dict[str, list[_Wire]] = {}
         self.pad: _Rope | None = None
         self._part: list[tuple[_Wire, str] | None] = [None] * artifact.graph.string_count
+        # The clause each rope dooms by emptying: a wire's bottom dooms
+        # its target, a clause rope its own clause.
+        self._dooms: dict[_Rope, str] = {}
         for p in artifact.plan:
             if p.kind == "variable":
                 bot, top = _Rope(p.bottom), _Rope(p.top)
@@ -126,6 +142,7 @@ class ArtifactTracker:
                 self.wires.append(w)
                 self._register(w.bottom)
                 self._register(w.top)
+                self._dooms[w.bottom] = w.target
                 for sid in range(w.bottom.start, w.bottom.stop):
                     self._part[sid] = (w, "bottom")
                 for sid in range(w.top.start, w.top.stop):
@@ -134,6 +151,7 @@ class ArtifactTracker:
                 rope = _Rope(p.rope)
                 self.clause_rope[p.clause] = rope
                 self._register(rope)
+                self._dooms[rope] = p.clause
             elif p.kind == "pad":
                 self.pad = _Rope(p.rope)
                 self._register(self.pad)
@@ -143,6 +161,11 @@ class ArtifactTracker:
         self.clause_keys = [p.clause for p in artifact.plan if p.kind == "clause"]
         for key in self.clause_keys:
             self.clause_wires[key] = self.clause_l1.get(key, []) + self.clause_l2.get(key, [])
+        self._var_ropes = set(self.var_bottom + self.var_top)
+        # Every rope starts with at least one string: nothing is doomed yet.
+        self.epoch = 0
+        self._doomed: set[str] = set()
+        self._assignment = self._induced_assignment()
 
     def _register(self, rope: _Rope) -> None:
         for sid in range(rope.start, rope.stop):
@@ -153,6 +176,13 @@ class ArtifactTracker:
         if rope is None or rope.alive <= 0:
             raise StrategyError(f"tracker out of sync at string {sid}")
         rope.alive -= 1
+        if rope.alive == 0:
+            self.epoch += 1
+            key = self._dooms.get(rope)
+            if key is not None:
+                self._doomed.add(key)
+            elif rope in self._var_ropes:
+                self._assignment = self._induced_assignment()
 
     def census(self) -> dict:
         """Alive strings per gadget, keyed in plan order."""
@@ -168,7 +198,7 @@ class ArtifactTracker:
     def wire_part(self, sid: int) -> tuple[_Wire, str] | None:
         return self._part[sid]
 
-    def assignment(self) -> tuple[bool | None, ...]:
+    def _induced_assignment(self) -> tuple[bool | None, ...]:
         out = []
         for bot, top in zip(self.var_bottom, self.var_top):
             if bot.alive and top.alive:
@@ -179,6 +209,9 @@ class ArtifactTracker:
                 out.append(True)  # top cut
         return tuple(out)
 
+    def assignment(self) -> tuple[bool | None, ...]:
+        return self._assignment
+
     def satisfied(self, key: str, assignment: tuple[bool | None, ...]) -> bool:
         if key == "empty":
             return True
@@ -188,9 +221,9 @@ class ArtifactTracker:
         return assignment[int(idx)] is True
 
     def doomed(self, key: str) -> bool:
-        if self.clause_rope[key].alive == 0:
-            return True
-        return any(w.disabled for w in self.clause_wires[key])
+        """Whether the clause's rope is empty or one of its wires is
+        disabled; either lasts to the end of the game."""
+        return key in self._doomed
 
 
 def is_fallon_terminal(census: dict) -> bool:
@@ -228,6 +261,15 @@ class Policy:
 
     def choose(self) -> int:
         raise NotImplementedError
+
+
+def _live(wires) -> tuple[_Wire, ...]:
+    """The wires whose bottom rope still holds a string."""
+    return tuple(w for w in wires if w.bottom.alive)
+
+
+def _by_top_alive(w: _Wire) -> tuple[int, int]:
+    return w.top.alive, w.index
 
 
 class UniformRandom(Policy):
@@ -269,8 +311,10 @@ class GreedyDisabler(Policy):
         self.live = tracker.live
         self.tracker = tracker
         self.scan_at = 0
+        self.epoch = -1
 
-    def _good_wires(self) -> list[_Wire]:
+    def _good_wires(self) -> tuple[_Wire, ...]:
+        """The target script's good wires that are not yet disabled."""
         t = self.tracker
         assignment = t.assignment()
         f = self.artifact.formula
@@ -302,14 +346,15 @@ class GreedyDisabler(Policy):
                     t.satisfied(w.target, assignment) and not t.doomed(w.target)
                 ):
                     goods.append(w)
-        return goods
+        return _live(goods)
 
     def choose(self) -> int:
+        if self.epoch != self.tracker.epoch:
+            self.epoch = self.tracker.epoch
+            self.goods = self._good_wires()
         best = None
         best_key = None
-        for w in self._good_wires():
-            if w.hp == 0:
-                continue
+        for w in self.goods:
             sid = w.bottom.lowest_legal(self.live)
             if sid is None:
                 continue
@@ -329,9 +374,16 @@ class GreedyDisabler(Policy):
 
 
 class _ScriptBase(Policy):
-    """Shared waterfall machinery for the two scripts."""
+    """Shared waterfall machinery for the two scripts.
+
+    ``stages`` is the waterfall: (phase, function) pairs in priority
+    order, kept on the class so that an instance holds no reference to
+    itself.  Each script keeps the wire lists its stages read as tuples
+    that depend on rope emptiness alone, and ``_refresh`` rebuilds them
+    when the tracker's epoch has moved since the last move."""
 
     side: Mover
+    stages: tuple = ()
 
     def __init__(self, artifact: ReductionArtifact):
         self.artifact = artifact
@@ -345,6 +397,7 @@ class _ScriptBase(Policy):
         self.last_opp: tuple[_Wire, str] | None = None
         self.phase = 1
         self._classified = False
+        self.epoch = -1
 
     def observe(self, sid, mine):
         if not mine:
@@ -372,7 +425,7 @@ class _ScriptBase(Policy):
         raise NotImplementedError
 
     # -- generic helpers ----------------------------------------------
-    def _disable_first(self, wires: list[_Wire]) -> int | None:
+    def _disable_first(self, wires: Sequence[_Wire]) -> int | None:
         for w in wires:
             if w.hp > 0:
                 sid = w.bottom.lowest_legal(self.live)
@@ -380,7 +433,7 @@ class _ScriptBase(Policy):
                     return sid
         return None
 
-    def _activate_first(self, wires: list[_Wire]) -> int | None:
+    def _activate_first(self, wires: Sequence[_Wire]) -> int | None:
         for w in wires:
             if w.hp > 0 and not w.activated:
                 sid = w.top.lowest_legal(self.live)
@@ -388,7 +441,7 @@ class _ScriptBase(Policy):
                     return sid
         return None
 
-    def _rope_cut(self, keys: list[str]) -> int | None:
+    def _rope_cut(self, keys: Sequence[str]) -> int | None:
         t = self.tracker
         for key in keys:
             rope = t.clause_rope[key]
@@ -399,8 +452,8 @@ class _ScriptBase(Policy):
         return None
 
     # -- guarded cleanup ----------------------------------------------
-    def _survivor_exempt(self) -> set[str]:
-        return set()
+    def _exempt_survivor(self, key: str) -> bool:
+        return False
 
     def _protected_bottom(self, w: _Wire) -> bool:
         return False
@@ -419,7 +472,7 @@ class _ScriptBase(Policy):
         if w.top.alive != 1:
             return False
         key = w.target
-        if key in self._survivor_exempt() or t.doomed(key):
+        if self._exempt_survivor(key) or t.doomed(key):
             return False
         for other in t.clause_wires[key]:
             if other is w or other.disabled:
@@ -462,8 +515,11 @@ class _ScriptBase(Policy):
         if not self._classified:
             self._classify()
             self._classified = True
-        for stage_phase, stage in self._stages():
-            sid = stage()
+        if self.epoch != self.tracker.epoch:
+            self.epoch = self.tracker.epoch
+            self._refresh()
+        for stage_phase, stage in self.stages:
+            sid = stage(self)
             if sid is not None:
                 self.phase = max(self.phase, stage_phase)
                 return sid
@@ -471,9 +527,10 @@ class _ScriptBase(Policy):
         return self._cleanup_move()
 
     def _classify(self) -> None:
+        """Fix the static wire classes once the variables are set."""
         raise NotImplementedError
 
-    def _stages(self):
+    def _refresh(self) -> None:
         raise NotImplementedError
 
 
@@ -489,6 +546,9 @@ class FallonScript(_ScriptBase):
     (the latter with racing priority, since activation alone would let
     that clause survive); disable them, keep the lowest good wire alive
     and activate it.  Finally empty every clause rope.
+
+    The class tuples other than ``l1_good`` keep only wires that are not
+    yet disabled, and ``open_clauses`` only non-empty clause ropes.
     """
 
     name = "fallon-script"
@@ -500,40 +560,37 @@ class FallonScript(_ScriptBase):
     def _classify(self):
         t = self.tracker
         assignment = t.assignment()
-        self.l1_good: list[_Wire] = []
-        self.l1_bad: list[_Wire] = []
-        self.l1_neutral: list[_Wire] = []
-        self.l2_good: list[_Wire] = []
-        self.l2_empty: list[_Wire] = []
-        self.l2_danger: list[_Wire] = []
+        l1_good, l1_bad, l1_neutral, l2_good, l2_empty, l2_danger = [], [], [], [], [], []
         self.true_vars = [v for v, val in enumerate(assignment) if val is True]
         for w in t.wires:
             if w.level == 1:
                 if assignment[w.source_var] is not True:
-                    self.l1_neutral.append(w)
+                    l1_neutral.append(w)
                 elif w.target.startswith("real:"):
-                    self.l1_good.append(w)
+                    l1_good.append(w)
                 else:
-                    self.l1_bad.append(w)
+                    l1_bad.append(w)
             elif w.target == "empty":
-                self.l2_empty.append(w)
+                l2_empty.append(w)
             elif not t.clause_l1.get(w.target):
-                self.l2_danger.append(w)
+                l2_danger.append(w)
             else:
-                self.l2_good.append(w)
+                l2_good.append(w)
+        self.l1_good = frozenset(l1_good)
+        self.l1_good_of = {v: tuple(w for w in l1_good if w.source_var == v) for v in self.true_vars}
+        self.l1_bad, self.l1_neutral = tuple(l1_bad), tuple(l1_neutral)
+        self.l2_good, self.l2_empty, self.l2_danger = tuple(l2_good), tuple(l2_empty), tuple(l2_danger)
+        self.open_clauses = tuple(t.clause_keys)
 
-    def _stages(self):
-        return (
-            (2, self._respond),
-            (2, self._l1_bads),
-            (3, self._danger_raced),
-            (2, self._l1_rest),
-            (2, self._l1_keepers),
-            (3, self._l2_bads),
-            (3, self._l2_surplus),
-            (3, self._l2_keeper),
-            (4, self._ropes),
-        )
+    def _refresh(self):
+        # Disabling and emptying are monotone: filtering the last
+        # epoch's tuples is enough.
+        self.l1_good_of = {v: _live(ws) for v, ws in self.l1_good_of.items()}
+        self.l1_bad, self.l1_neutral = _live(self.l1_bad), _live(self.l1_neutral)
+        self.l2_good, self.l2_empty = _live(self.l2_good), _live(self.l2_empty)
+        self.l2_danger = _live(self.l2_danger)
+        rope = self.tracker.clause_rope
+        self.open_clauses = tuple(k for k in self.open_clauses if rope[k].alive)
 
     def _respond(self):
         hit, self.last_opp = self.last_opp, None
@@ -551,8 +608,8 @@ class FallonScript(_ScriptBase):
     def _danger_raced(self):
         # A pumped level-2 wire into a no-level-1 singleton is a race
         # the opponent can win; kill those bottoms before anything else.
-        pumped = [w for w in self.l2_danger if w.hp > 0 and w.top.alive < w.top.width]
-        pumped.sort(key=lambda w: (w.top.alive, w.index))
+        pumped = [w for w in self.l2_danger if w.top.alive < w.top.width]
+        pumped.sort(key=_by_top_alive)
         return self._disable_first(pumped)
 
     def _l1_rest(self):
@@ -560,7 +617,7 @@ class FallonScript(_ScriptBase):
         if sid is not None:
             return sid
         for v in self.true_vars:
-            alive = [w for w in self.l1_good if w.source_var == v and w.hp > 0]
+            alive = self.l1_good_of[v]
             if len(alive) >= 2:
                 sid = self._disable_first(alive[1:])
                 if sid is not None:
@@ -569,7 +626,7 @@ class FallonScript(_ScriptBase):
 
     def _l1_keepers(self):
         for v in self.true_vars:
-            alive = [w for w in self.l1_good if w.source_var == v and w.hp > 0]
+            alive = self.l1_good_of[v]
             if alive:
                 sid = self._activate_first(alive[:1])
                 if sid is not None:
@@ -577,26 +634,33 @@ class FallonScript(_ScriptBase):
         return None
 
     def _l2_bads(self):
-        danger = sorted(
-            (w for w in self.l2_danger if w.hp > 0), key=lambda w: (w.top.alive, w.index)
-        )
-        sid = self._disable_first(danger)
+        sid = self._disable_first(sorted(self.l2_danger, key=_by_top_alive))
         if sid is not None:
             return sid
         return self._disable_first(self.l2_empty)
 
     def _l2_surplus(self):
-        alive = [w for w in self.l2_good if w.hp > 0]
-        if len(alive) >= 2:
-            return self._disable_first(alive[1:])
+        if len(self.l2_good) >= 2:
+            return self._disable_first(self.l2_good[1:])
         return None
 
     def _l2_keeper(self):
-        alive = [w for w in self.l2_good if w.hp > 0]
-        return self._activate_first(alive[:1])
+        return self._activate_first(self.l2_good[:1])
 
     def _ropes(self):
-        return self._rope_cut(self.tracker.clause_keys)
+        return self._rope_cut(self.open_clauses)
+
+    stages = (
+        (2, _respond),
+        (2, _l1_bads),
+        (3, _danger_raced),
+        (2, _l1_rest),
+        (2, _l1_keepers),
+        (3, _l2_bads),
+        (3, _l2_surplus),
+        (3, _l2_keeper),
+        (4, _ropes),
+    )
 
 
 class TrudyScript(_ScriptBase):
@@ -632,6 +696,44 @@ class TrudyScript(_ScriptBase):
 
     def _classify(self):
         self.c_prime: str | None = None
+        self.wound_targets = tuple(
+            w
+            for w in self.tracker.wires
+            if w.level == 2 and w.target == "empty" and w.bottom.width >= 2
+        )
+
+    def _refresh(self):
+        """Re-pick c' if it stopped being a candidate, then rebuild the
+        lists that hang on c' and on the dooms."""
+        t = self.tracker
+        assignment = t.assignment()
+        # Live level-2 wires an HP-greedy attacker may chew through.
+        self.threats = tuple(
+            u
+            for u in t.wires
+            if u.level == 2
+            and u.hp > 0
+            and (u.target == "empty" or (t.satisfied(u.target, assignment) and not t.doomed(u.target)))
+        )
+        cands = self._candidates()
+        if self.c_prime not in cands:
+            self.c_prime = max(cands, key=lambda k: (self._margin(k), k), default=None)
+        mine = t.clause_wires[self.c_prime] if self.c_prime is not None else ()
+        self.protected = frozenset(w.index for w in mine if not w.disabled)
+        # c' is fully activated once no wire is left to pump.
+        self.to_pump = tuple(w for w in mine if w.hp > 0 and not w.activated)
+        # Live level-2 wires, not protected, into a non-empty clause that
+        # is not yet doomed: each could still carry a rival survivor.
+        self.rivals = tuple(
+            w
+            for w in t.wires
+            if w.level == 2
+            and w.hp > 0
+            and w.index not in self.protected
+            and w.target != "empty"
+            and not t.doomed(w.target)
+        )
+        self.doomed_keys = tuple(filter(t.doomed, t.clause_keys))
 
     # -- candidate bookkeeping ------------------------------------------
     def _candidates(self) -> list[str]:
@@ -645,50 +747,23 @@ class TrudyScript(_ScriptBase):
                 out.append(key)
         return out
 
-    def _activation_work(self, key: str) -> int:
-        return sum(w.top.alive for w in self.tracker.clause_wires[key] if not w.disabled)
-
-    def _threat_wires(self) -> list[_Wire]:
-        t = self.tracker
-        assignment = t.assignment()
-        out = []
-        for u in t.wires:
-            if u.level != 2 or u.hp == 0:
-                continue
-            if u.target == "empty" or (
-                t.satisfied(u.target, assignment) and not t.doomed(u.target)
-            ):
-                out.append(u)
-        return out
-
     def _margin(self, key: str) -> int:
-        l2 = [w for w in self.tracker.clause_l2[key] if not w.disabled]
+        t = self.tracker
+        l2 = [w for w in t.clause_l2[key] if not w.disabled]
         if not l2:
             return -(10**9)
         w = l2[0]
         distance = sum(
-            u.hp
-            for u in self._threat_wires()
-            if u is not w and (u.hp, u.index) < (w.hp, w.index)
+            u.hp for u in self.threats if u is not w and (u.hp, u.index) < (w.hp, w.index)
         )
-        return distance - self._activation_work(key)
-
-    def _refresh_c_prime(self) -> None:
-        cands = self._candidates()
-        if self.c_prime in cands:
-            return
-        self.c_prime = max(cands, key=lambda k: (self._margin(k), k), default=None)
-
-    def _protected(self) -> set[int]:
-        if self.c_prime is None:
-            return set()
-        return {w.index for w in self.tracker.clause_wires[self.c_prime] if not w.disabled}
+        work = sum(u.top.alive for u in t.clause_wires[key] if not u.disabled)
+        return distance - work
 
     def _protected_bottom(self, w):
-        return w.index in self._protected()
+        return w.index in self.protected
 
-    def _survivor_exempt(self):
-        return {self.c_prime} if self.c_prime is not None else set()
+    def _exempt_survivor(self, key):
+        return key == self.c_prime
 
     def _cleanup_blocked(self, sid):
         if super()._cleanup_blocked(sid):
@@ -699,64 +774,37 @@ class TrudyScript(_ScriptBase):
                 return True
         return False
 
-    def _stages(self):
-        self._refresh_c_prime()
-        return (
-            (2, self._wounds),
-            (3, self._urgent),
-            (2, self._pump),
-            (3, self._post_sweep),
-            (4, self._ropes),
-        )
-
     def _wounds(self):
-        for w in self.tracker.wires:
-            if (
-                w.level == 2
-                and w.target == "empty"
-                and w.bottom.alive == w.bottom.width
-                and w.bottom.width >= 2
-            ):
+        for w in self.wound_targets:
+            if w.bottom.alive == w.bottom.width:
                 sid = w.bottom.lowest_legal(self.live)
                 if sid is not None:
                     return sid
         return None
 
-    def _rivals(self) -> list[_Wire]:
-        """Live level-2 wires, not protected, into a non-empty clause
-        that is not yet doomed: each could still carry a rival survivor."""
-        t = self.tracker
-        protected = self._protected()
-        return [
-            w
-            for w in t.wires
-            if w.level == 2
-            and w.hp > 0
-            and w.index not in protected
-            and w.target != "empty"
-            and not t.doomed(w.target)
-        ]
-
     def _urgent(self):
-        raced = [w for w in self._rivals() if w.top.alive < w.top.width]
-        raced.sort(key=lambda w: (w.top.alive, w.index))
+        raced = [w for w in self.rivals if w.top.alive < w.top.width]
+        raced.sort(key=_by_top_alive)
         return self._disable_first(raced)
 
     def _pump(self):
-        if self.c_prime is None:
-            return None
-        pump = [w for w in self.tracker.clause_wires[self.c_prime] if w.hp > 0 and not w.activated]
-        pump.sort(key=lambda w: (w.top.alive, w.index))
-        return self._activate_first(pump)
+        return self._activate_first(sorted(self.to_pump, key=_by_top_alive))
 
     def _post_sweep(self):
-        if self.c_prime is None or self._activation_work(self.c_prime) > 0:
+        if self.c_prime is None or self.to_pump:
             return None
-        return self._disable_first(self._rivals())
+        return self._disable_first(self.rivals)
 
     def _ropes(self):
-        t = self.tracker
-        return self._rope_cut([k for k in t.clause_keys if t.doomed(k)])
+        return self._rope_cut(self.doomed_keys)
+
+    stages = (
+        (2, _wounds),
+        (3, _urgent),
+        (2, _pump),
+        (3, _post_sweep),
+        (4, _ropes),
+    )
 
 
 @dataclass
@@ -797,6 +845,7 @@ def playout(
     policy_p1.reset(tracker, Player.P1, seed)
     policy_p2.reset(tracker, Player.P2, seed)
     labels = artifact.graph.labels
+    p1_text, p2_text = Player.P1.value, Player.P2.value
     lines: list[str] = []
     ply = 0
     cap = max_plies if max_plies is not None else artifact.graph.string_count + 1
@@ -804,17 +853,21 @@ def playout(
         if ply >= cap:
             raise StrategyError(f"playout exceeded {cap} plies")
         mover = live.mover
-        policy = policy_p1 if mover is Player.P1 else policy_p2
+        if mover is Player.P1:
+            policy, seat = policy_p1, p1_text
+        else:
+            policy, seat = policy_p2, p2_text
         sid = policy.choose()
-        if not live.is_legal(sid):
+        try:
+            live.cut(sid)
+        except IllegalMove:
             raise StrategyError(
-                f"policy {policy.name} at seat {mover.value} chose illegal string {sid}"
-            )
-        live.cut(sid)
+                f"policy {policy.name} at seat {seat} chose illegal string {sid}"
+            ) from None
         tracker.observe(sid)
         ply += 1
         lines.append(
-            f"ply {ply} {mover.value} cut {sid} # {labels.get(sid, '-')} phase={policy.phase}"
+            f"ply {ply} {seat} cut {sid} # {labels.get(sid, '-')} phase={policy.phase}"
         )
         policy_p1.observe(sid, mover is Player.P1)
         policy_p2.observe(sid, mover is Player.P2)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .engine import GameKind, Player, initial_state
 from .errors import BudgetExceeded, ParseError, StrategyError
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, skip_dominance_check, solve_gamesat
-from .multigraph import GROUND, GraphBuilder, Multigraph, canonical_text, ropes
+from .multigraph import GROUND, MAX_COINS, GraphBuilder, Multigraph, canonical_text, ropes
 from .reduce import (
     DEFAULT_CHAIN_LEN,
     ReductionArtifact,
@@ -84,6 +84,12 @@ def _at_least(name: str, value: int, low: int) -> None:
         raise ParseError(f"{name} must be at least {low}, got {value}")
 
 
+def _at_most(name: str, value: int, high: int) -> None:
+    """Refuse a size above ``high`` with ParseError."""
+    if value > high:
+        raise ParseError(f"{name} must be at most {high}, got {value}")
+
+
 def _probability(name: str, value: float) -> None:
     """Refuse a probability outside [0, 1] (NaN included) with ParseError."""
     if not 0 <= value <= 1:
@@ -96,6 +102,8 @@ def random_multigraph(
     """Random board without self-loops.  Each endpoint is ground with
     probability ``ground_prob``, otherwise a uniform coin."""
     _at_least("coin count", coin_count, 0)
+    # A board allocates per-coin tables: refuse what a board file may not declare.
+    _at_most("coin count", coin_count, MAX_COINS)
     _at_least("string count", string_count, 0)
     _probability("ground probability", ground_prob)
     b = GraphBuilder()
@@ -131,6 +139,7 @@ class RandomMultigraphs:
 
     def __post_init__(self):
         _at_least("max coins", self.max_coins, 1)
+        _at_most("max coins", self.max_coins, MAX_COINS)
         _at_least("max strings", self.max_strings, 0)
         _probability("ground probability", self.ground_prob)
 

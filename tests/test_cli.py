@@ -436,6 +436,8 @@ def test_gen_multigraph_is_seed_deterministic(capsys):
         "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob 7",
         "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob -0.5",
         "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob nan",
+        "gen multigraph --coins 1000000000000 --strings 1 --seed 1",
+        "verify oracle --seed 1 --max-coins 1000000000000",
         "verify oracle --seed 1 --ground-prob 7",
         "verify lemma1 --seed 1 --ground-prob -1",
         "verify lemma3 --seed 1 --ground-prob 1.5",
@@ -701,3 +703,53 @@ def test_solve_of_mutated_boards_exits_cleanly(fuzz_dir, edits):
         else:
             assert code == 2
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def compiled_files(tmp_path_factory):
+    """A compiled Lava board and its plan, as ``reduce`` writes them."""
+    root = tmp_path_factory.mktemp("compiled")
+    formula, board, plan = (root / n for n in ("f.dnf", "lava.txt", "plan.json"))
+    formula.write_text(CONJUNCTION)
+    argv = ["reduce", "gamesat-to-lava", "--formula", str(formula), "--N", "2", "--first", "trudy"]
+    assert run(argv + ["--out", str(board), "--plan", str(plan)]) == 0
+    return board.read_text(), plan.read_text()
+
+
+# The plan is indented JSON: one field or bracket per line.  Some tokens
+# keep it valid and change what the policies are told (the predicted
+# winner, the seat, the first mover).
+_PLAN_TOKENS = _TOKENS + (
+    '"kind":', '"wire",', '"clause",', '"pad",', '"var:0",', '"root",', '"empty",',
+    "null,", "true,", "-5,", "2,", "100000,", "[", "],", "{", "},",
+    '"FallonWins",', '"TrudyWins",', '"P2",', '"fallon",',
+)
+_PLAY_EDITS = st.tuples(
+    st.sampled_from(("board", "plan")),
+    st.sampled_from(("drop", "repeat", "swap", "insert", "cut", "token")),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+    st.sampled_from(_PLAN_TOKENS),
+)
+_POLICY_NAMES = st.sampled_from(("random", "greedy", "trudy-script", "fallon-script"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(_PLAY_EDITS, max_size=4), a=_POLICY_NAMES, b=_POLICY_NAMES, seed=st.integers(0, 3))
+def test_play_of_mutated_files_exits_cleanly(compiled_files, fuzz_dir, edits, a, b, seed):
+    texts = {"board": compiled_files[0].splitlines(), "plan": compiled_files[1].splitlines()}
+    for target, op, i, j, token in edits:
+        _edit(texts[target], op, i, j, token)
+    board, plan = fuzz_dir / "play.txt", fuzz_dir / "play.json"
+    board.write_text("\n".join(texts["board"]) + "\n")
+    plan.write_text("\n".join(texts["plan"]) + "\n")
+    argv = ["play", "--in", str(board), "--plan", str(plan), "--policy-a", a, "--policy-b", b]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + ["--seed", str(seed), "--out", str(fuzz_dir / "play.log")])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and out.startswith("{'winner': ") and out.count("\n") == 1
+    else:
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -60,6 +60,19 @@ def test_lava_forbids_freeing_cuts():
     assert out.winner is Player.P1
 
 
+@pytest.mark.parametrize("kind", list(GameKind))
+def test_live_board_rejects_ids_off_the_board(kind):
+    """A list index would wrap -1 to the last string; the board refuses
+    it, and any id past the end, without changing anything."""
+    live = LiveBoard(two_chain(), kind)
+    for sid in (-1, -3, 3, 99):
+        assert not live.is_legal(sid)
+        with pytest.raises(IllegalMove):
+            live.cut(sid)
+    assert live.alive == [True, True, True]
+    assert live.mover is Player.P1
+
+
 def test_sac_scoring_and_free_move():
     g = two_chain()
     st0 = initial_state(g)
@@ -195,9 +208,9 @@ def test_lava_illegality_is_monotone(seed: int):
 
 
 @given(seed=st.integers(min_value=0, max_value=3000))
-def test_freed_by_counts_pendant_endpoints(seed: int):
-    """Property: freed_by equals the number of distinct coin endpoints
-    at alive degree one, and cutting scores exactly that many."""
+def test_cut_frees_pendant_endpoints(seed: int):
+    """Property: a cut frees, and scores, exactly the distinct coin
+    endpoints at alive degree one."""
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(1, 4), rng.randint(0, 8), 0.3)
     live = LiveBoard(g, GameKind.STRINGS_AND_COINS)
@@ -208,5 +221,4 @@ def test_freed_by_counts_pendant_endpoints(seed: int):
             for c in set(g.strings[sid].coin_endpoints())
             if live.degree[c] == 1
         )
-        assert live.freed_by(sid) == expect
         assert live.cut(sid) == expect

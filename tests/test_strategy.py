@@ -1,5 +1,7 @@
 """Scripted players and seeded playouts on compiled Lava boards."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,19 +125,103 @@ def test_transcript_format_and_phase_monotonicity():
 
 def test_playout_rejects_illegal_policy_moves():
     class Stubborn(Policy):
+        """Plays lowest-id legal cuts until ``pick`` names a string."""
+
         name = "stubborn"
 
+        def __init__(self, pick):
+            self.pick = pick
+
         def reset(self, tracker, seat, seed):
-            pass
+            self.live = tracker.live
 
         def choose(self):
-            return 5
+            sid = self.pick(self.live)
+            return self.live.legal_moves()[0] if sid is None else sid
+
+    def frozen(live):
+        # Alive but Lava-illegal: cutting it would free a coin.
+        return next((s for s, f in enumerate(live.frozen) if f and live.alive[s]), None)
 
     art, side = hero_and_artifact("x1 x2", Mover.FALLON)
-    p1 = Stubborn()
     p2 = script_for(side, art) if art.player_for(side) is Player.P2 else UniformRandom()
-    with pytest.raises(StrategyError):
-        playout(art, p1, p2, seed=0)
+    def wrapped(live):
+        # Off the board, but a list index would wrap it to a legal string.
+        return live.legal_moves()[0] - len(live.alive)
+
+    # A dead string (5 is legal once, then cut), ids off the board, and
+    # an alive string whose cut would free a coin.
+    for pick in (lambda live: 5, lambda live: -1, wrapped, frozen):
+        with pytest.raises(StrategyError, match="chose illegal string"):
+            playout(art, Stubborn(pick), p2, seed=0)
+
+
+# sha256 of transcript_text() (first 16 hex digits) at N=3, keyed by
+# (formula, first mover, script, opponent, seed).  Any change to a
+# policy, the tracker or LiveBoard that alters one cut, seat, label or
+# phase shows here.
+GOLDEN_FORMULAS = {"majority": MAJORITY, "x1x2": "x1 x2"}
+GOLDEN_TRANSCRIPTS = {
+    ("majority", "trudy", "trudy-script", "random", 1): "d238e1faa49c2586",
+    ("majority", "trudy", "trudy-script", "random", 2): "34cf8b57e366eaa2",
+    ("majority", "trudy", "trudy-script", "greedy", 1): "a93a3d663b890341",
+    ("majority", "trudy", "trudy-script", "greedy", 2): "a93a3d663b890341",
+    ("majority", "trudy", "trudy-script", "fallon-script", 1): "d7b6c03b69d07d3e",
+    ("majority", "trudy", "trudy-script", "fallon-script", 2): "d7b6c03b69d07d3e",
+    ("majority", "trudy", "fallon-script", "random", 1): "b6336d7338fd2447",
+    ("majority", "trudy", "fallon-script", "random", 2): "d7c347424d8c3a05",
+    ("majority", "trudy", "fallon-script", "greedy", 1): "f62b3a39afcde41d",
+    ("majority", "trudy", "fallon-script", "greedy", 2): "f62b3a39afcde41d",
+    ("majority", "fallon", "fallon-script", "random", 1): "39b743d204baf70e",
+    ("majority", "fallon", "fallon-script", "random", 2): "ce643e3b18fa71c0",
+    ("majority", "fallon", "fallon-script", "greedy", 1): "858b11e86e94e0bb",
+    ("majority", "fallon", "fallon-script", "greedy", 2): "858b11e86e94e0bb",
+    ("majority", "fallon", "trudy-script", "fallon-script", 1): "3c0753e1470f22b5",
+    ("majority", "fallon", "trudy-script", "fallon-script", 2): "3c0753e1470f22b5",
+    ("majority", "fallon", "trudy-script", "random", 1): "952e65823c1e1e68",
+    ("majority", "fallon", "trudy-script", "random", 2): "64c4f2be7bd15097",
+    ("majority", "fallon", "trudy-script", "greedy", 1): "00f7776de18f56b5",
+    ("majority", "fallon", "trudy-script", "greedy", 2): "00f7776de18f56b5",
+    ("x1x2", "trudy", "fallon-script", "random", 1): "962801a69cf262bb",
+    ("x1x2", "trudy", "fallon-script", "random", 2): "df989f7f1a7fcccd",
+    ("x1x2", "trudy", "fallon-script", "greedy", 1): "39f498bb7172e4fe",
+    ("x1x2", "trudy", "fallon-script", "greedy", 2): "39f498bb7172e4fe",
+    ("x1x2", "trudy", "trudy-script", "fallon-script", 1): "16b9458ce5f6ce50",
+    ("x1x2", "trudy", "trudy-script", "fallon-script", 2): "16b9458ce5f6ce50",
+    ("x1x2", "trudy", "trudy-script", "random", 1): "80c082416637000a",
+    ("x1x2", "trudy", "trudy-script", "random", 2): "b05605af93600b57",
+    ("x1x2", "trudy", "trudy-script", "greedy", 1): "ee1b4553f45be040",
+    ("x1x2", "trudy", "trudy-script", "greedy", 2): "ee1b4553f45be040",
+    ("x1x2", "fallon", "fallon-script", "random", 1): "1bb8f881a4f2b6df",
+    ("x1x2", "fallon", "fallon-script", "random", 2): "0469e31e6e64931e",
+    ("x1x2", "fallon", "fallon-script", "greedy", 1): "85e3e4d2aa4c0d66",
+    ("x1x2", "fallon", "fallon-script", "greedy", 2): "85e3e4d2aa4c0d66",
+    ("x1x2", "fallon", "trudy-script", "fallon-script", 1): "e589edad1edad66c",
+    ("x1x2", "fallon", "trudy-script", "fallon-script", 2): "e589edad1edad66c",
+    ("x1x2", "fallon", "trudy-script", "random", 1): "a9deba04b78af3b2",
+    ("x1x2", "fallon", "trudy-script", "random", 2): "48122e62376e33d4",
+    ("x1x2", "fallon", "trudy-script", "greedy", 1): "d5b40b60d9f135d2",
+    ("x1x2", "fallon", "trudy-script", "greedy", 2): "d5b40b60d9f135d2",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(GOLDEN_TRANSCRIPTS), ids=lambda key: "-".join(map(str, key))
+)
+def test_golden_transcripts(key):
+    formula, first, script, opponent, seed = key
+    art = compile_gamesat_to_lava(parse_dnf(GOLDEN_FORMULAS[formula]), 3, Mover(first))
+    side = Mover.TRUDY if script == "trudy-script" else Mover.FALLON
+    if opponent == "random":
+        opp: Policy = UniformRandom()
+    elif opponent == "greedy":
+        opp = GreedyDisabler(art, side)
+    else:
+        opp = script_for(side.other, art)
+    p1, p2, _ = seat_policies(art, side, opp)
+    record = playout(art, p1, p2, seed=seed)
+    digest = hashlib.sha256(record.transcript_text().encode()).hexdigest()[:16]
+    assert digest == GOLDEN_TRANSCRIPTS[key]
 
 
 def test_playout_ply_cap():
@@ -167,3 +253,55 @@ def test_random_vs_random_playouts_terminate(seed: int):
     assert record.plies <= art.graph.string_count
     # Lava floor: a variable gadget never loses both strings.
     assert all(v >= 1 for v in record.census["variables"].values())
+
+
+def _recount(tracker):
+    """Dooms, assignment and emptied-rope count, straight from the rope
+    counters."""
+    t = tracker
+    doomed = {
+        key
+        for key in t.clause_keys
+        if t.clause_rope[key].alive == 0
+        or any(w.bottom.alive == 0 for w in t.wires if w.target == key)
+    }
+    assignment = tuple(
+        None if bot.alive and top.alive else top.alive == 0
+        for bot, top in zip(t.var_bottom, t.var_top)
+    )
+    ropes = t.var_bottom + t.var_top + list(t.clause_rope.values())
+    ropes += [r for w in t.wires for r in (w.bottom, w.top)]
+    ropes += [t.pad] if t.pad is not None else []
+    emptied = sum(1 for r in ropes if r.alive == 0)
+    return doomed, assignment, emptied
+
+
+class _AuditedRandom(UniformRandom):
+    """Random play that checks the tracker's stored facts after every
+    ply (``observe`` runs once the tracker has seen the cut)."""
+
+    def reset(self, tracker, seat, seed):
+        super().reset(tracker, seat, seed)
+        self.tracker = tracker
+        self.plies = 0
+
+    def observe(self, sid, mine):
+        t = self.tracker
+        stored = ({k for k in t.clause_keys if t.doomed(k)}, t.assignment(), t.epoch)
+        assert stored == _recount(t)
+        self.plies += 1
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    text=st.sampled_from(["x1 x2", MAJORITY]),
+    first=st.sampled_from(list(Mover)),
+    side=st.sampled_from(list(Mover)),
+)
+@settings(max_examples=12, deadline=None)
+def test_tracker_keeps_dooms_assignment_and_epoch(seed, text, first, side):
+    art = compiled(text, first)
+    auditor = _AuditedRandom()
+    p1, p2, _ = seat_policies(art, side, auditor)
+    record = playout(art, p1, p2, seed=seed)
+    assert auditor.plies == record.plies
