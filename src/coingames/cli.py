@@ -170,16 +170,15 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(text)
         return 0 if failures == 0 else 1
     if args.check == "strategies":
+        if args.N_min > args.N_max:
+            raise ParseError(f"--N-min {args.N_min} is above --N-max {args.N_max}")
         report = campaign_strategies(
             _load_formula(args.formula),
             Mover(args.first),
             N_values=tuple(range(args.N_min, args.N_max + 1)),
             seeds=args.seeds,
         )
-        code = _emit_report(report, args.out)
-        if report.details.get("minimal_N") is None:
-            return 1
-        return code
+        return _emit_report(report, args.out)
     if args.check == "parity":
         return _emit_report(parity_campaign(minimum=args.minimum), args.out)
     # skip-dominance

@@ -142,7 +142,8 @@ class LiveBoard:
         self.scores = [0, 0]
         self.alive = [True] * board.string_count
         self.alive_count = board.string_count
-        self.degree = board.degrees()
+        # A coin's degree is its incidence count on a self-loop-free board.
+        self.degree = [len(ids) for ids in board.incidence]
         self._ends = [(s.a, s.b) for s in board.strings]
         self._incidence = board.incidence
         # frozen[sid] is True once cutting sid would free a coin.
@@ -169,9 +170,6 @@ class LiveBoard:
         if self._lava:
             return self.legal_count > 0
         return self.alive_count > 0
-
-    def legal_moves(self) -> list[int]:
-        return [sid for sid in range(len(self.alive)) if self.is_legal(sid)]
 
     def cut(self, sid: int) -> int:
         """Apply a cut for the current mover; returns coins freed (0 in

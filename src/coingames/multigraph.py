@@ -23,6 +23,9 @@ GROUND = -1
 # the largest compiled board (N=5 majority: 34 coins, 30,401 strings)
 # is far below.
 MAX_COINS = 1_000_000
+# Most strings a random board may have.  The generator loops once per
+# string; a board of this size takes about 5 s and 21 MB to generate.
+MAX_STRINGS = 1_000_000
 
 
 def is_coin(endpoint: int) -> bool:
@@ -36,9 +39,6 @@ class StringEdge:
     id: int
     a: int
     b: int
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.a, self.b)
 
     def coin_endpoints(self) -> tuple[int, ...]:
         a, b = self.a, self.b

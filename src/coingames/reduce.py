@@ -23,18 +23,21 @@ Three constructions:
   level-2 wires run from a root coin to every real and singleton clause
   and n + m - 1 of them to the empty clause.  A final parity pad (one
   ground-to-ground string, added or not) pins which player is stuck
-  when the canonical terminal is reached.
+  when the canonical terminal is reached.  ``gadget_layout`` lists F''s
+  gadgets in board order, once: the compiler builds each board from
+  that list in one pass, and the plan loader checks plans against it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from itertools import zip_longest
 
 from .engine import Player
 from .errors import FormulaError, ParseError, ReductionError
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, parse_dnf, solve_gamesat
-from .multigraph import GROUND, GraphBuilder, Multigraph, StringEdge, cycle_graph, disjoint_union
+from .multigraph import GROUND, GraphBuilder, Multigraph, cycle_graph, disjoint_union
 
 DEFAULT_CHAIN_LEN = 5
 DEFAULT_STRING_CAP = 200_000
@@ -71,32 +74,18 @@ def reduce_lava_to_nimstring(g: Multigraph, chain_len: int = DEFAULT_CHAIN_LEN) 
     return b.build()
 
 
-@dataclass(frozen=True)
-class AugmentedFormula:
-    """F': real clauses, one singleton clause per variable, one empty
-    clause.  Clause keys: 'real:<i>', 'singleton:<v>', 'empty'."""
-
-    real: tuple[frozenset[int], ...]
-    variable_count: int
-
-    def clause_keys(self) -> list[str]:
-        keys = [f"real:{i}" for i in range(len(self.real))]
-        keys += [f"singleton:{v}" for v in range(self.variable_count)]
-        keys.append("empty")
-        return keys
-
-
-def augment_formula(f: DnfFormula) -> AugmentedFormula:
+def check_formula(f: DnfFormula) -> None:
+    """Refuse a formula outside the compiler's domain with FormulaError:
+    no clauses, a clause of fewer than 2 variables, or a variable that
+    occurs in no clause."""
     if f.clause_count == 0:
         raise FormulaError("formula has no clauses")
     for i, clause in enumerate(f.clauses):
         if len(clause) < 2:
             raise FormulaError(f"clause {i} has {len(clause)} variable(s); need at least 2")
-    k = f.occurrences()
-    for v, kv in enumerate(k):
+    for v, kv in enumerate(f.occurrences()):
         if kv == 0:
             raise FormulaError(f"variable {f.names[v]} occurs in no clause")
-    return AugmentedFormula(f.clauses, f.variable_count)
 
 
 def closed_form_counts(f: DnfFormula) -> dict[str, int]:
@@ -158,6 +147,35 @@ class GadgetPlan:
 
 # Field order is the key order of each gadget in a written plan.
 _PLAN_FIELDS = tuple(f.name for f in fields(GadgetPlan))
+# Where a gadget sits on the board: its string-id ranges and its coins.
+_PLACEMENT = dict.fromkeys(("bottom", "top", "rope", "input_coin", "mid_coin", "output_coin"))
+
+
+def _written(p: GadgetPlan) -> dict:
+    """The gadget's fields as a plan writes them: in order, ``None`` omitted."""
+    return {k: v for k in _PLAN_FIELDS if (v := getattr(p, k)) is not None}
+
+
+def gadget_layout(f: DnfFormula) -> list[GadgetPlan]:
+    """The gadgets of the augmented formula F' in board order, without
+    their placement (no id ranges, no coins): one variable gadget per
+    variable; each variable's level-1 wires, to the real clauses that
+    contain it and then k_i - 1 to its singleton clause; the level-2
+    wires from the root, one to every real and singleton clause and then
+    n + m - 1 to the empty clause; and one clause gadget per clause key.
+    The compiler places exactly these gadgets, and the plan loader
+    checks plans against them."""
+    n = f.variable_count
+    keys = [f"real:{i}" for i in range(f.clause_count)] + [f"singleton:{v}" for v in range(n)]
+    layout = [GadgetPlan("variable", level=0, var=v) for v in range(n)]
+    for v, k in enumerate(f.occurrences()):
+        targets = [f"real:{i}" for i, clause in enumerate(f.clauses) if v in clause]
+        targets += [f"singleton:{v}"] * (k - 1)
+        layout += [GadgetPlan("wire", level=1, source=f"var:{v}", target=t) for t in targets]
+    targets = keys + ["empty"] * (len(keys) - 1)
+    layout += [GadgetPlan("wire", level=2, source="root", target=t) for t in targets]
+    layout += [GadgetPlan("clause", level=3, clause=key) for key in keys + ["empty"]]
+    return layout
 
 
 @dataclass
@@ -188,160 +206,10 @@ class ReductionArtifact:
     def player_for(self, side: Mover) -> Player:
         return self.trudy_player if side is Mover.TRUDY else self.fallon_player
 
-    def variable_plans(self) -> list[GadgetPlan]:
-        return [p for p in self.plan if p.kind == "variable"]
 
-    def wire_plans(self) -> list[GadgetPlan]:
-        return [p for p in self.plan if p.kind == "wire"]
-
-    def pad_id(self) -> int | None:
-        for p in self.plan:
-            if p.kind == "pad":
-                return p.rope[0]
-        return None
-
-
-def _build_unpadded(f: DnfFormula, N: int, string_cap: int) -> tuple[Multigraph, list[GadgetPlan], int]:
-    aug = augment_formula(f)
-    n = f.variable_count
-    m = f.clause_count
-    t0 = total_strings(f, N)
-    if t0 + 1 > string_cap:
-        raise ReductionError(f"instance needs {t0} strings, above cap {string_cap}")
-
-    b = GraphBuilder()
-    plan: list[GadgetPlan] = []
-    mid = [0] * n
-    out = [0] * n
-    for i in range(n):
-        mid[i] = b.add_coin()
-        out[i] = b.add_coin()
-    root = b.add_coin()
-    clause_coin: dict[str, int] = {}
-    for key in aug.clause_keys():
-        clause_coin[key] = b.add_coin()
-
-    for i in range(n):
-        name = f.names[i]
-        bottom = b.add_string(mid[i], GROUND, f"variable:{name}:bottom")
-        top = b.add_string(mid[i], out[i], f"variable:{name}:top")
-        plan.append(
-            GadgetPlan(
-                kind="variable",
-                level=0,
-                var=i,
-                bottom=(bottom, bottom + 1),
-                top=(top, top + 1),
-                mid_coin=mid[i],
-                output_coin=out[i],
-            )
-        )
-
-    wire_count = 0
-
-    def add_wire(level: int, source: str, src_coin: int, target: str) -> None:
-        nonlocal wire_count
-        midc = b.add_coin()
-        tgt_coin = clause_coin[target]
-        tag = f"wire{wire_count}[L{level} {source}->{target}]"
-        bot = b.add_rope(src_coin, midc, N ** (2 * level - 1), f"{tag}:bottom")
-        topr = b.add_rope(midc, tgt_coin, N ** (2 * level), f"{tag}:top")
-        plan.append(
-            GadgetPlan(
-                kind="wire",
-                level=level,
-                source=source,
-                target=target,
-                bottom=(bot[0], bot[-1] + 1),
-                top=(topr[0], topr[-1] + 1),
-                input_coin=src_coin,
-                mid_coin=midc,
-                output_coin=tgt_coin,
-            )
-        )
-        wire_count += 1
-
-    k = f.occurrences()
-    for i in range(n):
-        for ci, clause in enumerate(f.clauses):
-            if i in clause:
-                add_wire(1, f"var:{i}", out[i], f"real:{ci}")
-        for _ in range(k[i] - 1):
-            add_wire(1, f"var:{i}", out[i], f"singleton:{i}")
-    for ci in range(m):
-        add_wire(2, "root", root, f"real:{ci}")
-    for i in range(n):
-        add_wire(2, "root", root, f"singleton:{i}")
-    for _ in range(n + m - 1):
-        add_wire(2, "root", root, "empty")
-
-    for key in aug.clause_keys():
-        rope = b.add_rope(clause_coin[key], GROUND, N**5, f"clause:{key}")
-        plan.append(
-            GadgetPlan(
-                kind="clause",
-                level=3,
-                clause=key,
-                rope=(rope[0], rope[-1] + 1),
-                input_coin=clause_coin[key],
-            )
-        )
-
-    graph = b.build()
-    assert graph.string_count == t0, "construction disagrees with the closed form"
-    return graph, plan, root
-
-
-def fix_parity(artifact: ReductionArtifact, first: Mover) -> ReductionArtifact:
-    """Decide the parity pad.
-
-    In the canonical losing-for-Trudy terminal, exactly one string
-    survives per variable gadget and per wire and the clause ropes are
-    empty, so the game lasts T - (n + W1 + W2) cuts.  The player due to
-    move at that point is stuck and loses; we require that player to be
-    the Trudy-mapped one, adding one ground-to-ground string iff the
-    parity comes out wrong.  The Trudy-win terminal keeps one extra
-    clause string, shifting the count by one and stranding the
-    Fallon-mapped player instead, so one pad decision serves both.
-    """
-    if artifact.pad_id() is not None:
-        raise ReductionError("parity pad already decided")
-    n = len(artifact.variable_plans())
-    wires = artifact.wire_plans()
-    w1 = sum(1 for w in wires if w.level == 1)
-    w2 = sum(1 for w in wires if w.level == 2)
-    r_fallon = n + w1 + w2
-    t0 = artifact.graph.string_count
-    cuts = t0 - r_fallon
-    trudy_is_p1 = first is Mover.TRUDY
-    # After an even number of cuts, P1 is the player to move.
-    pad = (cuts % 2 == 0) != trudy_is_p1
-    graph = artifact.graph
-    plan = list(artifact.plan)
-    if pad:
-        sid = graph.string_count
-        labels = dict(graph.labels)
-        labels[sid] = "parity-pad"
-        graph = Multigraph(
-            graph.coin_count, graph.strings + (StringEdge(sid, GROUND, GROUND),), labels
-        )
-        plan.append(GadgetPlan(kind="pad", rope=(sid, sid + 1)))
-        cuts += 1
-    predicted = dict(artifact.predicted)
-    predicted.update(
-        {
-            "T0": t0,
-            "R_fallon": r_fallon,
-            "fallon_terminal_cuts": cuts,
-            "pad": pad,
-            "W1": w1,
-            "W2": w2,
-            "total_strings": graph.string_count,
-        }
-    )
-    return ReductionArtifact(
-        graph, tuple(plan), artifact.N, first, artifact.formula, artifact.root_coin, predicted
-    )
+def _span(ids: list[int]) -> tuple[int, int]:
+    """The half-open range of a run of consecutive string ids."""
+    return (ids[0], ids[-1] + 1)
 
 
 def compile_gamesat_to_lava(
@@ -356,23 +224,83 @@ def compile_gamesat_to_lava(
     recorded as an advisory flag, not enforced: small N is exactly what
     desk-scale experiments explore.  Refuses formulas whose Game SAT
     value is Unresolved, since no winner prediction would be meaningful.
+
+    The board is built in one pass over ``gadget_layout(f)``, with the
+    parity pad decided up front from the closed forms.  In the canonical
+    losing-for-Trudy terminal, exactly one string survives per variable
+    gadget and per wire and the clause ropes are empty, so the game
+    lasts T - (n + W1 + W2) cuts.  The player due to move at that point
+    is stuck and loses; we require that player to be the Trudy-mapped
+    one, adding one ground-to-ground string iff the parity comes out
+    wrong.  The Trudy-win terminal keeps one extra clause string,
+    shifting the count by one and stranding the Fallon-mapped player
+    instead, so one pad decision serves both.
     """
     if N < 2:
         raise ReductionError("N must be at least 2")
     value = solve_gamesat(f, first, allow_skip=True)
     if value is GameSatValue.UNRESOLVED:
         raise ReductionError("Game SAT value is Unresolved; refusing to compile")
-    graph, plan, root = _build_unpadded(f, N, string_cap)
+    check_formula(f)
+    t0 = total_strings(f, N)
+    if t0 + 1 > string_cap:
+        raise ReductionError(f"instance needs {t0} strings, above cap {string_cap}")
     n = f.variable_count
     m = f.clause_count
+    counts = closed_form_counts(f)
+    r_fallon = n + counts["W1"] + counts["W2"]
+    # After an even number of cuts, P1 is the player to move.
+    pad = ((t0 - r_fallon) % 2 == 0) != (first is Mover.TRUDY)
+
+    layout = gadget_layout(f)
+    b = GraphBuilder()
+    var_coins = [b.add_coins(2) for _ in range(n)]  # middle and output coin
+    root = b.add_coin()
+    clause_coin = {p.clause: b.add_coin() for p in layout if p.kind == "clause"}
+    source_coin = {f"var:{v}": out for v, (_, out) in enumerate(var_coins)} | {"root": root}
+    plan: list[GadgetPlan] = []
+    for p in layout:
+        if p.kind == "variable":
+            mid, out = var_coins[p.var]
+            name = f.names[p.var]
+            bottom = b.add_rope(mid, GROUND, 1, f"variable:{name}:bottom")
+            top = b.add_rope(mid, out, 1, f"variable:{name}:top")
+            plan.append(replace(p, bottom=_span(bottom), top=_span(top), mid_coin=mid, output_coin=out))
+        elif p.kind == "wire":
+            src = source_coin[p.source]
+            mid = b.add_coin()
+            tgt = clause_coin[p.target]
+            # The variables come first, so wire i is gadget n + i.
+            tag = f"wire{len(plan) - n}[L{p.level} {p.source}->{p.target}]"
+            bottom = b.add_rope(src, mid, N ** (2 * p.level - 1), f"{tag}:bottom")
+            top = b.add_rope(mid, tgt, N ** (2 * p.level), f"{tag}:top")
+            plan.append(
+                replace(p, bottom=_span(bottom), top=_span(top), input_coin=src, mid_coin=mid, output_coin=tgt)
+            )
+        else:
+            coin = clause_coin[p.clause]
+            rope = b.add_rope(coin, GROUND, N**5, f"clause:{p.clause}")
+            plan.append(replace(p, rope=_span(rope), input_coin=coin))
+    if pad:
+        sid = b.add_string(GROUND, GROUND, "parity-pad")
+        plan.append(GadgetPlan("pad", rope=(sid, sid + 1)))
+    graph = b.build()
+    assert graph.string_count == t0 + pad, "construction disagrees with the closed form"
     predicted = {
         "gamesat_value": value.value,
         "first": first.value,
         "trudy_player": (Player.P1 if first is Mover.TRUDY else Player.P2).value,
         "N": N,
         "N_advisory_ok": N >= (m * m * n * n),
+        "T0": t0,
+        "R_fallon": r_fallon,
+        "fallon_terminal_cuts": t0 - r_fallon + pad,
+        "pad": pad,
+        "W1": counts["W1"],
+        "W2": counts["W2"],
+        "total_strings": graph.string_count,
     }
-    return fix_parity(ReductionArtifact(graph, tuple(plan), N, first, f, root, predicted), first)
+    return ReductionArtifact(graph, tuple(plan), N, first, f, root, predicted)
 
 
 def full_pipeline(
@@ -396,9 +324,7 @@ def artifact_to_json(a: ReductionArtifact) -> str:
         "formula": format_dnf(a.formula),
         "root_coin": a.root_coin,
         "predicted": a.predicted,
-        "gadgets": [
-            {k: v for k in _PLAN_FIELDS if (v := getattr(p, k)) is not None} for p in a.plan
-        ],
+        "gadgets": [_written(p) for p in a.plan],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -417,11 +343,10 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
     ParseError unless the document has the written shape, every gadget
     kind is known, every id range lies inside the board without overlap
     and holds one rope (strands sharing their endpoints), every coin is
-    on the board, the gadgets fit the plan's formula (one variable
-    gadget per variable in order, one clause gadget per clause key, and
-    every wire from a variable (level 1) or the root (level 2) into a
-    clause key), and every string of the board belongs to a gadget, as
-    the playout's tracker needs."""
+    on the board, the gadgets without their placement are
+    ``gadget_layout`` of the plan's formula followed by at most one pad,
+    and every string of the board belongs to a gadget, as the playout's
+    tracker needs."""
     try:
         doc = json.loads(text)
         plans = tuple(
@@ -462,20 +387,13 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
     for coin in coins:
         if type(coin) is not int or not 0 <= coin < graph.coin_count:
             raise ParseError(f"plan: coin {coin!r} out of range (coins: {graph.coin_count})")
-    f = artifact.formula
-    if [p.var for p in plans if p.kind == "variable"] != list(range(f.variable_count)):
-        raise ParseError(f"plan: variable gadgets do not match the formula's {f.variable_count} variables")
-    keys = AugmentedFormula(f.clauses, f.variable_count).clause_keys()
-    planned = [p.clause for p in plans if p.kind == "clause"]
-    if len(planned) != len(keys) or any(key not in planned for key in keys):
-        raise ParseError("plan: clause gadgets do not match the formula's clause keys")
-    var_sources = [f"var:{i}" for i in range(f.variable_count)]
-    for p in plans:
-        if p.kind == "wire" and not (
-            (p.level == 1 and p.source in var_sources or p.level == 2 and p.source == "root")
-            and p.target in keys
-        ):
-            raise ParseError(f"plan: level-{p.level!r} wire {p.source!r} -> {p.target!r} does not fit the formula")
+    shapes = [replace(p, **_PLACEMENT) for p in plans]
+    if shapes[-1:] == [GadgetPlan("pad")]:
+        shapes.pop()
+    for i, pair in enumerate(zip_longest(shapes, gadget_layout(artifact.formula))):
+        if pair[0] != pair[1]:
+            got, want = ("nothing" if p is None else json.dumps(_written(p)) for p in pair)
+            raise ParseError(f"plan: gadget {i} is {got}, but the formula's layout has {want}")
     if len(used) < graph.string_count:
         orphan = min(set(range(graph.string_count)) - used)
         raise ParseError(f"plan: string {orphan} belongs to no gadget")

@@ -19,10 +19,10 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .engine import GameKind, Player, initial_state
+from .engine import GameKind, Player, apply_move, initial_state
 from .errors import BudgetExceeded, ParseError, StrategyError
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, skip_dominance_check, solve_gamesat
-from .multigraph import GROUND, MAX_COINS, GraphBuilder, Multigraph, canonical_text, ropes
+from .multigraph import GROUND, MAX_COINS, MAX_STRINGS, GraphBuilder, Multigraph, canonical_text, ropes
 from .reduce import (
     DEFAULT_CHAIN_LEN,
     ReductionArtifact,
@@ -105,6 +105,7 @@ def random_multigraph(
     # A board allocates per-coin tables: refuse what a board file may not declare.
     _at_most("coin count", coin_count, MAX_COINS)
     _at_least("string count", string_count, 0)
+    _at_most("string count", string_count, MAX_STRINGS)
     _probability("ground probability", ground_prob)
     b = GraphBuilder()
     b.add_coins(coin_count)
@@ -141,6 +142,7 @@ class RandomMultigraphs:
         _at_least("max coins", self.max_coins, 1)
         _at_most("max coins", self.max_coins, MAX_COINS)
         _at_least("max strings", self.max_strings, 0)
+        _at_most("max strings", self.max_strings, MAX_STRINGS)
         _probability("ground probability", self.ground_prob)
 
     def _size(self, rng: random.Random, lo: int, hi: int) -> int:
@@ -344,8 +346,6 @@ def check_loony(gen: LoonyPlanter, count: int) -> CampaignReport:
     the scripted opening (cut a then b when the remainder favors the
     mover, else cut b alone) is verified winning by search."""
     report = CampaignReport("loony", seed=gen.seed, details={"two_cut_lines": 0, "one_cut_lines": 0})
-    from .engine import apply_move
-
     for g, a_sid, b_sid in gen.instances(count):
         report.count += 1
         state = initial_state(g)

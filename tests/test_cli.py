@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coingames.cli import build_parser, run
 from coingames.engine import GameKind, Player, apply_move, initial_state, is_terminal
@@ -372,7 +372,7 @@ def _compile(tmp_path, text: str, name: str) -> tuple[str, str]:
     return str(board), str(plan)
 
 
-@pytest.mark.parametrize("plan_of", ["malformed-json", "other-board", "foreign-variable"])
+@pytest.mark.parametrize("plan_of", ["malformed-json", "other-board", "foreign-variable", "retargeted-wire"])
 def test_play_rejects_a_plan_that_does_not_fit(plan_of, tmp_path, capsys):
     board, plan = _compile(tmp_path, CONJUNCTION, "conj")
     bad = tmp_path / "bad.json"
@@ -382,13 +382,20 @@ def test_play_rejects_a_plan_that_does_not_fit(plan_of, tmp_path, capsys):
     elif plan_of == "other-board":
         _, plan = _compile(tmp_path, "x1 x2\nx2 x3\n", "chain")
     else:
-        # A wire from a variable the two-variable formula lacks.
         doc = json.loads(Path(plan).read_text())
-        next(g for g in doc["gadgets"] if g["kind"] == "wire")["source"] = "var:7"
+        if plan_of == "foreign-variable":
+            # A wire from a variable the two-variable formula lacks.
+            next(g for g in doc["gadgets"] if g["kind"] == "wire")["source"] = "var:7"
+        else:
+            # A clause the formula has, but not the one its layout puts
+            # there: the trudy script would look up the singleton's
+            # missing level-2 wire.
+            assert doc["gadgets"][5]["target"] == "singleton:0"
+            doc["gadgets"][5]["target"] = "real:0"
         bad.write_text(json.dumps(doc))
         plan = str(bad)
     capsys.readouterr()
-    code = run(["play", "--in", board, "--plan", plan, "--policy-a", "greedy", "--policy-b", "fallon-script"])
+    code = run(["play", "--in", board, "--plan", plan, "--policy-a", "random", "--policy-b", "trudy-script", "--seed", "0"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -437,14 +444,17 @@ def test_gen_multigraph_is_seed_deterministic(capsys):
         "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob -0.5",
         "gen multigraph --coins 2 --strings 3 --seed 1 --ground-prob nan",
         "gen multigraph --coins 1000000000000 --strings 1 --seed 1",
+        "gen multigraph --coins 2 --strings 100000000000 --seed 1",
+        "verify oracle --seed 1 --max-strings 100000000000",
         "verify oracle --seed 1 --max-coins 1000000000000",
         "verify oracle --seed 1 --ground-prob 7",
         "verify lemma1 --seed 1 --ground-prob -1",
         "verify lemma3 --seed 1 --ground-prob 1.5",
+        "verify strategies --formula {formula} --first trudy --N-min 5 --N-max 2",
     ],
 )
-def test_out_of_range_size_flags_are_usage_errors(argv, capsys):
-    assert run(argv.split()) == 2
+def test_out_of_range_size_flags_are_usage_errors(argv, formula, capsys):
+    assert run(argv.format(formula=formula).split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -736,6 +746,9 @@ _POLICY_NAMES = st.sampled_from(("random", "greedy", "trudy-script", "fallon-scr
 
 @settings(max_examples=150, deadline=None)
 @given(edits=st.lists(_PLAY_EDITS, max_size=4), a=_POLICY_NAMES, b=_POLICY_NAMES, seed=st.integers(0, 3))
+# Line 71 of the plan is wire 3's ``"target": "real:0",``; repeating it
+# after wire 5's target line retargets wire 5 (the later key wins).
+@example(edits=[("plan", "repeat", 71, 106, "")], a="random", b="trudy-script", seed=0)
 def test_play_of_mutated_files_exits_cleanly(compiled_files, fuzz_dir, edits, a, b, seed):
     texts = {"board": compiled_files[0].splitlines(), "plan": compiled_files[1].splitlines()}
     for target, op, i, j, token in edits:
@@ -753,3 +766,43 @@ def test_play_of_mutated_files_exits_cleanly(compiled_files, fuzz_dir, edits, a,
     else:
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+FUZZ_FORMULA = "x1 x2\nx1 x3\nx2 x3\n"
+_REDUCE_EDITS = st.tuples(
+    st.sampled_from(("formula", "board")),
+    st.sampled_from(("drop", "repeat", "swap", "insert", "cut", "token")),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+    st.sampled_from(_TOKENS + ("x1", "x2", "x3", "x4")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(_REDUCE_EDITS, max_size=4), first=st.sampled_from(["trudy", "fallon"]))
+def test_reduce_of_mutated_inputs_exits_cleanly(fuzz_dir, edits, first):
+    """Mutate a formula and a board, and run every ``reduce`` on them."""
+    texts = {"formula": FUZZ_FORMULA.splitlines(), "board": FUZZ_BOARD.splitlines()}
+    for target, op, i, j, token in edits:
+        _edit(texts[target], op, i, j, token)
+    formula, board = fuzz_dir / "reduce.dnf", fuzz_dir / "reduce.txt"
+    formula.write_text("\n".join(texts["formula"]) + "\n")
+    board.write_text("\n".join(texts["board"]) + "\n")
+    out = [str(fuzz_dir / f"reduced{k}") for k in range(3)]
+    compiled = ["--formula", str(formula), "--N", "2", "--first", first]
+    runs = [
+        (["gamesat-to-lava", *compiled, "--out", out[0], "--plan", out[1]], "predicted="),
+        (["pipeline", *compiled, "--out-lava", out[0], "--out-nim", out[1], "--out-sac", out[2]], "predicted="),
+        (["nim-to-sac", "--in", str(board), "--out", out[0]], "coins="),
+        (["lava-to-nim", "--in", str(board), "--out", out[0]], "coins="),
+    ]
+    for argv, done in runs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(["reduce", *argv])
+        stdout, stderr = stdout.getvalue(), stderr.getvalue()
+        if code == 0:
+            assert stderr == "" and stdout.startswith(done) and stdout.count("\n") == 1
+        else:
+            assert code == 2
+            assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1

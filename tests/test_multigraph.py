@@ -89,7 +89,7 @@ def test_ground_loop_is_not_a_self_loop():
 
 def test_string_edge_helpers():
     s = StringEdge(0, 3, GROUND)
-    assert s.endpoints() == (3, GROUND)
+    assert (s.a, s.b) == (3, GROUND)
     assert s.coin_endpoints() == (3,)
     assert s.touches(3) and s.touches(GROUND)
     assert s.other_end(3) == GROUND
@@ -115,7 +115,7 @@ def test_disjoint_union_reindexes():
     assert u.coin_count == 4
     assert u.string_count == 4
     moved = u.strings[3]
-    assert moved.endpoints() == (3, GROUND)
+    assert (moved.a, moved.b) == (3, GROUND)
     assert u.labels[3] == "tail"
 
 
@@ -147,7 +147,7 @@ def test_parse_text_basic():
     g = parse_text("coins 2\nstring 0 0 1\nstring 1 1 ground\n# comment\n")
     assert g.coin_count == 2
     assert g.string_count == 2
-    assert g.strings[1].endpoints() == (1, GROUND)
+    assert (g.strings[1].a, g.strings[1].b) == (1, GROUND)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +183,7 @@ def test_text_round_trip(seed: int):
     g = small_board(seed)
     h = parse_text(canonical_text(g))
     assert h.coin_count == g.coin_count
-    assert [s.endpoints() for s in h.strings] == [s.endpoints() for s in g.strings]
+    assert [(s.a, s.b) for s in h.strings] == [(s.a, s.b) for s in g.strings]
 
 
 @given(seed=st.integers(min_value=0, max_value=5000))
@@ -192,7 +192,7 @@ def test_degree_handshake(seed: int):
     plus the number of coin-to-ground endpoints."""
     g = small_board(seed)
     endpoint_total = sum(
-        sum(1 for e in s.endpoints() if is_coin(e)) for s in g.strings
+        sum(1 for e in (s.a, s.b) if is_coin(e)) for s in g.strings
     )
     assert sum(g.degrees()) == endpoint_total
 

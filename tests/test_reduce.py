@@ -18,17 +18,17 @@ from hypothesis import given, settings, strategies as st
 from coingames.engine import GameKind, Player, initial_state
 from coingames.errors import FormulaError, ParseError, ReductionError
 from coingames.gamesat import GameSatValue, Mover, parse_dnf
-from coingames.multigraph import GROUND, GraphBuilder, cycle_graph
+from coingames.multigraph import GROUND, GraphBuilder, canonical_text, cycle_graph
 from coingames.reduce import (
     DEFAULT_CHAIN_LEN,
     ReductionArtifact,
     artifact_from_json,
     artifact_to_json,
-    augment_formula,
+    check_formula,
     closed_form_counts,
     compile_gamesat_to_lava,
-    fix_parity,
     full_pipeline,
+    gadget_layout,
     reduce_lava_to_nimstring,
     reduce_nimstring_to_sac,
     total_strings,
@@ -81,8 +81,8 @@ def test_anchor_chains_shape():
     assert h.coin_count == 2 + 2 * 4
     assert h.string_count == 2 + 2 * 5
     # Original strings keep their ids and endpoints.
-    assert h.strings[0].endpoints() == g.strings[0].endpoints()
-    assert h.strings[1].endpoints() == g.strings[1].endpoints()
+    assert (h.strings[0].a, h.strings[0].b) == (g.strings[0].a, g.strings[0].b)
+    assert (h.strings[1].a, h.strings[1].b) == (g.strings[1].a, g.strings[1].b)
     # Every fresh coin has degree 2 (chain interior) and each chain ends
     # at ground.
     deg = h.degrees()
@@ -104,10 +104,10 @@ def test_lava_to_nimstring_preserves_the_winner_on_fixed_boards():
         assert lava.winner_for_mover == nim.winner_for_mover
 
 
-def test_augment_formula_keys():
+def test_layout_clause_keys():
     f = parse_dnf(MAJORITY)
-    aug = augment_formula(f)
-    assert aug.clause_keys() == [
+    keys = [p.clause for p in gadget_layout(f) if p.kind == "clause"]
+    assert keys == [
         "real:0",
         "real:1",
         "real:2",
@@ -116,20 +116,20 @@ def test_augment_formula_keys():
         "singleton:2",
         "empty",
     ]
-    assert len(aug.clause_keys()) == closed_form_counts(f)["clause_gadgets"] == 7
+    assert len(keys) == closed_form_counts(f)["clause_gadgets"] == 7
 
 
-def test_augment_formula_rejects_small_clauses():
+def test_check_formula_rejects_small_clauses():
     with pytest.raises(FormulaError):
-        augment_formula(parse_dnf("x1\nx1 x2"))
+        check_formula(parse_dnf("x1\nx1 x2"))
 
 
-def test_augment_formula_rejects_unused_variables():
+def test_check_formula_rejects_unused_variables():
     from coingames.gamesat import DnfFormula
 
     f = DnfFormula(3, (frozenset({0, 1}),))
     with pytest.raises(FormulaError):
-        augment_formula(f)
+        check_formula(f)
 
 
 @pytest.mark.parametrize(
@@ -162,8 +162,8 @@ def test_compiled_artifact_structure():
     f = parse_dnf(MAJORITY)
     art = compile_gamesat_to_lava(f, 2, Mover.TRUDY)
     assert art.N == 2
-    assert len(art.variable_plans()) == 3
-    wires = art.wire_plans()
+    assert len([p for p in art.plan if p.kind == "variable"]) == 3
+    wires = [p for p in art.plan if p.kind == "wire"]
     assert sum(1 for w in wires if w.level == 1) == 9
     assert sum(1 for w in wires if w.level == 2) == 11
     clauses = [p for p in art.plan if p.kind == "clause"]
@@ -201,10 +201,11 @@ def test_parity_pad_decision(text, first, pad, total, r_fallon):
     assert art.predicted["pad"] is pad
     assert art.graph.string_count == total
     assert art.predicted["R_fallon"] == r_fallon
-    assert (art.pad_id() is not None) == pad
+    pads = [p for p in art.plan if p.kind == "pad"]
+    assert len(pads) == pad
     if pad:
-        s = art.graph.strings[art.pad_id()]
-        assert s.endpoints() == (GROUND, GROUND)
+        s = art.graph.strings[pads[0].rope[0]]
+        assert (s.a, s.b) == (GROUND, GROUND)
 
 
 def test_parity_places_the_stuck_seat_on_trudy():
@@ -216,12 +217,6 @@ def test_parity_places_the_stuck_seat_on_trudy():
             cuts = art.predicted["fallon_terminal_cuts"]
             stuck = Player.P1 if cuts % 2 == 0 else Player.P2
             assert stuck is art.trudy_player
-
-
-def test_fix_parity_refuses_double_application():
-    art = compile_gamesat_to_lava(parse_dnf(MAJORITY), 2, Mover.TRUDY)
-    with pytest.raises(ReductionError):
-        fix_parity(art, Mover.TRUDY)
 
 
 def test_player_mapping_follows_first_mover():
@@ -280,6 +275,36 @@ def test_plan_files_are_byte_stable(text, first, size, digest):
     assert hashlib.sha256(plan.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "text, first, N, strings, board_digest, labels_digest",
+    [
+        ("x1 x2", Mover.TRUDY, 2, 265,
+         "461a71f10195d89853e316b8c6c21803ccd53c6df9e979fef036d4a313fb7cab",
+         "f5ada099ba88a6f4586425ec9cc8454732b79715a2c4a0279ebcd2813fd0b595"),
+        ("x1 x2", Mover.FALLON, 2, 264,
+         "f470b64f8f47068e887e032b16b0446a90480cad4ee3aa28569496093226935c",
+         "495d821cd59c97e12e37d91b079773c4d7a743db4e3ef4c3fcd5cb351af9dad7"),
+        (MAJORITY, Mover.TRUDY, 3, 3003,
+         "6454220f8d569c123f4d8e0eb180a46bf9ae17626661004f9841f54f47ee68d4",
+         "22499a43cbb0c316545afb27e661fe3496ffb153630828908c87159c82bccd9d"),
+        (MAJORITY, Mover.FALLON, 3, 3004,
+         "28c52988550e0b7ec21a3c516c86b79094aa95b6e7caeca29d9bd4243764870c",
+         "fbdc6a10fdce5bd991d8cbaff9af03ddc097ac499d34ef37021780a8b12cfd82"),
+        ("x1 x2 x3\nx2 x3\nx3 x4\n", Mover.TRUDY, 2, 637,
+         "b8965f84b8259e455585a2c7e981a643470a82756262bfaf6c60ff1a96f84a4d",
+         "d6b086215cbb272e50d54fabd6d63fd238077dd059314ef7c78094a8794e3e10"),
+    ],
+)
+def test_compiled_boards_and_labels_are_byte_stable(text, first, N, strings, board_digest, labels_digest):
+    """Board text and string labels, padded and unpadded, pinned as
+    written before the compiler built each board in one pass."""
+    g = compile_gamesat_to_lava(parse_dnf(text), N, first).graph
+    labels = "".join(f"{sid} {label}\n" for sid, label in sorted(g.labels.items()))
+    assert g.string_count == strings
+    assert hashlib.sha256(canonical_text(g).encode()).hexdigest() == board_digest
+    assert hashlib.sha256(labels.encode()).hexdigest() == labels_digest
+
+
 def _drop_first_variable_into_a_pad(doc):
     doc["gadgets"] = doc["gadgets"][1:] + [{"kind": "pad", "rope": [0, 2]}]
 
@@ -314,12 +339,15 @@ def _set(path, value):
         (_drop_first_variable_into_a_pad, "do not share endpoints"),
         (_set(["gadgets", 2, "mid_coin"], 16), "coin 16 out of range"),
         (_set(["root_coin"], -1), "coin -1 out of range"),
-        (_set(["formula"], "x1 x2 x3"), "variable gadgets do not match the formula's 3 variables"),
-        (_set(["gadgets", 1, "var"], 5), "variable gadgets do not match the formula's 2 variables"),
-        (_set(["gadgets", 12, "clause"], "real:0"), "do not match the formula's clause keys"),
-        (_set(["gadgets", 2, "source"], "var:7"), "level-1 wire 'var:7' -> 'real:0' does not fit"),
-        (_set(["gadgets", 4, "source"], "var:0"), "level-2 wire 'var:0' -> 'real:0' does not fit"),
-        (_set(["gadgets", 3, "target"], "real:1"), "level-1 wire 'var:1' -> 'real:1' does not fit"),
+        (_set(["formula"], "x1 x2 x3"), 'gadget 2 is {"kind": "wire", "level": 1, "source": "var:0", "target": "real:0"}, but the formula\'s layout has {"kind": "variable", "level": 0, "var": 2}'),
+        (_set(["gadgets", 1, "var"], 5), 'gadget 1 is {"kind": "variable", "level": 0, "var": 5}, but'),
+        (_set(["gadgets", 12, "clause"], "real:0"), 'gadget 12 is {"kind": "clause", "level": 3, "clause": "real:0"}, but'),
+        (_set(["gadgets", 2, "source"], "var:7"), 'gadget 2 is {"kind": "wire", "level": 1, "source": "var:7", "target": "real:0"}, but'),
+        (_set(["gadgets", 4, "source"], "var:0"), 'gadget 4 is {"kind": "wire", "level": 2, "source": "var:0", "target": "real:0"}, but'),
+        (_set(["gadgets", 3, "target"], "real:1"), 'gadget 3 is {"kind": "wire", "level": 1, "source": "var:1", "target": "real:1"}, but'),
+        # A real clause key, but not the one the layout puts there.
+        (_set(["gadgets", 5, "target"], "real:0"), 'gadget 5 is {"kind": "wire", "level": 2, "source": "root", "target": "real:0"}, but'),
+        (_set(["gadgets", 13, "level"], 0), 'gadget 13 is {"kind": "pad", "level": 0}, but the formula\'s layout has nothing'),
         (_shrink_last_clause_rope, "belongs to no gadget"),
     ],
 )

@@ -25,6 +25,10 @@ from coingames.strategy import (
 MAJORITY = "x1 x2\nx1 x3\nx2 x3"
 
 
+def _legal(live) -> list[int]:
+    return [sid for sid in range(len(live.alive)) if live.is_legal(sid)]
+
+
 def compiled(text: str, first: Mover):
     return compile_gamesat_to_lava(parse_dnf(text), 2, first)
 
@@ -137,7 +141,7 @@ def test_playout_rejects_illegal_policy_moves():
 
         def choose(self):
             sid = self.pick(self.live)
-            return self.live.legal_moves()[0] if sid is None else sid
+            return _legal(self.live)[0] if sid is None else sid
 
     def frozen(live):
         # Alive but Lava-illegal: cutting it would free a coin.
@@ -147,7 +151,7 @@ def test_playout_rejects_illegal_policy_moves():
     p2 = script_for(side, art) if art.player_for(side) is Player.P2 else UniformRandom()
     def wrapped(live):
         # Off the board, but a list index would wrap it to a legal string.
-        return live.legal_moves()[0] - len(live.alive)
+        return _legal(live)[0] - len(live.alive)
 
     # A dead string (5 is legal once, then cut), ids off the board, and
     # an alive string whose cut would free a coin.

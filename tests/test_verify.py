@@ -52,8 +52,8 @@ def test_generator_is_reproducible():
     a = [g for g in gen.instances(5)]
     b = [g for g in gen.instances(5)]
     assert [
-        (g.coin_count, [s.endpoints() for s in g.strings]) for g in a
-    ] == [(g.coin_count, [s.endpoints() for s in g.strings]) for g in b]
+        (g.coin_count, [(s.a, s.b) for s in g.strings]) for g in a
+    ] == [(g.coin_count, [(s.a, s.b) for s in g.strings]) for g in b]
 
 
 @given(seed=st.integers(min_value=0, max_value=2000))
