@@ -119,10 +119,13 @@ class GraphBuilder:
     def add_coins(self, n: int) -> list[int]:
         return [self.add_coin() for _ in range(n)]
 
-    def add_string(self, a: int, b: int, label: str | None = None) -> int:
+    def _check(self, a: int, b: int) -> None:
         for e in (a, b):
             if e != GROUND and not (0 <= e < self.coin_count):
                 raise InvalidEndpoint(f"endpoint {e} out of range (coins: {self.coin_count})")
+
+    def add_string(self, a: int, b: int, label: str | None = None) -> int:
+        self._check(a, b)
         sid = len(self._strings)
         self._strings.append(StringEdge(sid, a, b))
         if label is not None:
@@ -130,9 +133,15 @@ class GraphBuilder:
         return sid
 
     def add_rope(self, a: int, b: int, width: int, label: str | None = None) -> list[int]:
+        """Add ``width`` parallel strings, checking the endpoints once."""
         if width < 1:
             raise ValueError("rope width must be >= 1")
-        return [self.add_string(a, b, label) for _ in range(width)]
+        self._check(a, b)
+        ids = list(range(len(self._strings), len(self._strings) + width))
+        self._strings += [StringEdge(sid, a, b) for sid in ids]
+        if label is not None:
+            self._labels.update(dict.fromkeys(ids, label))
+        return ids
 
     def build(self) -> Multigraph:
         return Multigraph(self.coin_count, tuple(self._strings), dict(self._labels))

@@ -24,8 +24,9 @@ Three constructions:
   and n + m - 1 of them to the empty clause.  A final parity pad (one
   ground-to-ground string, added or not) pins which player is stuck
   when the canonical terminal is reached.  ``gadget_layout`` lists F''s
-  gadgets in board order, once: the compiler builds each board from
-  that list in one pass, and the plan loader checks plans against it.
+  gadgets in board order, and the compiler builds each board from that
+  list in one pass.  The compiler is deterministic, so the plan loader
+  checks a plan by compiling its formula again and comparing.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import zip_longest
 
 from .engine import Player
-from .errors import FormulaError, ParseError, ReductionError
+from .errors import BudgetExceeded, FormulaError, ParseError, ReductionError
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, parse_dnf, solve_gamesat
-from .multigraph import GROUND, GraphBuilder, Multigraph, cycle_graph, disjoint_union
+from .multigraph import GROUND, MAX_STRINGS, GraphBuilder, Multigraph, cycle_graph, disjoint_union
 
 DEFAULT_CHAIN_LEN = 5
 DEFAULT_STRING_CAP = 200_000
@@ -46,11 +47,8 @@ DEFAULT_STRING_CAP = 200_000
 def reduce_nimstring_to_sac(g: Multigraph) -> Multigraph:
     """Adjoin a cycle on max(2, coin_count + 1) coins (a 1-cycle would be
     a self-loop, which engines reject)."""
-    n = max(2, g.coin_count + 1)
-    h = disjoint_union(g, cycle_graph(n))
-    labels = dict(h.labels)
-    for sid in range(g.string_count, h.string_count):
-        labels[sid] = "winner-cycle"
+    h = disjoint_union(g, cycle_graph(max(2, g.coin_count + 1)))
+    labels = h.labels | dict.fromkeys(range(g.string_count, h.string_count), "winner-cycle")
     return Multigraph(h.coin_count, h.strings, labels)
 
 
@@ -60,17 +58,17 @@ def reduce_lava_to_nimstring(g: Multigraph, chain_len: int = DEFAULT_CHAIN_LEN) 
     string ids are preserved and come first."""
     if chain_len < 5:
         raise ReductionError(f"chain length {chain_len} is below the safe minimum of 5")
+    size = g.string_count + g.coin_count * chain_len
+    if size > MAX_STRINGS:
+        raise ReductionError(f"anchored board needs {size} strings, above {MAX_STRINGS}")
     b = GraphBuilder()
     b.add_coins(g.coin_count)
     for s in g.strings:
         b.add_string(s.a, s.b, g.labels.get(s.id))
     for c in range(g.coin_count):
-        prev = c
-        for _ in range(chain_len - 1):
-            fresh = b.add_coin()
-            b.add_string(prev, fresh, f"anchor-chain:{c}")
-            prev = fresh
-        b.add_string(prev, GROUND, f"anchor-chain:{c}")
+        chain = [c, *b.add_coins(chain_len - 1), GROUND]
+        for x, y in zip(chain, chain[1:]):
+            b.add_string(x, y, f"anchor-chain:{c}")
     return b.build()
 
 
@@ -138,22 +136,17 @@ class GadgetPlan:
     output_coin: int | None = None
 
     def owned_ids(self) -> list[int]:
-        ids: list[int] = []
-        for rng in (self.bottom, self.top, self.rope):
-            if rng is not None:
-                ids.extend(range(rng[0], rng[1]))
-        return ids
+        return [sid for rng in (self.bottom, self.top, self.rope) if rng is not None for sid in range(*rng)]
 
 
 # Field order is the key order of each gadget in a written plan.
 _PLAN_FIELDS = tuple(f.name for f in fields(GadgetPlan))
-# Where a gadget sits on the board: its string-id ranges and its coins.
-_PLACEMENT = dict.fromkeys(("bottom", "top", "rope", "input_coin", "mid_coin", "output_coin"))
 
 
 def _written(p: GadgetPlan) -> dict:
-    """The gadget's fields as a plan writes them: in order, ``None`` omitted."""
-    return {k: v for k in _PLAN_FIELDS if (v := getattr(p, k)) is not None}
+    """The gadget's fields as a plan writes them and ``json`` reads them
+    back: in order, ``None`` omitted, ranges as lists."""
+    return {k: list(v) if type(v) is tuple else v for k in _PLAN_FIELDS if (v := getattr(p, k)) is not None}
 
 
 def gadget_layout(f: DnfFormula) -> list[GadgetPlan]:
@@ -163,8 +156,7 @@ def gadget_layout(f: DnfFormula) -> list[GadgetPlan]:
     contain it and then k_i - 1 to its singleton clause; the level-2
     wires from the root, one to every real and singleton clause and then
     n + m - 1 to the empty clause; and one clause gadget per clause key.
-    The compiler places exactly these gadgets, and the plan loader
-    checks plans against them."""
+    The compiler places exactly these gadgets."""
     n = f.variable_count
     keys = [f"real:{i}" for i in range(f.clause_count)] + [f"singleton:{v}" for v in range(n)]
     layout = [GadgetPlan("variable", level=0, var=v) for v in range(n)]
@@ -238,13 +230,14 @@ def compile_gamesat_to_lava(
     """
     if N < 2:
         raise ReductionError("N must be at least 2")
-    value = solve_gamesat(f, first, allow_skip=True)
-    if value is GameSatValue.UNRESOLVED:
-        raise ReductionError("Game SAT value is Unresolved; refusing to compile")
     check_formula(f)
     t0 = total_strings(f, N)
     if t0 + 1 > string_cap:
         raise ReductionError(f"instance needs {t0} strings, above cap {string_cap}")
+    # Last, as it takes time exponential in the variable count.
+    value = solve_gamesat(f, first, allow_skip=True)
+    if value is GameSatValue.UNRESOLVED:
+        raise ReductionError("Game SAT value is Unresolved; refusing to compile")
     n = f.variable_count
     m = f.clause_count
     counts = closed_form_counts(f)
@@ -282,8 +275,7 @@ def compile_gamesat_to_lava(
             rope = b.add_rope(coin, GROUND, N**5, f"clause:{p.clause}")
             plan.append(replace(p, rope=_span(rope), input_coin=coin))
     if pad:
-        sid = b.add_string(GROUND, GROUND, "parity-pad")
-        plan.append(GadgetPlan("pad", rope=(sid, sid + 1)))
+        plan.append(GadgetPlan("pad", rope=_span(b.add_rope(GROUND, GROUND, 1, "parity-pad"))))
     graph = b.build()
     assert graph.string_count == t0 + pad, "construction disagrees with the closed form"
     predicted = {
@@ -317,8 +309,8 @@ def full_pipeline(
     return lava, nim, sac
 
 
-def artifact_to_json(a: ReductionArtifact) -> str:
-    doc = {
+def _document(a: ReductionArtifact) -> dict:
+    return {
         "N": a.N,
         "first": a.first.value,
         "formula": format_dnf(a.formula),
@@ -326,75 +318,42 @@ def artifact_to_json(a: ReductionArtifact) -> str:
         "predicted": a.predicted,
         "gadgets": [_written(p) for p in a.plan],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-# The fields each gadget kind must carry: string-id ranges, then coins.
-_GADGET_FIELDS = {
-    "variable": (("bottom", "top"), ("mid_coin", "output_coin")),
-    "wire": (("bottom", "top"), ("input_coin", "mid_coin", "output_coin")),
-    "clause": (("rope",), ("input_coin",)),
-    "pad": (("rope",), ()),
-}
+def artifact_to_json(a: ReductionArtifact) -> str:
+    return json.dumps(_document(a), indent=2) + "\n"
+
+
+# Stands for a key or gadget that one of two plan documents lacks.
+_ABSENT = object()
 
 
 def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
-    """Load a plan written by ``artifact_to_json`` for ``graph``.  Raises
-    ParseError unless the document has the written shape, every gadget
-    kind is known, every id range lies inside the board without overlap
-    and holds one rope (strands sharing their endpoints), every coin is
-    on the board, the gadgets without their placement are
-    ``gadget_layout`` of the plan's formula followed by at most one pad,
-    and every string of the board belongs to a gadget, as the playout's
-    tracker needs."""
+    """Load a plan written by ``artifact_to_json`` for ``graph``: compile
+    the plan's formula, N and first mover again, capped at the board's
+    size, and raise ParseError unless that gives ``graph`` and the
+    document.  The result has ``graph`` as its board, so a transcript
+    shows the caller's labels (none, for a board read from text)."""
     try:
         doc = json.loads(text)
-        plans = tuple(
-            GadgetPlan(**{k: tuple(v) if k in ("bottom", "top", "rope") else v for k, v in g.items()})
-            for g in doc["gadgets"]
-        )
-        artifact = ReductionArtifact(
-            graph=graph,
-            plan=plans,
-            N=doc["N"],
-            first=Mover(doc["first"]),
-            formula=parse_dnf(doc["formula"]),
-            root_coin=doc["root_coin"],
-            predicted=doc["predicted"],
-        )
-        GameSatValue(artifact.predicted["gamesat_value"])
+        if not isinstance(doc, dict) or not isinstance(doc.get("gadgets"), list) or type(doc["N"]) is not int:
+            raise TypeError("a plan is an object with an integer N and a list of gadgets")
+        f, N, first = parse_dnf(doc["formula"]), doc["N"], Mover(doc["first"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed plan: {exc!r}") from None
-    used: set[int] = set()
-    coins = [artifact.root_coin]
-    for p in plans:
-        if not isinstance(p.kind, str) or p.kind not in _GADGET_FIELDS:
-            raise ParseError(f"plan: unknown gadget kind {p.kind!r}")
-        ranges, coin_fields = _GADGET_FIELDS[p.kind]
-        coins += [getattr(p, name) for name in coin_fields]
-        for name in ranges:
-            rng = getattr(p, name)
-            if rng is None or len(rng) != 2 or not all(type(x) is int for x in rng):
-                raise ParseError(f"plan: {p.kind} gadget needs an id range {name}")
-            if not 0 <= rng[0] < rng[1] <= graph.string_count:
-                raise ParseError(f"plan: range {list(rng)} outside [0, {graph.string_count})")
-            ids = range(*rng)
-            if not used.isdisjoint(ids):
-                raise ParseError(f"plan: range {list(rng)} overlaps another gadget")
-            used.update(ids)
-            if len({graph.strings[sid].pair() for sid in ids}) != 1:
-                raise ParseError(f"plan: strands of rope {list(rng)} do not share endpoints")
-    for coin in coins:
-        if type(coin) is not int or not 0 <= coin < graph.coin_count:
-            raise ParseError(f"plan: coin {coin!r} out of range (coins: {graph.coin_count})")
-    shapes = [replace(p, **_PLACEMENT) for p in plans]
-    if shapes[-1:] == [GadgetPlan("pad")]:
-        shapes.pop()
-    for i, pair in enumerate(zip_longest(shapes, gadget_layout(artifact.formula))):
-        if pair[0] != pair[1]:
-            got, want = ("nothing" if p is None else json.dumps(_written(p)) for p in pair)
-            raise ParseError(f"plan: gadget {i} is {got}, but the formula's layout has {want}")
-    if len(used) < graph.string_count:
-        orphan = min(set(range(graph.string_count)) - used)
-        raise ParseError(f"plan: string {orphan} belongs to no gadget")
-    return artifact
+    try:
+        compiled = compile_gamesat_to_lava(f, N, first, string_cap=graph.string_count + 1)
+    except (ReductionError, FormulaError, BudgetExceeded) as exc:
+        raise ParseError(f"plan does not compile to this board: {exc}") from None
+    if compiled.graph != graph:
+        raise ParseError(f"plan: its formula compiles to another board ({compiled.graph.string_count} strings)")
+    want = _document(compiled)
+    if doc != want:
+        # Name the first top-level key, or else the first gadget, that differs.
+        pairs = [(k, doc.get(k, _ABSENT), want.get(k, _ABSENT)) for k in {**want, **doc} if k != "gadgets"]
+        gadgets = zip_longest(doc["gadgets"], want["gadgets"], fillvalue=_ABSENT)
+        pairs += [(f"gadget {i}", *pair) for i, pair in enumerate(gadgets)]
+        what, *shown = next(p for p in pairs if p[1] != p[2])
+        got, exp = ("nothing" if v is _ABSENT else json.dumps(v) for v in shown)
+        raise ParseError(f"plan: {what} is {got}, but the compiled plan has {exp}")
+    return replace(compiled, graph=graph)

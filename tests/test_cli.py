@@ -123,6 +123,19 @@ def test_reduce_lava_to_nim_enforces_chain_floor(board, tmp_path, capsys):
     assert g.string_count == 3 + 3 * 5
 
 
+@pytest.mark.parametrize("board_text, chain_len", [("coins 1000000\n", "5"), ("coins 1\n", "100000000")])
+def test_reduce_lava_to_nim_refuses_an_oversized_board(board_text, chain_len, tmp_path, capsys):
+    """Five million and a hundred million chain strings: refused before
+    any is built."""
+    board, out = tmp_path / "big.txt", tmp_path / "out.txt"
+    board.write_text(board_text)
+    code = run(["reduce", "lava-to-nim", "--in", str(board), "--out", str(out), "--chain-len", chain_len])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: anchored board needs") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_reduce_gamesat_to_lava_with_plan(formula, tmp_path, capsys):
     out = tmp_path / "lava.txt"
     plan = tmp_path / "plan.json"
@@ -372,7 +385,7 @@ def _compile(tmp_path, text: str, name: str) -> tuple[str, str]:
     return str(board), str(plan)
 
 
-@pytest.mark.parametrize("plan_of", ["malformed-json", "other-board", "foreign-variable", "retargeted-wire"])
+@pytest.mark.parametrize("plan_of", ["malformed-json", "other-board", "foreign-variable", "retargeted-wire", "swapped-range"])
 def test_play_rejects_a_plan_that_does_not_fit(plan_of, tmp_path, capsys):
     board, plan = _compile(tmp_path, CONJUNCTION, "conj")
     bad = tmp_path / "bad.json"
@@ -386,6 +399,11 @@ def test_play_rejects_a_plan_that_does_not_fit(plan_of, tmp_path, capsys):
         if plan_of == "foreign-variable":
             # A wire from a variable the two-variable formula lacks.
             next(g for g in doc["gadgets"] if g["kind"] == "wire")["source"] = "var:7"
+        elif plan_of == "swapped-range":
+            # Both ranges are ropes of the board, but the tracker would
+            # read the wire's top rope as its bottom.
+            wire = next(g for g in doc["gadgets"] if g["kind"] == "wire")
+            wire["bottom"], wire["top"] = wire["top"], wire["bottom"]
         else:
             # A clause the formula has, but not the one its layout puts
             # there: the trudy script would look up the singleton's
@@ -768,6 +786,27 @@ def test_play_of_mutated_files_exits_cleanly(compiled_files, fuzz_dir, edits, a,
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(_PLAY_EDITS, max_size=4), with_plan=st.booleans())
+def test_export_dot_of_mutated_files_exits_cleanly(compiled_files, fuzz_dir, edits, with_plan):
+    texts = {"board": compiled_files[0].splitlines(), "plan": compiled_files[1].splitlines()}
+    for target, op, i, j, token in edits:
+        _edit(texts[target], op, i, j, token)
+    board, plan = fuzz_dir / "dot.txt", fuzz_dir / "dot.json"
+    board.write_text("\n".join(texts["board"]) + "\n")
+    plan.write_text("\n".join(texts["plan"]) + "\n")
+    argv = ["export-dot", "--in", str(board), "--out", str(fuzz_dir / "board.dot")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + (["--plan", str(plan)] if with_plan else []))
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out == err == ""
+    else:
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 FUZZ_FORMULA = "x1 x2\nx1 x3\nx2 x3\n"
 _REDUCE_EDITS = st.tuples(
     st.sampled_from(("formula", "board")),
@@ -806,3 +845,26 @@ def test_reduce_of_mutated_inputs_exits_cleanly(fuzz_dir, edits, first):
         else:
             assert code == 2
             assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(_REDUCE_EDITS, max_size=4), first=st.sampled_from(["trudy", "fallon"]))
+def test_verify_of_mutated_formulas_exits_cleanly(fuzz_dir, edits, first):
+    """Every edit lands on the formula; the edits' targets are ignored.
+    A campaign may fail (exit 1), but only with its JSON report."""
+    lines = FUZZ_FORMULA.splitlines()
+    for _, op, i, j, token in edits:
+        _edit(lines, op, i, j, token)
+    formula = fuzz_dir / "verify.dnf"
+    formula.write_text("\n".join(lines) + "\n")
+    common = ["--formula", str(formula), "--first", first]
+    for argv in (["structure", *common], ["strategies", *common, "--seeds", "1", "--N-max", "2"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["verify", *argv])
+        out, err = out.getvalue(), err.getvalue()
+        if code in (0, 1):
+            assert err == "" and json.loads(out)["ok"] is (code == 0)
+        else:
+            assert code == 2
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1

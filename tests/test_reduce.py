@@ -15,6 +15,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coingames import reduce as reduce_module
 from coingames.engine import GameKind, Player, initial_state
 from coingames.errors import FormulaError, ParseError, ReductionError
 from coingames.gamesat import GameSatValue, Mover, parse_dnf
@@ -38,6 +39,9 @@ from coingames.verify import random_formula
 
 
 MAJORITY = "x1 x2\nx1 x3\nx2 x3"
+# A 12-variable chain: its Game SAT solve alone takes seconds, and its
+# board has 2,064 strings at N=2.
+CHAIN12 = "".join(f"x{i} x{i + 1}\n" for i in range(1, 12))
 
 
 def test_winner_cycle_size():
@@ -156,6 +160,20 @@ def test_compiler_requires_n_at_least_two():
 def test_compiler_respects_string_cap():
     with pytest.raises(ReductionError):
         compile_gamesat_to_lava(parse_dnf(MAJORITY), 2, Mover.TRUDY, string_cap=100)
+
+
+def test_compiler_refuses_on_the_cap_before_solving_the_game(monkeypatch):
+    """The Game SAT solve is exponential in the variable count, so the
+    cheap refusals come first."""
+
+    def solve_gamesat(*args, **kwargs):
+        raise AssertionError("solved before the string cap was checked")
+
+    monkeypatch.setattr(reduce_module, "solve_gamesat", solve_gamesat)
+    with pytest.raises(ReductionError, match="above cap 300"):
+        compile_gamesat_to_lava(parse_dnf(CHAIN12), 2, Mover.TRUDY, string_cap=300)
+    with pytest.raises(FormulaError):
+        compile_gamesat_to_lava(parse_dnf("x1\nx1 x2"), 2, Mover.TRUDY)
 
 
 def test_compiled_artifact_structure():
@@ -324,31 +342,47 @@ def _set(path, value):
     return mutate
 
 
+def _swap(*places):
+    """Swap the values of each pair of (gadget index, key) places."""
+
+    def mutate(doc):
+        gadgets = doc["gadgets"]
+        for (i, a), (j, b) in places:
+            gadgets[i][a], gadgets[j][b] = gadgets[j][b], gadgets[i][a]
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
         (_set(["gadgets"], 7), "malformed plan"),
         (_set(["first"], "nobody"), "malformed plan"),
-        (_set(["gadgets", 0, "colour"], "red"), "malformed plan"),
-        (_set(["predicted", "gamesat_value"], "Maybe"), "malformed plan"),
-        (_set(["gadgets", 0, "kind"], "gizmo"), "unknown gadget kind"),
-        (_set(["gadgets", 0, "kind"], ["variable"]), "unknown gadget kind"),
-        (_set(["gadgets", 0, "bottom"], ["a", 1]), "needs an id range"),
-        (_set(["gadgets", -1, "rope"], [200, 300]), "outside [0, 265)"),
-        (_set(["gadgets", 1, "bottom"], [0, 1]), "overlaps another gadget"),
-        (_drop_first_variable_into_a_pad, "do not share endpoints"),
-        (_set(["gadgets", 2, "mid_coin"], 16), "coin 16 out of range"),
-        (_set(["root_coin"], -1), "coin -1 out of range"),
-        (_set(["formula"], "x1 x2 x3"), 'gadget 2 is {"kind": "wire", "level": 1, "source": "var:0", "target": "real:0"}, but the formula\'s layout has {"kind": "variable", "level": 0, "var": 2}'),
-        (_set(["gadgets", 1, "var"], 5), 'gadget 1 is {"kind": "variable", "level": 0, "var": 5}, but'),
-        (_set(["gadgets", 12, "clause"], "real:0"), 'gadget 12 is {"kind": "clause", "level": 3, "clause": "real:0"}, but'),
-        (_set(["gadgets", 2, "source"], "var:7"), 'gadget 2 is {"kind": "wire", "level": 1, "source": "var:7", "target": "real:0"}, but'),
-        (_set(["gadgets", 4, "source"], "var:0"), 'gadget 4 is {"kind": "wire", "level": 2, "source": "var:0", "target": "real:0"}, but'),
-        (_set(["gadgets", 3, "target"], "real:1"), 'gadget 3 is {"kind": "wire", "level": 1, "source": "var:1", "target": "real:1"}, but'),
+        (_set(["gadgets", 0, "colour"], "red"), '"output_coin": 1, "colour": "red"}, but the compiled plan has'),
+        (_set(["predicted", "gamesat_value"], "Maybe"), 'plan: predicted is {"gamesat_value": "Maybe",'),
+        (_set(["gadgets", 0, "kind"], "gizmo"), 'plan: gadget 0 is {"kind": "gizmo",'),
+        (_set(["gadgets", 0, "kind"], ["variable"]), 'plan: gadget 0 is {"kind": ["variable"],'),
+        (_set(["gadgets", 0, "bottom"], ["a", 1]), '"var": 0, "bottom": ["a", 1], "top": [1, 2],'),
+        (_set(["gadgets", -1, "rope"], [200, 300]), 'plan: gadget 13 is {"kind": "pad", "rope": [200, 300]}, but the compiled plan has {"kind": "pad", "rope": [264, 265]}'),
+        (_set(["gadgets", 1, "bottom"], [0, 1]), '"var": 1, "bottom": [0, 1], "top": [3, 4],'),
+        (_drop_first_variable_into_a_pad, 'plan: gadget 0 is {"kind": "variable", "level": 0, "var": 1,'),
+        (_set(["gadgets", 2, "mid_coin"], 16), '"input_coin": 1, "mid_coin": 16, "output_coin": 5}, but'),
+        (_set(["root_coin"], -1), "plan: root_coin is -1, but the compiled plan has 4"),
+        (_set(["formula"], "x1 x2 x3"), "plan does not compile to this board: instance needs 352 strings, above cap 266"),
+        (_set(["gadgets", 1, "var"], 5), 'gadget 1 is {"kind": "variable", "level": 0, "var": 5,'),
+        (_set(["gadgets", 12, "clause"], "real:0"), 'gadget 12 is {"kind": "clause", "level": 3, "clause": "real:0",'),
+        (_set(["gadgets", 2, "source"], "var:7"), 'gadget 2 is {"kind": "wire", "level": 1, "source": "var:7", "target": "real:0",'),
+        (_set(["gadgets", 4, "source"], "var:0"), 'gadget 4 is {"kind": "wire", "level": 2, "source": "var:0", "target": "real:0",'),
+        (_set(["gadgets", 3, "target"], "real:1"), 'gadget 3 is {"kind": "wire", "level": 1, "source": "var:1", "target": "real:1",'),
         # A real clause key, but not the one the layout puts there.
-        (_set(["gadgets", 5, "target"], "real:0"), 'gadget 5 is {"kind": "wire", "level": 2, "source": "root", "target": "real:0"}, but'),
-        (_set(["gadgets", 13, "level"], 0), 'gadget 13 is {"kind": "pad", "level": 0}, but the formula\'s layout has nothing'),
-        (_shrink_last_clause_rope, "belongs to no gadget"),
+        (_set(["gadgets", 5, "target"], "real:0"), 'gadget 5 is {"kind": "wire", "level": 2, "source": "root", "target": "real:0",'),
+        (_set(["gadgets", 13, "level"], 0), 'gadget 13 is {"kind": "pad", "rope": [264, 265], "level": 0}, but the compiled plan has {"kind": "pad", "rope": [264, 265]}'),
+        (_shrink_last_clause_rope, '"clause": "empty", "rope": [232, 263], "input_coin": 8}, but'),
+        # Ropes of the right shape on the wrong gadget: a wire's bottom
+        # and top, and the ranges of two level-1 wires, exchanged.
+        (_swap(((2, "bottom"), (2, "top"))), '"target": "real:0", "bottom": [6, 10], "top": [4, 6],'),
+        (_swap(((2, "bottom"), (3, "bottom")), ((2, "top"), (3, "top"))), '"target": "real:0", "bottom": [10, 12], "top": [12, 16],'),
+        (_set(["formula"], CHAIN12), "plan does not compile to this board: instance needs 2064 strings, above cap 266"),
     ],
 )
 def test_artifact_from_json_rejects_plans_that_do_not_fit_the_board(mutate, message):
