@@ -23,8 +23,9 @@ GROUND = -1
 # the largest compiled board (N=5 majority: 34 coins, 30,401 strings)
 # is far below.
 MAX_COINS = 1_000_000
-# Most strings a random board may have.  The generator loops once per
-# string; a board of this size takes about 5 s and 21 MB to generate.
+# Most strings a generated or compiled board may have.  The builders loop
+# once per string; a board of this size takes about 5 s and 21 MB to
+# generate.
 MAX_STRINGS = 1_000_000
 
 

@@ -232,8 +232,9 @@ def compile_gamesat_to_lava(
         raise ReductionError("N must be at least 2")
     check_formula(f)
     t0 = total_strings(f, N)
-    if t0 + 1 > string_cap:
-        raise ReductionError(f"instance needs {t0} strings, above cap {string_cap}")
+    cap = min(string_cap, MAX_STRINGS)
+    if t0 + 1 > cap:
+        raise ReductionError(f"instance needs {t0} strings, above cap {cap}")
     # Last, as it takes time exponential in the variable count.
     value = solve_gamesat(f, first, allow_skip=True)
     if value is GameSatValue.UNRESOLVED:

@@ -9,7 +9,9 @@ of the root coin; (4) empty clause ropes and whittle every remaining
 rope to its floor.  Progress is monotone (strings only die), so each
 script is a priority waterfall re-evaluated every ply: the first stage
 with work remaining supplies the move, and a lowest-id cleanup cut is
-the final fallback.
+the final fallback.  Cleanup has one guard: Trudy's script keeps the
+bottom ropes of its chosen clause's live wires until nothing else is
+legal.
 
 The decisive facts the waterfalls are built on:
 
@@ -125,7 +127,6 @@ class ArtifactTracker:
         self.clause_l2: dict[str, list[_Wire]] = {}
         self.clause_wires: dict[str, list[_Wire]] = {}
         self.pad: _Rope | None = None
-        self._part: list[tuple[_Wire, str] | None] = [None] * artifact.graph.string_count
         # The clause each rope dooms by emptying: a wire's bottom dooms
         # its target, a clause rope its own clause.
         self._dooms: dict[_Rope, str] = {}
@@ -143,10 +144,6 @@ class ArtifactTracker:
                 self._register(w.bottom)
                 self._register(w.top)
                 self._dooms[w.bottom] = w.target
-                for sid in range(w.bottom.start, w.bottom.stop):
-                    self._part[sid] = (w, "bottom")
-                for sid in range(w.top.start, w.top.stop):
-                    self._part[sid] = (w, "top")
             elif p.kind == "clause":
                 rope = _Rope(p.rope)
                 self.clause_rope[p.clause] = rope
@@ -194,9 +191,6 @@ class ArtifactTracker:
             "clauses": {key: rope.alive for key, rope in self.clause_rope.items()},
             "pad": self.pad.alive if self.pad is not None else 0,
         }
-
-    def wire_part(self, sid: int) -> tuple[_Wire, str] | None:
-        return self._part[sid]
 
     def _induced_assignment(self) -> tuple[bool | None, ...]:
         out = []
@@ -380,7 +374,9 @@ class _ScriptBase(Policy):
     order, kept on the class so that an instance holds no reference to
     itself.  Each script keeps the wire lists its stages read as tuples
     that depend on rope emptiness alone, and ``_refresh`` rebuilds them
-    when the tracker's epoch has moved since the last move."""
+    when the tracker's epoch has moved since the last move.  Cleanup
+    cuts the lowest-id legal string whose rope is not in ``protected``,
+    and a protected string only once no other cut is left."""
 
     side: Mover
     stages: tuple = ()
@@ -390,18 +386,12 @@ class _ScriptBase(Policy):
 
     def reset(self, tracker, seat, seed):
         self.live = tracker.live
-        self.seat = seat
         self.tracker = tracker
         self.scan_at = 0
-        self.deferred: set[int] = set()
-        self.last_opp: tuple[_Wire, str] | None = None
+        self.deferred: list[int] = []
+        self.protected: frozenset[_Rope] = frozenset()
         self.phase = 1
-        self._classified = False
         self.epoch = -1
-
-    def observe(self, sid, mine):
-        if not mine:
-            self.last_opp = self.tracker.wire_part(sid)
 
     # -- phase 1 ------------------------------------------------------
     def _variable_move(self) -> int | None:
@@ -414,12 +404,10 @@ class _ScriptBase(Policy):
             move = self._fallback_set(assignment)
         v, value = move
         rope = t.var_top[v] if value else t.var_bottom[v]
-        sid = rope.lowest_legal(self.live)
-        if sid is not None:
-            return sid
-        # The intended string is frozen (cannot happen while unset, but
-        # stay defensive): let later stages find a cut.
-        return None
+        # Both strings of an unset variable are alive.  The top one is
+        # frozen only once every level-1 wire of the variable is disabled;
+        # playout reports that pick as illegal.
+        return rope.lowest_alive(self.live)
 
     def _fallback_set(self, assignment) -> tuple[int, bool]:
         raise NotImplementedError
@@ -451,70 +439,28 @@ class _ScriptBase(Policy):
                     return sid
         return None
 
-    # -- guarded cleanup ----------------------------------------------
-    def _exempt_survivor(self, key: str) -> bool:
-        return False
-
-    def _protected_bottom(self, w: _Wire) -> bool:
-        return False
-
-    def _cleanup_blocked(self, sid: int) -> bool:
-        t = self.tracker
-        info = t.wire_part(sid)
-        if info is None:
-            return False
-        w, part = info
-        if part == "bottom":
-            return self._protected_bottom(w)
-        # Top cut: refuse to complete the all-tops-empty condition of a
-        # clause that is neither doomed nor conceded, since that is the
-        # one cut that can hand the opponent a surviving clause.
-        if w.top.alive != 1:
-            return False
-        key = w.target
-        if self._exempt_survivor(key) or t.doomed(key):
-            return False
-        for other in t.clause_wires[key]:
-            if other is w or other.disabled:
-                continue
-            if other.top.alive > 0:
-                return False
-        return True
-
+    # -- cleanup ------------------------------------------------------
     def _cleanup_move(self) -> int:
-        live = self.live
-        for sid in sorted(self.deferred):
-            if not live.alive[sid]:
-                self.deferred.discard(sid)
-                continue
-            if live.is_legal(sid) and not self._cleanup_blocked(sid):
-                self.deferred.discard(sid)
-                return sid
+        live, rope_of = self.live, self.tracker.rope_of
         total = live.board.string_count
         while self.scan_at < total:
             sid = self.scan_at
-            if not live.alive[sid] or not live.is_legal(sid):
-                # Lava legality is monotone, so a skipped string never
-                # becomes cuttable later.
-                self.scan_at += 1
-                continue
-            if self._cleanup_blocked(sid):
-                self.deferred.add(sid)
-                self.scan_at += 1
-                continue
-            return sid
-        for sid in sorted(self.deferred):
+            # Lava legality is monotone, so a skipped string never
+            # becomes cuttable later.
             if live.alive[sid] and live.is_legal(sid):
-                return sid  # forced: only guarded cuts remain
+                if rope_of[sid] not in self.protected:
+                    return sid
+                self.deferred.append(sid)
+            self.scan_at += 1
+        for sid in self.deferred:
+            if live.alive[sid] and live.is_legal(sid):
+                return sid  # forced: only protected cuts remain
         raise StrategyError("asked to move with no legal cut available")
 
     def choose(self) -> int:
         sid = self._variable_move()
         if sid is not None:
             return sid
-        if not self._classified:
-            self._classify()
-            self._classified = True
         if self.epoch != self.tracker.epoch:
             self.epoch = self.tracker.epoch
             self._refresh()
@@ -526,10 +472,6 @@ class _ScriptBase(Policy):
         self.phase = 4
         return self._cleanup_move()
 
-    def _classify(self) -> None:
-        """Fix the static wire classes once the variables are set."""
-        raise NotImplementedError
-
     def _refresh(self) -> None:
         raise NotImplementedError
 
@@ -539,16 +481,15 @@ class FallonScript(_ScriptBase):
 
     Level-1 classes (from the final assignment): wires from true
     variables are good to real clauses, bad to singletons; wires from
-    false variables are neutral.  Disable bads (responding in kind when
-    the opponent hits a good wire), then neutrals and all but one good
-    per true variable, and activate the keepers.  Level 2: wires into
-    the empty clause or into a singleton with no level-1 wires are bad
-    (the latter with racing priority, since activation alone would let
-    that clause survive); disable them, keep the lowest good wire alive
-    and activate it.  Finally empty every clause rope.
+    false variables are neutral.  Disable bads, then neutrals and all
+    but one good per true variable, and activate the keepers.  Level 2:
+    wires into the empty clause or into a singleton with no level-1
+    wires are bad (the latter with racing priority, since activation
+    alone would let that clause survive); disable them, keep the lowest
+    good wire alive and activate it.  Finally empty every clause rope.
 
-    The class tuples other than ``l1_good`` keep only wires that are not
-    yet disabled, and ``open_clauses`` only non-empty clause ropes.
+    The class tuples keep only wires that are not yet disabled, and
+    ``open_clauses`` only non-empty clause ropes.
     """
 
     name = "fallon-script"
@@ -557,17 +498,19 @@ class FallonScript(_ScriptBase):
     def _fallback_set(self, assignment):
         return assignment.index(None), False
 
-    def _classify(self):
+    def _refresh(self):
+        # The variables are all set by now, so the assignment is final.
         t = self.tracker
         assignment = t.assignment()
-        l1_good, l1_bad, l1_neutral, l2_good, l2_empty, l2_danger = [], [], [], [], [], []
         self.true_vars = [v for v, val in enumerate(assignment) if val is True]
-        for w in t.wires:
+        l1_good_of: dict[int, list[_Wire]] = {v: [] for v in self.true_vars}
+        l1_bad, l1_neutral, l2_good, l2_empty, l2_danger = [], [], [], [], []
+        for w in _live(t.wires):
             if w.level == 1:
                 if assignment[w.source_var] is not True:
                     l1_neutral.append(w)
                 elif w.target.startswith("real:"):
-                    l1_good.append(w)
+                    l1_good_of[w.source_var].append(w)
                 else:
                     l1_bad.append(w)
             elif w.target == "empty":
@@ -576,31 +519,10 @@ class FallonScript(_ScriptBase):
                 l2_danger.append(w)
             else:
                 l2_good.append(w)
-        self.l1_good = frozenset(l1_good)
-        self.l1_good_of = {v: tuple(w for w in l1_good if w.source_var == v) for v in self.true_vars}
+        self.l1_good_of = {v: tuple(ws) for v, ws in l1_good_of.items()}
         self.l1_bad, self.l1_neutral = tuple(l1_bad), tuple(l1_neutral)
         self.l2_good, self.l2_empty, self.l2_danger = tuple(l2_good), tuple(l2_empty), tuple(l2_danger)
-        self.open_clauses = tuple(t.clause_keys)
-
-    def _refresh(self):
-        # Disabling and emptying are monotone: filtering the last
-        # epoch's tuples is enough.
-        self.l1_good_of = {v: _live(ws) for v, ws in self.l1_good_of.items()}
-        self.l1_bad, self.l1_neutral = _live(self.l1_bad), _live(self.l1_neutral)
-        self.l2_good, self.l2_empty = _live(self.l2_good), _live(self.l2_empty)
-        self.l2_danger = _live(self.l2_danger)
-        rope = self.tracker.clause_rope
-        self.open_clauses = tuple(k for k in self.open_clauses if rope[k].alive)
-
-    def _respond(self):
-        hit, self.last_opp = self.last_opp, None
-        if hit is None:
-            return None
-        w, part = hit
-        if part != "bottom" or w not in self.l1_good:
-            return None
-        same_var = [b for b in self.l1_bad if b.source_var == w.source_var]
-        return self._disable_first(same_var)
+        self.open_clauses = tuple(k for k in t.clause_keys if t.clause_rope[k].alive)
 
     def _l1_bads(self):
         return self._disable_first(self.l1_bad)
@@ -651,7 +573,6 @@ class FallonScript(_ScriptBase):
         return self._rope_cut(self.open_clauses)
 
     stages = (
-        (2, _respond),
         (2, _l1_bads),
         (3, _danger_raced),
         (2, _l1_rest),
@@ -694,12 +615,11 @@ class TrudyScript(_ScriptBase):
                         return v, True
         return assignment.index(None), True
 
-    def _classify(self):
+    def reset(self, tracker, seat, seed):
+        super().reset(tracker, seat, seed)
         self.c_prime: str | None = None
         self.wound_targets = tuple(
-            w
-            for w in self.tracker.wires
-            if w.level == 2 and w.target == "empty" and w.bottom.width >= 2
+            w for w in tracker.wires if w.level == 2 and w.target == "empty" and w.bottom.width >= 2
         )
 
     def _refresh(self):
@@ -719,7 +639,8 @@ class TrudyScript(_ScriptBase):
         if self.c_prime not in cands:
             self.c_prime = max(cands, key=lambda k: (self._margin(k), k), default=None)
         mine = t.clause_wires[self.c_prime] if self.c_prime is not None else ()
-        self.protected = frozenset(w.index for w in mine if not w.disabled)
+        # Cleanup keeps the bottoms of the live wires of c' to the last.
+        self.protected = frozenset(w.bottom for w in mine if not w.disabled)
         # c' is fully activated once no wire is left to pump.
         self.to_pump = tuple(w for w in mine if w.hp > 0 and not w.activated)
         # Live level-2 wires, not protected, into a non-empty clause that
@@ -729,7 +650,7 @@ class TrudyScript(_ScriptBase):
             for w in t.wires
             if w.level == 2
             and w.hp > 0
-            and w.index not in self.protected
+            and w.bottom not in self.protected
             and w.target != "empty"
             and not t.doomed(w.target)
         )
@@ -758,21 +679,6 @@ class TrudyScript(_ScriptBase):
         )
         work = sum(u.top.alive for u in t.clause_wires[key] if not u.disabled)
         return distance - work
-
-    def _protected_bottom(self, w):
-        return w.index in self.protected
-
-    def _exempt_survivor(self, key):
-        return key == self.c_prime
-
-    def _cleanup_blocked(self, sid):
-        if super()._cleanup_blocked(sid):
-            return True
-        if self.c_prime is not None:
-            rope = self.tracker.clause_rope[self.c_prime]
-            if rope.start <= sid < rope.stop and rope.alive == 1:
-                return True
-        return False
 
     def _wounds(self):
         for w in self.wound_targets:

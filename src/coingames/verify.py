@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 
 from .engine import GameKind, Player, apply_move, initial_state
 from .errors import BudgetExceeded, ParseError, StrategyError
-from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, skip_dominance_check, solve_gamesat
+from .gamesat import (
+    DEFAULT_VAR_BUDGET,
+    DnfFormula,
+    GameSatValue,
+    Mover,
+    format_dnf,
+    skip_dominance_check,
+    solve_gamesat,
+)
 from .multigraph import GROUND, MAX_COINS, MAX_STRINGS, GraphBuilder, Multigraph, canonical_text, ropes
 from .reduce import (
     DEFAULT_CHAIN_LEN,
@@ -173,6 +181,10 @@ def random_formula(rng: random.Random, max_n: int = 4, max_m: int = 3) -> DnfFor
     clause has at least 2 variables and every variable occurs."""
     _at_least("max variables", max_n, 2)
     _at_least("max clauses", max_m, 1)
+    # No command solves a formula past the Game SAT budget, and one within
+    # it has at most 2^budget distinct clauses.
+    _at_most("max variables", max_n, DEFAULT_VAR_BUDGET)
+    _at_most("max clauses", max_m, 2**DEFAULT_VAR_BUDGET)
     n = rng.randint(2, max_n)
     m = rng.randint(1, max_m)
     clauses: list[frozenset[int]] = []
@@ -518,20 +530,23 @@ def campaign_strategies(
     """Run the predicted winner's script against UniformRandom,
     GreedyDisabler, and the opposing script at each N until one N yields
     a perfect campaign; record that minimal N."""
-    value = solve_gamesat(f, first, allow_skip=True)
-    side = Mover.TRUDY if value is GameSatValue.TRUDY_WINS else Mover.FALLON
+    # The compiler refuses a bad formula or size before it solves the game.
+    artifact = compile_gamesat_to_lava(f, N_values[0], first)
+    predicted = artifact.predicted["gamesat_value"]
+    side = Mover.TRUDY if predicted == GameSatValue.TRUDY_WINS.value else Mover.FALLON
     report = CampaignReport(
         "strategies",
         details={
             "formula": format_dnf(f),
             "first": first.value,
-            "predicted": value.value,
+            "predicted": predicted,
             "per_N": {},
             "minimal_N": None,
         },
     )
     for N in N_values:
-        artifact = compile_gamesat_to_lava(f, N, first)
+        if N != artifact.N:
+            artifact = compile_gamesat_to_lava(f, N, first)
         script_seat = artifact.player_for(side)
         opponents = {
             "random": lambda: UniformRandom(),

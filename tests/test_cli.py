@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from coingames import reduce as reduce_module, verify as verify_module
 from coingames.cli import build_parser, run
 from coingames.engine import GameKind, Player, apply_move, initial_state, is_terminal
 from coingames.errors import IllegalMove
@@ -447,6 +448,8 @@ def test_gen_multigraph_is_seed_deterministic(capsys):
         "gen multigraph --coins 2 --strings -3 --seed 1",
         "gen formula --max-n 1 --seed 1",
         "gen formula --max-m 0 --seed 1",
+        "gen formula --max-n 1000000000 --seed 1",
+        "gen formula --max-m 1000000000 --seed 1",
         "verify lemma1 --seed 1 --max-coins 0",
         "verify lemma3 --seed 1 --max-coins 0",
         "verify oracle --seed 1 --max-coins 0",
@@ -469,6 +472,8 @@ def test_gen_multigraph_is_seed_deterministic(capsys):
         "verify lemma1 --seed 1 --ground-prob -1",
         "verify lemma3 --seed 1 --ground-prob 1.5",
         "verify strategies --formula {formula} --first trudy --N-min 5 --N-max 2",
+        "reduce gamesat-to-lava --formula {formula} --N 30 --first trudy --out {formula}.coins"
+        " --string-cap 100000000000",
     ],
 )
 def test_out_of_range_size_flags_are_usage_errors(argv, formula, capsys):
@@ -482,6 +487,21 @@ def test_out_of_range_size_flags_are_usage_errors(argv, formula, capsys):
 def test_a_strategies_campaign_of_no_seeds_is_a_usage_error(formula, capsys):
     assert run(["verify", "strategies", "--formula", formula, "--first", "trudy", "--seeds", "0"]) == 2
     assert capsys.readouterr().err == "error: --seeds must be at least 1, got 0\n"
+
+
+def test_verify_strategies_refuses_a_bad_formula_before_solving_the_game(tmp_path, monkeypatch, capsys):
+    """The Game SAT solve is exponential in the variable count, so the
+    compiler's formula check comes first."""
+
+    def solve_gamesat(*args, **kwargs):
+        raise AssertionError("solved before the formula was checked")
+
+    monkeypatch.setattr(reduce_module, "solve_gamesat", solve_gamesat)
+    monkeypatch.setattr(verify_module, "solve_gamesat", solve_gamesat)
+    path = tmp_path / "chain.dnf"
+    path.write_text("".join(f"x{i} x{i + 1}\n" for i in range(1, 12)) + "x12\n")
+    assert run(["verify", "strategies", "--formula", str(path), "--first", "trudy", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err == "error: clause 11 has 1 variable(s); need at least 2\n"
 
 
 def test_gen_formula(capsys):

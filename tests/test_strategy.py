@@ -1,6 +1,7 @@
 """Scripted players and seeded playouts on compiled Lava boards."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from coingames.strategy import (
     playout,
     script_for,
 )
+from coingames.verify import random_formula
 
 
 MAJORITY = "x1 x2\nx1 x3\nx2 x3"
@@ -226,6 +228,28 @@ def test_golden_transcripts(key):
     record = playout(art, p1, p2, seed=seed)
     digest = hashlib.sha256(record.transcript_text().encode()).hexdigest()[:16]
     assert digest == GOLDEN_TRANSCRIPTS[key]
+
+
+# sha256 of every transcript of a seeded sweep over random formulas at
+# N=2: both first movers, each side's script against random, greedy and
+# the opposing script (156 playouts).  The golden transcripts cover two
+# fixtures; this covers the shapes random_formula makes.
+SWEEP_DIGEST = "7905f5df8f28337f3f0ec0c52ca8135305a4e6805cb8f835ad1453fa9eadaa7e"
+
+
+def test_script_sweep_transcripts_are_pinned():
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for seed in range(13):
+        formula = random_formula(rng)
+        for first in Mover:
+            art = compile_gamesat_to_lava(formula, 2, first)
+            for side in Mover:
+                opponents = (UniformRandom(), GreedyDisabler(art, side), script_for(side.other, art))
+                for opp in opponents:
+                    p1, p2, _ = seat_policies(art, side, opp)
+                    digest.update(playout(art, p1, p2, seed=seed).transcript_text().encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 def test_playout_ply_cap():
