@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 
@@ -41,6 +40,7 @@ from .verify import (
     parity_campaign,
     random_formula,
     random_multigraph,
+    sweep_structure,
 )
 
 _GAMES = sorted(kind.value for kind in GameKind)
@@ -123,66 +123,43 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _emit_report(report, out: str | None) -> int:
-    text = report.to_json()
-    if out:
-        _write(out, text)
-    sys.stdout.write(text)
-    return 0 if report.ok else 1
+def _boards(args, **options) -> RandomMultigraphs:
+    return RandomMultigraphs(args.max_coins, args.max_strings, args.ground_prob, args.seed, **options)
+
+
+def _structure(args):
+    if args.formula:
+        return check_structure(_load_formula(args.formula), args.N, Mover(args.first))
+    return sweep_structure(args.count, args.seed)
+
+
+def _strategies(args):
+    if args.N_min > args.N_max:
+        raise ParseError(f"--N-min {args.N_min} is above --N-max {args.N_max}")
+    N_values = tuple(range(args.N_min, args.N_max + 1))
+    return campaign_strategies(_load_formula(args.formula), Mover(args.first), N_values, args.seeds)
+
+
+# Each ``verify`` campaign, as a function from the parsed flags to its report.
+_CAMPAIGNS = {
+    "oracle": lambda args: check_oracle(_boards(args, small_bias=True), args.count),
+    "lemma1": lambda args: check_lemma1(_boards(args), args.count),
+    "lemma3": lambda args: check_lemma3(_boards(args, no_isolated=True), args.count),
+    "loony": lambda args: check_loony(LoonyPlanter(args.seed), args.count),
+    "structure": _structure,
+    "strategies": _strategies,
+    "parity": lambda args: parity_campaign(minimum=args.minimum),
+    "skip-dominance": lambda args: check_skip_dominance(args.max_n, args.max_m),
+}
 
 
 def _cmd_verify(args) -> int:
-    if args.check == "oracle":
-        gen = RandomMultigraphs(
-            args.max_coins, args.max_strings, args.ground_prob, args.seed, small_bias=True
-        )
-        return _emit_report(check_oracle(gen, args.count), args.out)
-    if args.check == "lemma1":
-        gen = RandomMultigraphs(args.max_coins, args.max_strings, args.ground_prob, args.seed)
-        return _emit_report(check_lemma1(gen, args.count), args.out)
-    if args.check == "lemma3":
-        gen = RandomMultigraphs(
-            args.max_coins, args.max_strings, args.ground_prob, args.seed, no_isolated=True
-        )
-        return _emit_report(check_lemma3(gen, args.count), args.out)
-    if args.check == "loony":
-        gen = LoonyPlanter(args.seed)
-        return _emit_report(check_loony(gen, args.count), args.out)
-    if args.check == "structure":
-        if args.formula:
-            report = check_structure(_load_formula(args.formula), args.N, Mover(args.first))
-            return _emit_report(report, args.out)
-        rng = random.Random(args.seed)
-        failures = 0
-        rolled = []
-        for _ in range(args.count):
-            f = random_formula(rng, max_n=4, max_m=3)
-            n_value = rng.choice((2, 3))
-            report = check_structure(f, n_value, rng.choice((Mover.TRUDY, Mover.FALLON)))
-            rolled.append({"formula": format_dnf(f), "N": n_value, "ok": report.ok})
-            if not report.ok:
-                failures += 1
-                sys.stdout.write(report.to_json())
-        summary = {"name": "structure-sweep", "seed": args.seed, "count": args.count, "fails": failures, "audits": rolled}
-        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            _write(args.out, text)
-        sys.stdout.write(text)
-        return 0 if failures == 0 else 1
-    if args.check == "strategies":
-        if args.N_min > args.N_max:
-            raise ParseError(f"--N-min {args.N_min} is above --N-max {args.N_max}")
-        report = campaign_strategies(
-            _load_formula(args.formula),
-            Mover(args.first),
-            N_values=tuple(range(args.N_min, args.N_max + 1)),
-            seeds=args.seeds,
-        )
-        return _emit_report(report, args.out)
-    if args.check == "parity":
-        return _emit_report(parity_campaign(minimum=args.minimum), args.out)
-    # skip-dominance
-    return _emit_report(check_skip_dominance(args.max_n, args.max_m), args.out)
+    report = _CAMPAIGNS[args.check](args)
+    text = report.to_json()
+    if args.out:
+        _write(args.out, text)
+    sys.stdout.write(text)
+    return 0 if report.ok else 1
 
 
 _POLICIES = ("random", "greedy", "trudy-script", "fallon-script")
@@ -192,8 +169,7 @@ def _make_policy(name: str, artifact):
     if name == "random":
         return UniformRandom()
     if name == "greedy":
-        side = Mover.TRUDY if artifact.predicted["gamesat_value"] == "TrudyWins" else Mover.FALLON
-        return GreedyDisabler(artifact, side)
+        return GreedyDisabler(artifact, artifact.winner)
     if name == "trudy-script":
         return TrudyScript(artifact)
     return FallonScript(artifact)
@@ -356,26 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out")
     report.set_defaults(func=_cmd_verify)
 
-    v = vsub.add_parser("oracle", parents=[report])
-    v.add_argument("--count", type=int, default=200)
-    v.add_argument("--seed", type=int, required=True)
-    v.add_argument("--max-coins", type=int, default=5)
-    v.add_argument("--max-strings", type=int, default=10)
-    v.add_argument("--ground-prob", type=float, default=0.3)
-
-    v = vsub.add_parser("lemma1", parents=[report])
-    v.add_argument("--count", type=int, default=100)
-    v.add_argument("--seed", type=int, required=True)
-    v.add_argument("--max-coins", type=int, default=4)
-    v.add_argument("--max-strings", type=int, default=7)
-    v.add_argument("--ground-prob", type=float, default=0.3)
-
-    v = vsub.add_parser("lemma3", parents=[report])
-    v.add_argument("--count", type=int, default=100)
-    v.add_argument("--seed", type=int, required=True)
-    v.add_argument("--max-coins", type=int, default=2)
-    v.add_argument("--max-strings", type=int, default=4)
-    v.add_argument("--ground-prob", type=float, default=0.4)
+    # The campaigns over random boards share flags but not defaults, so each
+    # adds its own: a default set on a shared parent changes every child's.
+    for name, (count, max_coins, max_strings, ground_prob) in {
+        "oracle": (200, 5, 10, 0.3),
+        "lemma1": (100, 4, 7, 0.3),
+        "lemma3": (100, 2, 4, 0.4),
+    }.items():
+        v = vsub.add_parser(name, parents=[report])
+        v.add_argument("--count", type=int, default=count)
+        v.add_argument("--seed", type=int, required=True)
+        v.add_argument("--max-coins", type=int, default=max_coins)
+        v.add_argument("--max-strings", type=int, default=max_strings)
+        v.add_argument("--ground-prob", type=float, default=ground_prob)
 
     v = vsub.add_parser("loony", parents=[report])
     v.add_argument("--count", type=int, default=100)

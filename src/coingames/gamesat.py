@@ -86,7 +86,11 @@ class DnfFormula:
     @cached_property
     def _attractors(self) -> tuple["_GsSolver", "_GsSolver"]:
         """Attractor tables indexed by ``allow_skip``: filled lazily and
-        shared by every solve and move query on this formula."""
+        shared by every solve and move query on this formula.  Refuses a
+        formula above ``DEFAULT_VAR_BUDGET`` variables, as a full table
+        has 3^n assignments."""
+        if self.variable_count > DEFAULT_VAR_BUDGET:
+            raise BudgetExceeded(f"{self.variable_count} variables exceed budget {DEFAULT_VAR_BUDGET}")
         return (_GsSolver(self, allow_skip=False), _GsSolver(self, allow_skip=True))
 
 
@@ -163,40 +167,30 @@ def solve_gamesat(
     f: DnfFormula,
     first: Mover,
     allow_skip: bool = True,
-    budget: int = DEFAULT_VAR_BUDGET,
     assignment: Assignment | None = None,
 ) -> GameSatValue:
     """Exact value with ``first`` to move from ``assignment`` (default:
     all unset)."""
-    if f.variable_count > budget:
-        raise BudgetExceeded(f"{f.variable_count} variables exceed budget {budget}")
     if assignment is None:
         assignment = f.unset_assignment()
     pair = f._attractors[allow_skip].pair(tuple(assignment))
     return pair[0] if first is Mover.TRUDY else pair[1]
 
 
-def skip_dominance_check(f: DnfFormula, first: Mover, budget: int = DEFAULT_VAR_BUDGET) -> bool:
+def skip_dominance_check(f: DnfFormula, first: Mover) -> bool:
     """True iff allowing skips neither changes the value nor leaves it
     Unresolved: skipping and wrong-value moves are dominated."""
-    with_skip = solve_gamesat(f, first, allow_skip=True, budget=budget)
-    without = solve_gamesat(f, first, allow_skip=False, budget=budget)
+    with_skip = solve_gamesat(f, first, allow_skip=True)
+    without = solve_gamesat(f, first, allow_skip=False)
     return with_skip is without and with_skip is not GameSatValue.UNRESOLVED
 
 
-def winning_set_move(
-    f: DnfFormula,
-    assignment: Assignment,
-    mover: Mover,
-    budget: int = DEFAULT_VAR_BUDGET,
-) -> tuple[int, bool] | None:
+def winning_set_move(f: DnfFormula, assignment: Assignment, mover: Mover) -> tuple[int, bool] | None:
     """A set move for ``mover`` that preserves their forced win, or None
     if the position is not a win for ``mover``.  A winning position
     always has one: the attractor equations show the player to move can
     only win through some set edge.  Deterministic: lowest variable
     first, preferred value (Trudy true, Fallon false) first."""
-    if f.variable_count > budget:
-        raise BudgetExceeded(f"{f.variable_count} variables exceed budget {budget}")
     solver = f._attractors[True]
     target = GameSatValue.TRUDY_WINS if mover is Mover.TRUDY else GameSatValue.FALLON_WINS
     here = solver.pair(tuple(assignment))[0 if mover is Mover.TRUDY else 1]

@@ -261,13 +261,12 @@ def to_dot(
     *,
     string_colors: dict[int, str] | None = None,
     coin_names: dict[int, str] | None = None,
-    graph_name: str = "board",
 ) -> str:
     """DOT export: coins as circles, one shared ground box, parallel
     strings drawn as parallel edges."""
     string_colors = string_colors or {}
     coin_names = coin_names or {}
-    lines = [f"graph {graph_name} {{"]
+    lines = ["graph board {"]
     lines.append("  node [shape=circle];")
     uses_ground = any(s.a == GROUND or s.b == GROUND for s in g.strings)
     if uses_ground:

@@ -195,6 +195,11 @@ class ReductionArtifact:
     def fallon_player(self) -> Player:
         return self.trudy_player.other
 
+    @property
+    def winner(self) -> Mover:
+        """The side that wins the compiled Game SAT instance."""
+        return Mover.TRUDY if self.predicted["gamesat_value"] == GameSatValue.TRUDY_WINS.value else Mover.FALLON
+
     def player_for(self, side: Mover) -> Player:
         return self.trudy_player if side is Mover.TRUDY else self.fallon_player
 
@@ -301,10 +306,9 @@ def full_pipeline(
     N: int,
     first: Mover,
     chain_len: int = DEFAULT_CHAIN_LEN,
-    string_cap: int = DEFAULT_STRING_CAP,
 ) -> tuple[ReductionArtifact, Multigraph, Multigraph]:
     """Game SAT -> Lava -> Nimstring -> Strings-and-Coins."""
-    lava = compile_gamesat_to_lava(f, N, first, string_cap)
+    lava = compile_gamesat_to_lava(f, N, first)
     nim = reduce_lava_to_nimstring(lava.graph, chain_len)
     sac = reduce_nimstring_to_sac(nim)
     return lava, nim, sac

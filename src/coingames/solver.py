@@ -239,13 +239,14 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
     return SolveResult(kind, winner_for_mover=value > 0, principal_move=s.principal, states_visited=s.states)
 
 
-def naive_solve(state: GameState, kind: GameKind, budget: int = NAIVE_BUDGET) -> SolveResult:
+def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
     """Oracle twin of ``solve``: plain minimax over the engine's rules,
     every child expanded, memoized on the full state (alive strings,
     mover, scores) with a fresh memo per call.  ``states_visited`` counts
-    the distinct states evaluated, terminal ones included."""
-    if len(state.alive) > budget:
-        raise BudgetExceeded(f"{len(state.alive)} alive strings exceed naive budget {budget}")
+    the distinct states evaluated, terminal ones included.  Refuses
+    positions above ``NAIVE_BUDGET`` alive strings."""
+    if len(state.alive) > NAIVE_BUDGET:
+        raise BudgetExceeded(f"{len(state.alive)} alive strings exceed naive budget {NAIVE_BUDGET}")
     if state.board.has_self_loop:
         raise DegenerateInput("board has a self-loop")
     sac = kind is GameKind.STRINGS_AND_COINS
@@ -316,9 +317,7 @@ def find_loony_witnesses(state: GameState) -> list[LoonyWitness]:
     return out
 
 
-def loony_first_move(
-    state: GameState, w: LoonyWitness, budget: int = DEFAULT_BUDGET
-) -> list[int]:
+def loony_first_move(state: GameState, w: LoonyWitness) -> list[int]:
     """Winning Nimstring opening from a loony position.
 
     Removing coins A and B removes exactly strings a and b (A carries
@@ -329,5 +328,5 @@ def loony_first_move(
     remainder they cannot afford.
     """
     sub = GameState(state.board, state.alive - {w.a, w.b}, state.mover)
-    res = solve(sub, GameKind.NIMSTRING, budget)
+    res = solve(sub, GameKind.NIMSTRING)
     return [w.a, w.b] if res.winner_for_mover else [w.b]

@@ -741,7 +741,6 @@ def playout(
     policy_p1: Policy,
     policy_p2: Policy,
     seed: int = 0,
-    max_plies: int | None = None,
 ) -> PlayoutRecord:
     """Run one Coins-are-Lava game to the end; deterministic given the
     seed and the policies.  Raises StrategyError if a policy emits an
@@ -754,10 +753,7 @@ def playout(
     p1_text, p2_text = Player.P1.value, Player.P2.value
     lines: list[str] = []
     ply = 0
-    cap = max_plies if max_plies is not None else artifact.graph.string_count + 1
     while live.has_legal_move():
-        if ply >= cap:
-            raise StrategyError(f"playout exceeded {cap} plies")
         mover = live.mover
         if mover is Player.P1:
             policy, seat = policy_p1, p1_text

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .engine import GameKind, Player, apply_move, initial_state
@@ -40,7 +41,7 @@ from .reduce import (
     reduce_nimstring_to_sac,
     total_strings,
 )
-from .solver import find_loony_witnesses, loony_first_move, naive_solve, solve, winner_of
+from .solver import NAIVE_BUDGET, find_loony_witnesses, loony_first_move, naive_solve, solve, winner_of
 from .strategy import (
     FallonScript,
     GreedyDisabler,
@@ -51,8 +52,6 @@ from .strategy import (
     playout,
     script_for,
 )
-
-NAIVE_CROSSCHECK_LIMIT = 14  # strings; the oracle is exponential, so larger H sides are skipped
 
 
 @dataclass
@@ -69,6 +68,16 @@ class CampaignReport:
     @property
     def ok(self) -> bool:
         return self.fails == 0 and self.skipped == 0
+
+    def tally(self, ok: bool, counterexample: Callable[[], dict]) -> None:
+        """Count a pass, or a fail with the dict that ``counterexample()``
+        builds: called only on a fail, since building one (a board's
+        canonical text) can cost as much as the check."""
+        if ok:
+            self.passes += 1
+        else:
+            self.fails += 1
+            self.counterexamples.append(counterexample())
 
     def to_json(self) -> str:
         doc = {
@@ -237,11 +246,7 @@ def check_oracle(gen: RandomMultigraphs, count: int) -> CampaignReport:
                 got = {"fast": fast.winner_for_mover, "naive": slow.winner_for_mover}
             if not agree:
                 mismatches[kind.value] = got
-        if mismatches:
-            report.fails += 1
-            report.counterexamples.append({"instance": canonical_text(g), "mismatches": mismatches})
-        else:
-            report.passes += 1
+        report.tally(not mismatches, lambda: {"instance": canonical_text(g), "mismatches": mismatches})
     return report
 
 
@@ -251,7 +256,7 @@ def _check_reduction(report: CampaignReport, instances, reduce, g_side, h_side) 
     and the winners must be equal; a draw, possible only on a
     Strings-and-Coins H, is a mismatch and counted in ``draws``.  Every
     tenth instance is re-solved with the naive oracle on each side
-    within ``NAIVE_CROSSCHECK_LIMIT``."""
+    within ``NAIVE_BUDGET`` strings."""
     for i, g in enumerate(instances):
         report.count += 1
         solved = []
@@ -267,23 +272,20 @@ def _check_reduction(report: CampaignReport, instances, reduce, g_side, h_side) 
         if h_winner is None:
             report.details["draws"] += 1
         if i % 10 == 0:
-            rechecked = [s for s in solved if s[2].board.string_count <= NAIVE_CROSSCHECK_LIMIT]
+            rechecked = [s for s in solved if s[2].board.string_count <= NAIVE_BUDGET]
             for _, kind, state, winner in rechecked:
                 if winner_of(state, kind, naive_solve(state, kind)) != winner:
                     ok = False
             if rechecked:
                 report.details["crosschecked"] += 1
-        if ok:
-            report.passes += 1
-        else:
-            report.fails += 1
-            report.counterexamples.append(
-                {
-                    "instance": canonical_text(g),
-                    g_key: g_winner.value,
-                    h_key: h_winner.value if h_winner else "Draw",
-                }
-            )
+        report.tally(
+            ok,
+            lambda: {
+                "instance": canonical_text(g),
+                g_key: g_winner.value,
+                h_key: h_winner.value if h_winner else "Draw",
+            },
+        )
     return report
 
 
@@ -321,21 +323,19 @@ def check_lemma3(gen: RandomMultigraphs, count: int, chain_len: int = DEFAULT_CH
 
 @dataclass
 class LoonyPlanter:
-    """Generates boards guaranteed to contain the loony pattern: fresh
-    coins A (degree 1) and B (degree 2), string a joining them, string b
-    from B to ground or to a base coin of degree at least 2."""
+    """Generates boards guaranteed to contain the loony pattern: a random
+    base board of at most 3 coins and 8 strings, fresh coins A (degree 1)
+    and B (degree 2), string a joining them, string b from B to ground or
+    to a base coin of degree at least 2."""
 
     seed: int
-    max_base_coins: int = 3
-    max_base_strings: int = 8
-    ground_prob: float = 0.3
 
     def instances(self, count: int):
         rng = random.Random(self.seed)
         for _ in range(count):
-            coins = rng.randint(0, self.max_base_coins)
-            strings = rng.randint(0, self.max_base_strings)
-            base = random_multigraph(rng, coins, strings, self.ground_prob)
+            coins = rng.randint(0, 3)
+            strings = rng.randint(0, 8)
+            base = random_multigraph(rng, coins, strings, 0.3)
             b = GraphBuilder()
             b.add_coins(base.coin_count)
             for s in base.strings:
@@ -380,11 +380,7 @@ def check_loony(gen: LoonyPlanter, count: int) -> CampaignReport:
         except BudgetExceeded:
             report.skipped += 1
             continue
-        if ok:
-            report.passes += 1
-        else:
-            report.fails += 1
-            report.counterexamples.append({"instance": canonical_text(g), "a": a_sid, "b": b_sid})
+        report.tally(ok, lambda: {"instance": canonical_text(g), "a": a_sid, "b": b_sid})
     return report
 
 
@@ -493,7 +489,25 @@ def check_structure(f: DnfFormula, N: int, first: Mover) -> CampaignReport:
     report.passes = len(expected) - len(mismatches)
     report.fails = len(mismatches)
     if mismatches:
-        report.counterexamples.append({"formula": format_dnf(f), "N": N, "mismatches": mismatches})
+        report.counterexamples.append(
+            {"formula": format_dnf(f), "N": N, "first": first.value, "mismatches": mismatches}
+        )
+    return report
+
+
+def sweep_structure(count: int, seed: int) -> CampaignReport:
+    """``check_structure`` on ``count`` random formulas, each at a random
+    N in {2, 3} and a random first mover.  ``details["audits"]`` lists
+    every formula audited; a failing audit's mismatches go to the
+    counterexamples."""
+    rng = random.Random(seed)
+    report = CampaignReport("structure-sweep", seed=seed, count=count, details={"audits": []})
+    for _ in range(count):
+        f = random_formula(rng, max_n=4, max_m=3)
+        n_value = rng.choice((2, 3))
+        audit = check_structure(f, n_value, rng.choice((Mover.TRUDY, Mover.FALLON)))
+        report.details["audits"].append({"formula": format_dnf(f), "N": n_value, "ok": audit.ok})
+        report.tally(audit.ok, lambda: audit.counterexamples[0])
     return report
 
 
@@ -506,18 +520,15 @@ def check_skip_dominance(max_n: int = 3, max_m: int = 3) -> CampaignReport:
         report.details["formulas"] += 1
         for first in (Mover.TRUDY, Mover.FALLON):
             report.count += 1
-            if skip_dominance_check(f, first):
-                report.passes += 1
-            else:
-                report.fails += 1
-                report.counterexamples.append(
-                    {
-                        "formula": format_dnf(f),
-                        "first": first.value,
-                        "with_skip": solve_gamesat(f, first, True).value,
-                        "without_skip": solve_gamesat(f, first, False).value,
-                    }
-                )
+            report.tally(
+                skip_dominance_check(f, first),
+                lambda: {
+                    "formula": format_dnf(f),
+                    "first": first.value,
+                    "with_skip": solve_gamesat(f, first, True).value,
+                    "without_skip": solve_gamesat(f, first, False).value,
+                },
+            )
     return report
 
 
@@ -532,14 +543,13 @@ def campaign_strategies(
     a perfect campaign; record that minimal N."""
     # The compiler refuses a bad formula or size before it solves the game.
     artifact = compile_gamesat_to_lava(f, N_values[0], first)
-    predicted = artifact.predicted["gamesat_value"]
-    side = Mover.TRUDY if predicted == GameSatValue.TRUDY_WINS.value else Mover.FALLON
+    side = artifact.winner
     report = CampaignReport(
         "strategies",
         details={
             "formula": format_dnf(f),
             "first": first.value,
-            "predicted": predicted,
+            "predicted": artifact.predicted["gamesat_value"],
             "per_N": {},
             "minimal_N": None,
         },
@@ -591,12 +601,10 @@ def campaign_strategies(
             all_ok = all_ok and losses == 0 and violations == 0 and census_ok
         report.details["per_N"][str(N)] = stats
         report.count += 1
+        report.tally(all_ok, lambda: {"N": N, "stats": stats})
         if all_ok:
-            report.passes += 1
             report.details["minimal_N"] = N
             break
-        report.fails += 1
-        report.counterexamples.append({"N": N, "stats": stats})
     return report
 
 
@@ -638,23 +646,19 @@ def parity_campaign(
             record = playout(artifact, trudy, fallon, seed=0)
         report.details["playouts"] += 1
         report.count += 1
-        case = {"formula": format_dnf(f), "first": first.value, "N": N, "census": record.census}
+        problem = None
         if is_fallon_terminal(record.census):
             report.details["canonical_terminals"] += 1
-            if record.stuck is artifact.trudy_player:
-                report.passes += 1
-            else:
-                report.fails += 1
-                case["stuck"] = record.stuck.value
-                report.counterexamples.append(case)
+            if record.stuck is not artifact.trudy_player:
+                problem = {"stuck": record.stuck.value}
         else:
             report.details["non_canonical"] += 1
-            report.fails += 1
-            case["problem"] = "non-canonical terminal in script-vs-script play"
-            report.counterexamples.append(case)
-    if report.details["canonical_terminals"] < minimum:
-        report.fails += 1
-        report.counterexamples.append(
-            {"problem": "too few canonical terminals", "seen": report.details["canonical_terminals"]}
+            problem = {"problem": "non-canonical terminal in script-vs-script play"}
+        report.tally(
+            problem is None,
+            lambda: {"formula": format_dnf(f), "first": first.value, "N": N, "census": record.census, **problem},
         )
+    seen = report.details["canonical_terminals"]
+    if seen < minimum:
+        report.tally(False, lambda: {"problem": "too few canonical terminals", "seen": seen})
     return report

@@ -12,7 +12,9 @@ from coingames import reduce as reduce_module, verify as verify_module
 from coingames.cli import build_parser, run
 from coingames.engine import GameKind, Player, apply_move, initial_state, is_terminal
 from coingames.errors import IllegalMove
+from coingames.gamesat import format_dnf
 from coingames.multigraph import parse_text
+from coingames.verify import CampaignReport
 
 
 TRIANGLE = "coins 3\nstring 0 0 1\nstring 1 1 2\nstring 2 2 0\n"
@@ -258,7 +260,34 @@ def test_verify_structure_sweep(capsys):
     assert run(["verify", "structure", "--count", "3", "--seed", "9"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["fails"] == 0
-    assert len(doc["audits"]) == 3
+    assert len(doc["details"]["audits"]) == 3
+
+
+def test_a_failing_structure_sweep_prints_one_report(tmp_path, monkeypatch, capsys):
+    mismatches = {"pad": {"expected": 1, "observed": 0}}
+
+    def check_structure(f, N, first):
+        counterexample = {"formula": format_dnf(f), "N": N, "first": first.value, "mismatches": mismatches}
+        return CampaignReport("structure", count=1, fails=1, counterexamples=[counterexample])
+
+    monkeypatch.setattr(verify_module, "check_structure", check_structure)
+    out = tmp_path / "report.json"
+    assert run(["verify", "structure", "--count", "4", "--seed", "9", "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert text == out.read_text()
+    doc = json.loads(text)
+    assert doc["fails"] == 4 and not doc["ok"]
+    assert [c["mismatches"] for c in doc["counterexamples"]] == [mismatches] * 4
+    assert [a["formula"] for a in doc["details"]["audits"]] == [c["formula"] for c in doc["counterexamples"]]
+
+
+@pytest.mark.parametrize(
+    "campaign,defaults",
+    [("oracle", (200, 5, 10, 0.3)), ("lemma1", (100, 4, 7, 0.3)), ("lemma3", (100, 2, 4, 0.4))],
+)
+def test_each_random_board_campaign_keeps_its_own_defaults(campaign, defaults):
+    args = build_parser().parse_args(["verify", campaign, "--seed", "1"])
+    assert (args.count, args.max_coins, args.max_strings, args.ground_prob) == defaults
 
 
 def test_verify_skip_dominance(capsys):

@@ -153,7 +153,7 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceeded):
         solve(initial_state(g), GameKind.NIMSTRING, budget=3)
     with pytest.raises(BudgetExceeded):
-        naive_solve(initial_state(g), GameKind.NIMSTRING, budget=3)
+        naive_solve(initial_state(cycle_graph(NAIVE_BUDGET + 1)), GameKind.NIMSTRING)
     assert NAIVE_BUDGET < DEFAULT_BUDGET
 
 

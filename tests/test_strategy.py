@@ -252,13 +252,6 @@ def test_script_sweep_transcripts_are_pinned():
     assert digest.hexdigest() == SWEEP_DIGEST
 
 
-def test_playout_ply_cap():
-    art, side = hero_and_artifact("x1 x2", Mover.FALLON)
-    p1, p2, _ = seat_policies(art, side, UniformRandom())
-    with pytest.raises(StrategyError):
-        playout(art, p1, p2, seed=0, max_plies=1)
-
-
 def test_record_summary_fields():
     art, side = hero_and_artifact("x1 x2", Mover.FALLON)
     p1, p2, _ = seat_policies(art, side, UniformRandom())

@@ -10,9 +10,8 @@ from coingames.engine import GameKind, initial_state
 from coingames.gamesat import Mover, parse_dnf
 from coingames.multigraph import GraphBuilder
 from coingames.reduce import reduce_lava_to_nimstring
-from coingames.solver import solve
+from coingames.solver import NAIVE_BUDGET, solve
 from coingames.verify import (
-    NAIVE_CROSSCHECK_LIMIT,
     CampaignReport,
     LoonyPlanter,
     RandomMultigraphs,
@@ -113,13 +112,13 @@ def test_lemma3_campaign_small():
     "check,no_isolated", [(check_lemma1, False), (check_lemma3, True)], ids=["lemma1", "lemma3"]
 )
 def test_lemma_crosscheck_skips_sides_above_the_oracle_limit(check, no_isolated):
-    # One coin and 15 strings: G is above NAIVE_CROSSCHECK_LIMIT, and so
+    # One coin and 15 strings: G is above NAIVE_BUDGET, and so
     # is H.  The exact solves still run; only the oracle re-solve is left out.
     gen = RandomMultigraphs(
         max_coins=1, max_strings=15, ground_prob=0.3, seed=6, no_isolated=no_isolated
     )
     [g] = gen.instances(1)
-    assert g.string_count > NAIVE_CROSSCHECK_LIMIT
+    assert g.string_count > NAIVE_BUDGET
     rep = check(gen, 1)
     assert rep.ok
     assert rep.passes == 1
