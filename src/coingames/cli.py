@@ -128,9 +128,16 @@ def _boards(args, **options) -> RandomMultigraphs:
 
 
 def _structure(args):
+    # One formula takes --N and --first, the random sweep --count and
+    # --seed; a flag of the other mode would change nothing, so it is refused.
     if args.formula:
-        return check_structure(_load_formula(args.formula), args.N, Mover(args.first))
-    return sweep_structure(args.count, args.seed)
+        if args.count is not None or args.seed is not None:
+            raise ParseError("--count and --seed apply to the random sweep, not to --formula")
+        N = 2 if args.N is None else args.N
+        return check_structure(_load_formula(args.formula), N, Mover(args.first or "trudy"))
+    if args.N is not None or args.first is not None:
+        raise ParseError("--N and --first apply only with --formula")
+    return sweep_structure(50 if args.count is None else args.count, 0 if args.seed is None else args.seed)
 
 
 def _strategies(args):
@@ -352,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("structure", parents=[report])
     v.add_argument("--formula", help="audit one formula instead of a random sweep")
-    v.add_argument("--N", type=int, default=2)
-    v.add_argument("--first", choices=("trudy", "fallon"), default="trudy")
-    v.add_argument("--count", type=int, default=50)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--N", type=int, help="with --formula (default 2)")
+    v.add_argument("--first", choices=("trudy", "fallon"), help="with --formula (default trudy)")
+    v.add_argument("--count", type=int, help="without --formula (default 50)")
+    v.add_argument("--seed", type=int, help="without --formula (default 0)")
 
     v = vsub.add_parser("strategies", parents=[report])
     v.add_argument("--formula", required=True)

@@ -11,12 +11,20 @@ with no legal cut loses.
 A coin is freed when its alive degree drops to zero by a cut.
 Ground endpoints never free anything.  Coins of degree zero at game
 start are inert: never freed, never scored.
+
+The rules live in two places that check each other.  ``Rules`` is the
+kernel over alive bitmasks (bit ``sid`` set while string ``sid`` is
+alive): the immutable ``GameState`` functions (``legal_moves``,
+``apply_move``, ``is_terminal``) turn a state's alive set into a mask
+and call it, and so does the oracle ``solver.naive_solve``.
+``LiveBoard`` is the mutable playout board with O(1) updates per cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import DegenerateInput, IllegalMove
 from .multigraph import Multigraph
@@ -73,48 +81,84 @@ def initial_state(board: Multigraph, mover: Player = Player.P1) -> GameState:
     return GameState(board, frozenset(range(board.string_count)), mover)
 
 
-def _freed_coins(state: GameState, sid: int) -> list[int]:
-    """Coins whose last alive string is ``sid``."""
-    return [c for c in state.board.strings[sid].coin_endpoints() if state.alive_degree(c) == 1]
+def bitmask(ids: Iterable[int]) -> int:
+    """The int with bit ``i`` set for each distinct id ``i``."""
+    return sum(map((1).__lshift__, ids))
+
+
+class Rules:
+    """The rules of one game on one board, over alive bitmasks.
+
+    ``coin_mask[c]`` masks the strings at coin ``c``; a cut of ``sid``
+    frees ``c`` exactly when ``alive & coin_mask[c] == 1 << sid``.  Each
+    string keeps the masks of its two endpoints, 0 for the ground, which
+    never matches and so is never freed.  Built per call: O(E).
+    """
+
+    def __init__(self, board: Multigraph, kind: GameKind):
+        self.lava = kind is GameKind.COINS_ARE_LAVA
+        self.coin_mask = [bitmask(ids) for ids in board.incidence]
+        mask = self.coin_mask
+        self.ends = [(mask[s.a] if s.a >= 0 else 0, mask[s.b] if s.b >= 0 else 0) for s in board.strings]
+
+    def moves(self, alive: int) -> list[int]:
+        """The legal cuts in ascending order: every alive string, less
+        the freeing cuts in Lava."""
+        out = []
+        m = alive
+        while m:
+            bit = m & -m
+            m ^= bit
+            sid = bit.bit_length() - 1
+            if self.lava:
+                a, b = self.ends[sid]
+                if alive & a == bit or alive & b == bit:
+                    continue
+            out.append(sid)
+        return out
+
+    def freed(self, alive: int, sid: int) -> int:
+        """How many coins the cut of ``sid`` frees."""
+        bit = 1 << sid
+        a, b = self.ends[sid]
+        return (alive & a == bit) + (alive & b == bit)
 
 
 def legal_moves(state: GameState, kind: GameKind) -> set[int]:
-    if kind is GameKind.COINS_ARE_LAVA:
-        return {sid for sid in state.alive if not _freed_coins(state, sid)}
-    return set(state.alive)
+    return set(Rules(state.board, kind).moves(bitmask(state.alive)))
 
 
 def apply_move(state: GameState, kind: GameKind, sid: int) -> GameState:
-    if state.board.has_self_loop:
+    board = state.board
+    if board.has_self_loop:
         raise DegenerateInput("board has a self-loop; freeing semantics undefined")
     if sid not in state.alive:
         raise IllegalMove(f"string {sid} is not alive")
-    freed = _freed_coins(state, sid)
-    if freed and kind is GameKind.COINS_ARE_LAVA:
-        raise IllegalMove(f"string {sid} would free coin(s) {tuple(freed)}")
-    alive = state.alive - {sid}
+    rules = Rules(board, kind)
+    alive = bitmask(state.alive)
+    freed = rules.freed(alive, sid)
+    if freed and rules.lava:
+        coins = tuple(c for c in board.strings[sid].coin_endpoints() if alive & rules.coin_mask[c] == 1 << sid)
+        raise IllegalMove(f"string {sid} would free coin(s) {coins}")
+    rest = state.alive - {sid}
     if not freed:
-        return GameState(state.board, alive, state.mover.other, state.scores)
+        return GameState(board, rest, state.mover.other, state.scores)
     # Free move: the capturing player cuts again.
     scores = state.scores
     if kind is GameKind.STRINGS_AND_COINS:
-        gain = len(freed)
         if state.mover is Player.P1:
-            scores = (scores[0] + gain, scores[1])
+            scores = (scores[0] + freed, scores[1])
         else:
-            scores = (scores[0], scores[1] + gain)
-    return GameState(state.board, alive, state.mover, scores)
+            scores = (scores[0], scores[1] + freed)
+    return GameState(board, rest, state.mover, scores)
 
 
 def is_terminal(state: GameState, kind: GameKind) -> Outcome | None:
-    if kind is GameKind.COINS_ARE_LAVA:
-        if any(not _freed_coins(state, sid) for sid in state.alive):
-            return None
-        return Outcome(state.mover.other)
-    if state.alive:
+    """The outcome once the mover has no legal cut, else None: in
+    Strings-and-Coins the scores decide, elsewhere the stuck mover loses."""
+    if Rules(state.board, kind).moves(bitmask(state.alive)):
         return None
-    if kind is GameKind.NIMSTRING:
-        # Normal play: the player due to move on the empty board loses.
+    if kind is not GameKind.STRINGS_AND_COINS:
         return Outcome(state.mover.other)
     p1, p2 = state.scores
     winner = Player.P1 if p1 > p2 else Player.P2 if p2 > p1 else None

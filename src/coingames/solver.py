@@ -44,14 +44,16 @@ position with more than ``MAX_DEPTH`` alive strings is refused whatever
 its budget.
 
 ``naive_solve`` is an independent correctness oracle: plain minimax
-over the engine's ``GameState`` rules (``legal_moves``, ``apply_move``,
-``is_terminal``) with no short-circuiting, memoized on the full state
-(alive strings, mover, scores).  It stays independent of ``solve``: it
-shares no code with ``_Search`` or ``_value``, and its memo key keeps
-the mover and scores, so it does not lean on the mover symmetry that
-``solve`` assumes for Strings-and-Coins.  A fault in either shows up as
-a disagreement.  It is exponential in the string count and capped at 14
-strings.
+with no short-circuiting over the engine's bitmask rules
+(``engine.Rules``), the same kernel that the ``GameState`` functions
+``legal_moves``, ``apply_move`` and ``is_terminal`` run on.  It is
+memoized on the full position (alive strings, mover, scores gained
+since the root), packed into one int.  It stays independent of
+``solve``: it shares no code with ``_Search`` or ``_value``, and its
+memo key keeps the mover and scores, so it does not lean on the mover
+symmetry that ``solve`` assumes for Strings-and-Coins.  A fault in
+either shows up as a disagreement.  It is exponential in the string
+count and capped at 14 strings.
 
 A loony position has a degree-2 coin adjacent to exactly one degree-1
 coin; the mover wins Nimstring from it with a scripted opening of one
@@ -63,7 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import GameKind, GameState, Player, apply_move, is_terminal, legal_moves
+from .engine import GameKind, GameState, Player, Rules, bitmask
 from .errors import BudgetExceeded, DegenerateInput
 from .multigraph import is_coin, ropes
 
@@ -240,43 +242,61 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
 
 
 def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
-    """Oracle twin of ``solve``: plain minimax over the engine's rules,
-    every child expanded, memoized on the full state (alive strings,
-    mover, scores) with a fresh memo per call.  ``states_visited`` counts
-    the distinct states evaluated, terminal ones included.  Refuses
-    positions above ``NAIVE_BUDGET`` alive strings."""
+    """Oracle twin of ``solve``: plain minimax over the engine's bitmask
+    rules, every child expanded, memoized on the full position (alive
+    strings, mover, scores gained since the root) with a fresh memo per
+    call.  ``states_visited`` counts the distinct positions evaluated,
+    terminal ones included.  Refuses positions above ``NAIVE_BUDGET``
+    alive strings."""
     if len(state.alive) > NAIVE_BUDGET:
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed naive budget {NAIVE_BUDGET}")
     if state.board.has_self_loop:
         raise DegenerateInput("board has a self-loop")
     sac = kind is GameKind.STRINGS_AND_COINS
-    # Values are absolute: the final P1-minus-P2 margin in
-    # Strings-and-Coins, else the winner under optimal play.  The key
-    # packs the alive set into a bitmask to keep the memo small.
-    memo: dict[tuple[int, bool, tuple[int, int]], int | Player] = {}
+    rules = Rules(state.board, kind)
+    # A coin is freed at most once, so a gain is at most ``coin_count``
+    # and one int packs the position; a tuple key per position would
+    # hold three more objects per memo entry.
+    k = state.board.coin_count + 1
+    # Values are absolute: P1's gained margin in Strings-and-Coins, else
+    # whether P1 wins under optimal play.
+    memo: dict[int, int | bool] = {}
 
-    def value(st: GameState) -> int | Player:
-        key = (sum(map((1).__lshift__, st.alive)), st.mover is Player.P1, st.scores)
-        if key in memo:
-            return memo[key]
-        outcome = is_terminal(st, kind)
-        if outcome is not None:
-            v = outcome.scores[0] - outcome.scores[1] if sac else outcome.winner
-        else:
-            children = [value(apply_move(st, kind, sid)) for sid in legal_moves(st, kind)]
-            if sac:
-                v = max(children) if st.mover is Player.P1 else min(children)
+    def value(alive: int, p1: bool, g1: int, g2: int) -> int | bool:
+        key = ((alive * 2 + p1) * k + g1) * k + g2
+        v = memo.get(key)
+        if v is not None:
+            return v
+        children = []
+        for sid in rules.moves(alive):
+            rest = alive ^ (1 << sid)
+            f = rules.freed(alive, sid)
+            if not f:
+                children.append(value(rest, not p1, g1, g2))
+            elif not sac:
+                children.append(value(rest, p1, g1, g2))
+            elif p1:
+                children.append(value(rest, p1, g1 + f, g2))
             else:
-                v = st.mover if st.mover in children else st.mover.other
+                children.append(value(rest, p1, g1, g2 + f))
+        # With no move the game is over: the scores decide
+        # Strings-and-Coins, and elsewhere the stuck mover loses.
+        if not children:
+            v = g1 - g2 if sac else not p1
+        elif sac:
+            v = max(children) if p1 else min(children)
+        else:
+            v = any(children) if p1 else all(children)
         memo[key] = v
         return v
 
-    v = value(state)
+    p1 = state.mover is Player.P1
+    v = value(bitmask(state.alive), p1, 0, 0)
     if sac:
-        margin = v - (state.scores[0] - state.scores[1])
-        net = margin if state.mover is Player.P1 else -margin
-        return SolveResult(kind, net_for_mover=net, states_visited=len(memo))
-    return SolveResult(kind, winner_for_mover=v is state.mover, states_visited=len(memo))
+        # The gained margin is the net still to come; the start scores
+        # only shift both sides of the final margin alike.
+        return SolveResult(kind, net_for_mover=v if p1 else -v, states_visited=len(memo))
+    return SolveResult(kind, winner_for_mover=v == p1, states_visited=len(memo))
 
 
 def winner_of(state: GameState, kind: GameKind, result: SolveResult) -> Player | None:

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coingames import reduce as reduce_module, verify as verify_module
+from coingames import cli as cli_module, reduce as reduce_module, verify as verify_module
 from coingames.cli import build_parser, run
 from coingames.engine import GameKind, Player, apply_move, initial_state, is_terminal
 from coingames.errors import IllegalMove
-from coingames.gamesat import format_dnf
+from coingames.gamesat import Mover, format_dnf
 from coingames.multigraph import parse_text
 from coingames.verify import CampaignReport
 
@@ -279,6 +279,39 @@ def test_a_failing_structure_sweep_prints_one_report(tmp_path, monkeypatch, caps
     assert doc["fails"] == 4 and not doc["ok"]
     assert [c["mismatches"] for c in doc["counterexamples"]] == [mismatches] * 4
     assert [a["formula"] for a in doc["details"]["audits"]] == [c["formula"] for c in doc["counterexamples"]]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--N 7",
+        "--first fallon",
+        "--count 2 --seed 1 --N 7 --first fallon",
+        "--formula {formula} --count 2",
+        "--formula {formula} --seed 1",
+        "--formula {formula} --N 3 --seed 1",
+    ],
+)
+def test_structure_refuses_a_flag_of_the_other_mode(flags, formula, capsys):
+    """The sweep draws N and the first mover itself, and one formula is
+    one audit, so a flag of the other mode would change nothing."""
+    assert run(["verify", "structure", *flags.format(formula=formula).split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_structure_audits_keep_their_defaults(formula, monkeypatch):
+    calls = []
+
+    def record(*args):
+        calls.append(args[-2:])
+        return CampaignReport("structure")
+
+    monkeypatch.setattr(cli_module, "check_structure", record)
+    monkeypatch.setattr(cli_module, "sweep_structure", record)
+    assert run(["verify", "structure", "--formula", formula]) == 0
+    assert run(["verify", "structure"]) == 0
+    assert calls == [(2, Mover.TRUDY), (50, 0)]
 
 
 @pytest.mark.parametrize(

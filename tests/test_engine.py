@@ -166,8 +166,9 @@ def test_apply_move_rejects_dead_string():
     kind=st.sampled_from(list(GameKind)),
 )
 def test_live_board_matches_functional_engine(seed: int, kind: GameKind):
-    """Property: LiveBoard and the immutable engine agree move for move
-    on random playouts: legal sets, mover, scores, and outcome."""
+    """Property: LiveBoard and the bitmask kernel behind the immutable
+    engine, two separate implementations of the rules, agree move for
+    move on random playouts: legal sets, mover, scores, and outcome."""
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(1, 4), rng.randint(0, 8), 0.3)
     state = initial_state(g)

@@ -27,7 +27,7 @@ from coingames.solver import (
     solve,
     winner_of,
 )
-from coingames.verify import random_multigraph
+from coingames.verify import RandomMultigraphs, random_multigraph
 
 
 def open_chain(k: int):
@@ -234,6 +234,38 @@ def test_oracle_matches_solver_past_the_criterion_1_cap():
             slow = naive_solve(state, kind)
             assert slow.winner_for_mover == fast.winner_for_mover, (kind, strings)
             assert slow.net_for_mover == fast.net_for_mover, (kind, strings)
+
+
+def test_oracle_expansion_on_the_criterion_1_boards_is_pinned():
+    """The oracle expands every child, so the positions it visits on
+    criterion 1's 200 boards are a fixed count per rule set."""
+    totals = dict.fromkeys(GameKind, 0)
+    for g in RandomMultigraphs(5, 10, 0.3, seed=2024, small_bias=True).instances(200):
+        state = initial_state(g)
+        for kind in GameKind:
+            totals[kind] += naive_solve(state, kind).states_visited
+    assert totals == {SAC: 18_073, NIM: 14_583, LAVA: 11_568}
+
+
+def test_oracle_matches_solver_from_mid_game_positions_with_scores():
+    """Seeded mid-game positions with P2 to move and start scores of 0-9
+    on both sides, above the coin count that bounds what the oracle can
+    gain from them."""
+    rng = random.Random(907)
+    for i in range(300):
+        kind = list(GameKind)[i % 3]
+        g = random_multigraph(rng, rng.randint(1, 4), rng.randint(0, 7), 0.3)
+        state = initial_state(g)
+        for _ in range(rng.randint(0, 3)):
+            legal = sorted(legal_moves(state, kind))
+            if not legal:
+                break
+            state = apply_move(state, kind, rng.choice(legal))
+        state = GameState(g, state.alive, Player.P2, (rng.randint(0, 9), rng.randint(0, 9)))
+        fast, slow = solve(state, kind), naive_solve(state, kind)
+        assert slow.winner_for_mover == fast.winner_for_mover, (i, kind)
+        assert slow.net_for_mover == fast.net_for_mover, (i, kind)
+        assert winner_of(state, kind, slow) == winner_of(state, kind, fast), (i, kind)
 
 
 @given(seed=st.integers(min_value=0, max_value=2000))

@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from coingames.verify import (
     enumerate_small_formulas,
     fallon_win_combos,
     parity_campaign,
+    random_multigraph,
     recount_structure,
 )
 
@@ -90,6 +92,18 @@ def test_oracle_campaign_small():
     assert rep.ok
     assert rep.count == 15
     assert rep.details["comparisons"] == 45
+
+
+def test_oracle_campaign_at_12_to_14_strings():
+    """Ten seeded boards at the top of the oracle's range: 4 of 12
+    strings, 3 of 13 and 3 of 14, each with 3-6 coins."""
+    rng = random.Random(1214)
+    boards = [random_multigraph(rng, rng.randint(3, 6), strings, 0.3) for strings in [12] * 4 + [13] * 3 + [14] * 3]
+    gen = SimpleNamespace(seed=1214, instances=lambda count: iter(boards[:count]))
+    rep = check_oracle(gen, len(boards))
+    assert rep.ok, rep.counterexamples[:3]
+    assert rep.count == 10
+    assert rep.details["comparisons"] == 30
 
 
 def test_lemma1_campaign_small():
