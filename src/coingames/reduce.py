@@ -344,7 +344,7 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
         if not isinstance(doc, dict) or not isinstance(doc.get("gadgets"), list) or type(doc["N"]) is not int:
             raise TypeError("a plan is an object with an integer N and a list of gadgets")
         f, N, first = parse_dnf(doc["formula"]), doc["N"], Mover(doc["first"])
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ParseError(f"malformed plan: {exc!r}") from None
     try:
         compiled = compile_gamesat_to_lava(f, N, first, string_cap=graph.string_count + 1)

@@ -34,21 +34,29 @@ Legality does the rest: the Lava rules freeze any string whose cut
 would free a coin, so "keep one wire per variable" and "the root stays
 supported" are enforced by the board itself.
 
+Each side's wire rule is written once: ``_fallon_class`` sorts wires
+into Fallon's classes and ``_trudy_threat`` marks the level-2 wires an
+attacker on Trudy chews through.  The script of a side and the
+``GreedyDisabler`` that targets it both read that rule.
+
 Re-evaluating every ply stays cheap because the facts the waterfalls
 branch on are monotone and move only when a rope empties, a few dozen
 times in a game of thousands of plies.  ``ArtifactTracker`` keeps them
 current inside ``observe``: the set of doomed clauses (a wire's bottom
 rope or a clause rope emptied), the induced assignment (a variable
-rope emptied), and an ``epoch`` that counts emptied ropes.  Each policy
-rebuilds the wire lists its stages read from those facts once per
-epoch, as tuples, and per ply only re-sorts them by rope counts.  The
-tracker and those lists live for one playout: ``playout`` makes a new
-tracker and ``Policy.reset`` starts every policy afresh.
+rope emptied), and an ``epoch`` that counts emptied ropes.  The scripts
+and the greedy attacker share one base, ``_TrackedPolicy``: one
+``reset``, one step that rebuilds a policy's wire lists as tuples when
+the epoch moves (per ply they are only re-sorted by rope counts), and
+one lowest-id cleanup scan with a monotone cursor.  The tracker and
+those lists live for one playout: ``playout`` makes a new tracker and
+``Policy.reset`` starts every policy afresh.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -123,9 +131,6 @@ class ArtifactTracker:
         self.var_top: list[_Rope] = []
         self.wires: list[_Wire] = []
         self.clause_rope: dict[str, _Rope] = {}
-        self.clause_l1: dict[str, list[_Wire]] = {}
-        self.clause_l2: dict[str, list[_Wire]] = {}
-        self.clause_wires: dict[str, list[_Wire]] = {}
         self.pad: _Rope | None = None
         # The clause each rope dooms by emptying: a wire's bottom dooms
         # its target, a clause rope its own clause.
@@ -152,12 +157,12 @@ class ArtifactTracker:
             elif p.kind == "pad":
                 self.pad = _Rope(p.rope)
                 self._register(self.pad)
-        for w in self.wires:
-            table = self.clause_l1 if w.level == 1 else self.clause_l2
-            table.setdefault(w.target, []).append(w)
         self.clause_keys = [p.clause for p in artifact.plan if p.kind == "clause"]
-        for key in self.clause_keys:
-            self.clause_wires[key] = self.clause_l1.get(key, []) + self.clause_l2.get(key, [])
+        # The layout lists every level-1 wire before the level-2 ones, so
+        # each clause's wires come level-1 first.
+        self.clause_wires: dict[str, list[_Wire]] = {key: [] for key in self.clause_keys}
+        for w in self.wires:
+            self.clause_wires[w.target].append(w)
         self._var_ropes = set(self.var_bottom + self.var_top)
         # Every rope starts with at least one string: nothing is doomed yet.
         self.epoch = 0
@@ -266,6 +271,30 @@ def _by_top_alive(w: _Wire) -> tuple[int, int]:
     return w.top.alive, w.index
 
 
+def _fallon_class(t: ArtifactTracker, w: _Wire, assignment) -> str:
+    """Fallon's class of a wire.  Level 1: from a true variable, good
+    into a real clause and bad into its singleton; from any other
+    variable, neutral.  Level 2: into the empty clause, empty; into a
+    clause with no level-1 wires, danger (activation alone would let it
+    survive); otherwise good."""
+    if w.level == 1:
+        if assignment[w.source_var] is not True:
+            return "l1_neutral"
+        return "l1_good" if w.target.startswith("real:") else "l1_bad"
+    if w.target == "empty":
+        return "l2_empty"
+    return "l2_good" if t.clause_wires[w.target][0].level == 1 else "l2_danger"
+
+
+def _trudy_threat(t: ArtifactTracker, w: _Wire, assignment) -> bool:
+    """Trudy's threat rule: a level-2 wire into the empty clause, or
+    into a satisfied clause that is not yet doomed.  An HP-greedy
+    attacker on Trudy chews through these."""
+    return w.level == 2 and (
+        w.target == "empty" or (t.satisfied(w.target, assignment) and not t.doomed(w.target))
+    )
+
+
 class UniformRandom(Policy):
     """Uniform choice among legal strings.  Keeps a candidate pool with
     lazy swap-removal; Lava illegality is monotone, so every discarded
@@ -289,97 +318,15 @@ class UniformRandom(Policy):
             self.pool.pop()
 
 
-class GreedyDisabler(Policy):
-    """Adversarial baseline: always cuts the lowest-id legal string in
-    the lowest-HP non-empty bottom rope among the wires the targeted
-    script classifies as good, stressing its HP-majority invariants.
-    Falls back to lowest-id legal cuts."""
+class _TrackedPolicy(Policy):
+    """Shared machinery of the policies that read the tracker: the
+    greedy attacker and both scripts.
 
-    name = "greedy"
-
-    def __init__(self, artifact: ReductionArtifact, target_side: Mover):
-        self.artifact = artifact
-        self.target_side = target_side
-
-    def reset(self, tracker, seat, seed):
-        self.live = tracker.live
-        self.tracker = tracker
-        self.scan_at = 0
-        self.epoch = -1
-
-    def _good_wires(self) -> tuple[_Wire, ...]:
-        """The target script's good wires that are not yet disabled."""
-        t = self.tracker
-        assignment = t.assignment()
-        f = self.artifact.formula
-        goods = []
-        if self.target_side is Mover.FALLON:
-            for w in t.wires:
-                if w.level == 1:
-                    if assignment[w.source_var] is True and w.target.startswith("real:"):
-                        goods.append(w)
-                elif w.target != "empty" and t.clause_l1.get(w.target):
-                    goods.append(w)
-        else:
-            c_idx = None
-            for ci, clause in enumerate(f.clauses):
-                if all(assignment[v] is True for v in clause):
-                    c_idx = ci
-                    break
-            c_key = f"real:{c_idx}" if c_idx is not None else None
-            for w in t.wires:
-                if w.level == 1:
-                    v = w.source_var
-                    if (
-                        c_idx is not None
-                        and v in f.clauses[c_idx]
-                        and (w.target == c_key or w.target == f"singleton:{v}")
-                    ):
-                        goods.append(w)
-                elif w.target == "empty" or (
-                    t.satisfied(w.target, assignment) and not t.doomed(w.target)
-                ):
-                    goods.append(w)
-        return _live(goods)
-
-    def choose(self) -> int:
-        if self.epoch != self.tracker.epoch:
-            self.epoch = self.tracker.epoch
-            self.goods = self._good_wires()
-        best = None
-        best_key = None
-        for w in self.goods:
-            sid = w.bottom.lowest_legal(self.live)
-            if sid is None:
-                continue
-            key = (w.hp, w.index)
-            if best_key is None or key < best_key:
-                best, best_key = sid, key
-        if best is not None:
-            return best
-        live = self.live
-        total = live.board.string_count
-        while self.scan_at < total:
-            sid = self.scan_at
-            if live.alive[sid] and live.is_legal(sid):
-                return sid
-            self.scan_at += 1
-        raise StrategyError("asked to move with no legal cut available")
-
-
-class _ScriptBase(Policy):
-    """Shared waterfall machinery for the two scripts.
-
-    ``stages`` is the waterfall: (phase, function) pairs in priority
-    order, kept on the class so that an instance holds no reference to
-    itself.  Each script keeps the wire lists its stages read as tuples
-    that depend on rope emptiness alone, and ``_refresh`` rebuilds them
-    when the tracker's epoch has moved since the last move.  Cleanup
-    cuts the lowest-id legal string whose rope is not in ``protected``,
-    and a protected string only once no other cut is left."""
-
-    side: Mover
-    stages: tuple = ()
+    Each keeps the wire lists it reads as tuples that depend on rope
+    emptiness alone; ``_sync`` has ``_refresh`` rebuild them when the
+    tracker's epoch has moved since the last rebuild.  Cleanup cuts the
+    lowest-id legal string whose rope is not in ``protected``, and a
+    protected string only once no other cut is left."""
 
     def __init__(self, artifact: ReductionArtifact):
         self.artifact = artifact
@@ -390,8 +337,96 @@ class _ScriptBase(Policy):
         self.scan_at = 0
         self.deferred: list[int] = []
         self.protected: frozenset[_Rope] = frozenset()
-        self.phase = 1
         self.epoch = -1
+
+    def _sync(self) -> None:
+        if self.epoch != self.tracker.epoch:
+            self.epoch = self.tracker.epoch
+            self._refresh()
+
+    def _refresh(self) -> None:
+        raise NotImplementedError
+
+    def _cleanup_move(self) -> int:
+        live, rope_of = self.live, self.tracker.rope_of
+        total = live.board.string_count
+        while self.scan_at < total:
+            sid = self.scan_at
+            # Lava legality is monotone, so a skipped string never
+            # becomes cuttable later.
+            if live.alive[sid] and live.is_legal(sid):
+                if rope_of[sid] not in self.protected:
+                    return sid
+                self.deferred.append(sid)
+            self.scan_at += 1
+        for sid in self.deferred:
+            if live.alive[sid] and live.is_legal(sid):
+                return sid  # forced: only protected cuts remain
+        raise StrategyError("asked to move with no legal cut available")
+
+
+class GreedyDisabler(_TrackedPolicy):
+    """Adversarial baseline: always cuts the lowest-id legal string in
+    the lowest-HP non-empty bottom rope among the wires the targeted
+    script counts as good, stressing its HP-majority invariants.  Those
+    are Fallon's good wires, or Trudy's threats plus the level-1 wires
+    into the first satisfied real clause and its variables' singletons
+    (the script picks its clause by margin instead).  Falls back to
+    cleanup, with nothing protected."""
+
+    name = "greedy"
+
+    def __init__(self, artifact: ReductionArtifact, target_side: Mover):
+        super().__init__(artifact)
+        self.target_side = target_side
+
+    def _refresh(self):
+        """Keep the target script's good wires that are not yet disabled."""
+        t = self.tracker
+        assignment = t.assignment()
+        if self.target_side is Mover.FALLON:
+            goods = (w for w in t.wires if _fallon_class(t, w, assignment) in ("l1_good", "l2_good"))
+        else:
+            f = self.artifact.formula
+            sat = (i for i, c in enumerate(f.clauses) if all(assignment[v] is True for v in c))
+            c_idx = next(sat, None)
+            # Level-1 wires run only from a clause's own variables.
+            targets = set()
+            if c_idx is not None:
+                targets = {f"real:{c_idx}", *(f"singleton:{v}" for v in f.clauses[c_idx])}
+            goods = (
+                w
+                for w in t.wires
+                if (w.target in targets if w.level == 1 else _trudy_threat(t, w, assignment))
+            )
+        self.goods = _live(goods)
+
+    def choose(self) -> int:
+        self._sync()
+        best, best_hp = None, None
+        # The goods are in wire order, so the lowest id wins a tie in HP.
+        for w in self.goods:
+            if best_hp is None or w.hp < best_hp:
+                sid = w.bottom.lowest_legal(self.live)
+                if sid is not None:
+                    best, best_hp = sid, w.hp
+        return best if best is not None else self._cleanup_move()
+
+
+class _ScriptBase(_TrackedPolicy):
+    """Shared waterfall machinery for the two scripts.
+
+    ``stages`` is the waterfall: (phase, function) pairs in priority
+    order, kept on the class so that an instance holds no reference to
+    itself.  Once the variables are set, each move first brings the
+    script's wire lists up to the tracker's epoch."""
+
+    side: Mover
+    stages: tuple = ()
+
+    def reset(self, tracker, seat, seed):
+        super().reset(tracker, seat, seed)
+        self.phase = 1
 
     # -- phase 1 ------------------------------------------------------
     def _variable_move(self) -> int | None:
@@ -439,31 +474,11 @@ class _ScriptBase(Policy):
                     return sid
         return None
 
-    # -- cleanup ------------------------------------------------------
-    def _cleanup_move(self) -> int:
-        live, rope_of = self.live, self.tracker.rope_of
-        total = live.board.string_count
-        while self.scan_at < total:
-            sid = self.scan_at
-            # Lava legality is monotone, so a skipped string never
-            # becomes cuttable later.
-            if live.alive[sid] and live.is_legal(sid):
-                if rope_of[sid] not in self.protected:
-                    return sid
-                self.deferred.append(sid)
-            self.scan_at += 1
-        for sid in self.deferred:
-            if live.alive[sid] and live.is_legal(sid):
-                return sid  # forced: only protected cuts remain
-        raise StrategyError("asked to move with no legal cut available")
-
     def choose(self) -> int:
         sid = self._variable_move()
         if sid is not None:
             return sid
-        if self.epoch != self.tracker.epoch:
-            self.epoch = self.tracker.epoch
-            self._refresh()
+        self._sync()
         for stage_phase, stage in self.stages:
             sid = stage(self)
             if sid is not None:
@@ -472,21 +487,16 @@ class _ScriptBase(Policy):
         self.phase = 4
         return self._cleanup_move()
 
-    def _refresh(self) -> None:
-        raise NotImplementedError
-
 
 class FallonScript(_ScriptBase):
     """Play for the formula-false side: doom every clause.
 
-    Level-1 classes (from the final assignment): wires from true
-    variables are good to real clauses, bad to singletons; wires from
-    false variables are neutral.  Disable bads, then neutrals and all
-    but one good per true variable, and activate the keepers.  Level 2:
-    wires into the empty clause or into a singleton with no level-1
-    wires are bad (the latter with racing priority, since activation
-    alone would let that clause survive); disable them, keep the lowest
-    good wire alive and activate it.  Finally empty every clause rope.
+    By ``_fallon_class`` over the final assignment: disable the level-1
+    bads, then the neutrals and all but the lowest good wire of each
+    true variable, and activate those keepers.  At level 2, disable the
+    danger wires (with racing priority once pumped) and the empty-clause
+    wires, keep the lowest good wire alive and activate it.  Finally
+    empty every clause rope.
 
     The class tuples keep only wires that are not yet disabled, and
     ``open_clauses`` only non-empty clause ropes.
@@ -502,26 +512,22 @@ class FallonScript(_ScriptBase):
         # The variables are all set by now, so the assignment is final.
         t = self.tracker
         assignment = t.assignment()
-        self.true_vars = [v for v, val in enumerate(assignment) if val is True]
-        l1_good_of: dict[int, list[_Wire]] = {v: [] for v in self.true_vars}
-        l1_bad, l1_neutral, l2_good, l2_empty, l2_danger = [], [], [], [], []
+        by_class: dict[str, list[_Wire]] = defaultdict(list)
         for w in _live(t.wires):
-            if w.level == 1:
-                if assignment[w.source_var] is not True:
-                    l1_neutral.append(w)
-                elif w.target.startswith("real:"):
-                    l1_good_of[w.source_var].append(w)
-                else:
-                    l1_bad.append(w)
-            elif w.target == "empty":
-                l2_empty.append(w)
-            elif not t.clause_l1.get(w.target):
-                l2_danger.append(w)
-            else:
-                l2_good.append(w)
-        self.l1_good_of = {v: tuple(ws) for v, ws in l1_good_of.items()}
-        self.l1_bad, self.l1_neutral = tuple(l1_bad), tuple(l1_neutral)
-        self.l2_good, self.l2_empty, self.l2_danger = tuple(l2_good), tuple(l2_empty), tuple(l2_danger)
+            by_class[_fallon_class(t, w, assignment)].append(w)
+        # The layout lists each variable's level-1 wires together, so a
+        # variable's keeper is its first good wire in wire order.
+        keepers: list[_Wire] = []
+        surplus: list[_Wire] = []
+        for w in by_class["l1_good"]:
+            same_var = keepers and keepers[-1].source_var == w.source_var
+            (surplus if same_var else keepers).append(w)
+        self.l1_keepers = tuple(keepers)
+        self.l1_rest = tuple(by_class["l1_neutral"] + surplus)
+        self.l1_bad = tuple(by_class["l1_bad"])
+        self.l2_good, self.l2_empty, self.l2_danger = (
+            tuple(by_class[k]) for k in ("l2_good", "l2_empty", "l2_danger")
+        )
         self.open_clauses = tuple(k for k in t.clause_keys if t.clause_rope[k].alive)
 
     def _l1_bads(self):
@@ -535,25 +541,10 @@ class FallonScript(_ScriptBase):
         return self._disable_first(pumped)
 
     def _l1_rest(self):
-        sid = self._disable_first(self.l1_neutral)
-        if sid is not None:
-            return sid
-        for v in self.true_vars:
-            alive = self.l1_good_of[v]
-            if len(alive) >= 2:
-                sid = self._disable_first(alive[1:])
-                if sid is not None:
-                    return sid
-        return None
+        return self._disable_first(self.l1_rest)
 
     def _l1_keepers(self):
-        for v in self.true_vars:
-            alive = self.l1_good_of[v]
-            if alive:
-                sid = self._activate_first(alive[:1])
-                if sid is not None:
-                    return sid
-        return None
+        return self._activate_first(self.l1_keepers)
 
     def _l2_bads(self):
         sid = self._disable_first(sorted(self.l2_danger, key=_by_top_alive))
@@ -562,9 +553,7 @@ class FallonScript(_ScriptBase):
         return self._disable_first(self.l2_empty)
 
     def _l2_surplus(self):
-        if len(self.l2_good) >= 2:
-            return self._disable_first(self.l2_good[1:])
-        return None
+        return self._disable_first(self.l2_good[1:])
 
     def _l2_keeper(self):
         return self._activate_first(self.l2_good[:1])
@@ -627,14 +616,7 @@ class TrudyScript(_ScriptBase):
         lists that hang on c' and on the dooms."""
         t = self.tracker
         assignment = t.assignment()
-        # Live level-2 wires an HP-greedy attacker may chew through.
-        self.threats = tuple(
-            u
-            for u in t.wires
-            if u.level == 2
-            and u.hp > 0
-            and (u.target == "empty" or (t.satisfied(u.target, assignment) and not t.doomed(u.target)))
-        )
+        self.threats = tuple(u for u in _live(t.wires) if _trudy_threat(t, u, assignment))
         cands = self._candidates()
         if self.c_prime not in cands:
             self.c_prime = max(cands, key=lambda k: (self._margin(k), k), default=None)
@@ -660,17 +642,13 @@ class TrudyScript(_ScriptBase):
     def _candidates(self) -> list[str]:
         t = self.tracker
         assignment = t.assignment()
-        out = []
-        for key in t.clause_keys:
-            if key == "empty" or t.doomed(key):
-                continue
-            if t.satisfied(key, assignment):
-                out.append(key)
-        return out
+        return [
+            k for k in t.clause_keys if k != "empty" and not t.doomed(k) and t.satisfied(k, assignment)
+        ]
 
     def _margin(self, key: str) -> int:
         t = self.tracker
-        l2 = [w for w in t.clause_l2[key] if not w.disabled]
+        l2 = [w for w in t.clause_wires[key] if w.level == 2 and not w.disabled]
         if not l2:
             return -(10**9)
         w = l2[0]

@@ -18,7 +18,7 @@ import itertools
 import json
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .engine import GameKind, Player, apply_move, initial_state
 from .errors import BudgetExceeded, ParseError, StrategyError
@@ -80,17 +80,7 @@ class CampaignReport:
             self.counterexamples.append(counterexample())
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "seed": self.seed,
-            "count": self.count,
-            "passes": self.passes,
-            "fails": self.fails,
-            "skipped": self.skipped,
-            "ok": self.ok,
-            "details": self.details,
-            "counterexamples": self.counterexamples,
-        }
+        doc = {**asdict(self), "ok": self.ok}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

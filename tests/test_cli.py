@@ -1,7 +1,9 @@
 """Command line round-trips: every subcommand, every exit code."""
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -481,6 +483,95 @@ def test_play_rejects_a_plan_that_does_not_fit(plan_of, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def _one_error_line(capsys) -> str:
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("flag", ["--in", "--transcript", "--formula", "--plan"])
+def test_a_file_that_is_not_utf8_is_usage_error(flag, tmp_path, capsys):
+    board, plan = _compile(tmp_path, CONJUNCTION, "conj")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    argv = {
+        "--in": ["solve", "--game", "lava", "--in", str(bad)],
+        "--transcript": ["replay", "--in", board, "--game", "lava", "--transcript", str(bad)],
+        "--formula": ["reduce", "gamesat-to-lava", "--formula", str(bad), "--N", "2", "--first", "trudy", "--out", str(tmp_path / "o.txt")],
+        "--plan": ["play", "--in", board, "--plan", str(bad), "--policy-a", "random", "--policy-b", "random"],
+    }[flag]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "UTF-8" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["play", "export-dot"])
+def test_a_deeply_nested_plan_is_usage_error(command, tmp_path, capsys):
+    board, _ = _compile(tmp_path, CONJUNCTION, "conj")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    argv = {
+        "play": ["play", "--in", board, "--plan", str(deep), "--policy-a", "random", "--policy-b", "random"],
+        "export-dot": ["export-dot", "--in", board, "--plan", str(deep), "--out", str(tmp_path / "g.dot")],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "malformed plan" in _one_error_line(capsys)
+
+
+# sha256 of the ``play`` transcript (first 16 hex digits) of every
+# --policy-a/--policy-b pair on CONJUNCTION at N=2, seed 0, keyed by
+# (first, policy-a, policy-b).  The CLI's greedy attacks the predicted
+# winner; the pairs without a script appear in no strategy test.
+PLAY_DIGESTS = {
+    ("trudy", "random", "random"): "9166b9fa48dbee4f",
+    ("trudy", "random", "greedy"): "d63058588dd5a3ab",
+    ("trudy", "random", "trudy-script"): "5bb828afb6152620",
+    ("trudy", "random", "fallon-script"): "fce569d91605fdaa",
+    ("trudy", "greedy", "random"): "bc721435251e5aa3",
+    ("trudy", "greedy", "greedy"): "7a37c95fa42db61f",
+    ("trudy", "greedy", "trudy-script"): "ec2734a64e2bbc27",
+    ("trudy", "greedy", "fallon-script"): "71310faef1c0e184",
+    ("trudy", "trudy-script", "random"): "cc6188c0218fe9d9",
+    ("trudy", "trudy-script", "greedy"): "98ac6078933f2d17",
+    ("trudy", "trudy-script", "trudy-script"): "ec6153b66eac51f5",
+    ("trudy", "trudy-script", "fallon-script"): "7aaff9c69420ffd7",
+    ("trudy", "fallon-script", "random"): "8ef0ae0e081ef675",
+    ("trudy", "fallon-script", "greedy"): "bec356af84c8bd98",
+    ("trudy", "fallon-script", "trudy-script"): "86ed34118dc9fdc5",
+    ("trudy", "fallon-script", "fallon-script"): "75037416802c2827",
+    ("fallon", "random", "random"): "08d07f9944189ae5",
+    ("fallon", "random", "greedy"): "c8805c49b9d0caec",
+    ("fallon", "random", "trudy-script"): "3b278e76193cc453",
+    ("fallon", "random", "fallon-script"): "ef00007254de021c",
+    ("fallon", "greedy", "random"): "963dc570857e11e0",
+    ("fallon", "greedy", "greedy"): "138fdf6bd58d6df0",
+    ("fallon", "greedy", "trudy-script"): "241e42fbd5a0a55f",
+    ("fallon", "greedy", "fallon-script"): "5c99709a9a8e311d",
+    ("fallon", "trudy-script", "random"): "20789cb681c3ff2d",
+    ("fallon", "trudy-script", "greedy"): "b1eb6435dfbd573d",
+    ("fallon", "trudy-script", "trudy-script"): "3a968a8600a48fff",
+    ("fallon", "trudy-script", "fallon-script"): "3d14301b9ca07b3b",
+    ("fallon", "fallon-script", "random"): "de89d3bc00e2a85f",
+    ("fallon", "fallon-script", "greedy"): "5cd585f637b2be03",
+    ("fallon", "fallon-script", "trudy-script"): "89b0f16dee8013cc",
+    ("fallon", "fallon-script", "fallon-script"): "65382a4f6da567c7",
+}
+
+
+@pytest.mark.parametrize("first", ["trudy", "fallon"])
+def test_play_transcripts_of_every_policy_pair_are_pinned(first, formula, tmp_path, capsys):
+    board, plan, log = (str(tmp_path / n) for n in ("lava.txt", "plan.json", "game.log"))
+    argv = ["reduce", "gamesat-to-lava", "--formula", formula, "--N", "2", "--first", first]
+    assert run(argv + ["--out", board, "--plan", plan]) == 0
+    digests = {}
+    for a, b in itertools.product(cli_module._POLICIES, repeat=2):
+        argv = ["play", "--in", board, "--plan", plan, "--policy-a", a, "--policy-b", b]
+        assert run(argv + ["--seed", "0", "--out", log]) == 0
+        digests[first, a, b] = hashlib.sha256(Path(log).read_bytes()).hexdigest()[:16]
+    assert digests == {k: v for k, v in PLAY_DIGESTS.items() if k[0] == first}
 
 
 def test_replay_reports_in_progress(board, tmp_path, capsys):

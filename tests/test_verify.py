@@ -48,6 +48,25 @@ def test_report_serializes_to_json():
     assert doc["counterexamples"] == []
 
 
+def test_a_seeded_oracle_report_is_pinned_byte_for_byte():
+    gen = RandomMultigraphs(max_coins=3, max_strings=5, ground_prob=0.3, seed=7)
+    assert check_oracle(gen, 4).to_json() == (
+        "{\n"
+        '  "count": 4,\n'
+        '  "counterexamples": [],\n'
+        '  "details": {\n'
+        '    "comparisons": 12\n'
+        "  },\n"
+        '  "fails": 0,\n'
+        '  "name": "oracle",\n'
+        '  "ok": true,\n'
+        '  "passes": 4,\n'
+        '  "seed": 7,\n'
+        '  "skipped": 0\n'
+        "}\n"
+    )
+
+
 def test_generator_is_reproducible():
     gen = RandomMultigraphs(max_coins=4, max_strings=8, ground_prob=0.3, seed=11)
     a = [g for g in gen.instances(5)]
