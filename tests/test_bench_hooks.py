@@ -46,3 +46,20 @@ def test_every_traced_function_is_hooked_and_then_restored(monkeypatch):
             assert attr not in vars(target), (target, attr)
         else:
             assert vars(target)[attr] is original, (target, attr)
+
+
+def test_every_workload_sets_up_and_runs_its_first_item(monkeypatch, tmp_path):
+    """Each benchmark workload, at one seed, builds its round and runs
+    its first item to an ``ok`` outcome: a refactor that drops a name the
+    workloads call fails here too."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    cg = workloads.import_package()
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls()
+        try:
+            workload.setup(cg, 1, str(tmp_path / name))
+            ok, outcome = workload.run_item(workload.items[0])
+            assert ok, (name, outcome)
+        finally:
+            workload.close()

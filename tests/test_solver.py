@@ -6,6 +6,7 @@ chain of k coins is worth k to the opener's opponent, so a lone open
 k-chain scores net -k for the mover.
 """
 
+import hashlib
 import math
 import random
 
@@ -391,3 +392,28 @@ def test_budget_counts_quotient_states():
                 solve(state, GameKind.NIMSTRING, budget=3)
     with pytest.raises(BudgetExceeded, match="search depth"):
         solve(initial_state(open_chain(MAX_DEPTH)), GameKind.NIMSTRING, budget=MAX_DEPTH + 1)
+
+
+# sha256 of every ``repr(SolveResult)``, one per line, over the seeded
+# positions of ``test_solve_results_from_mid_game_positions_are_pinned``.
+MID_GAME_SOLVE_DIGEST = "68bc083f0be7beb7a298e67fb05ddd8b48d17743aa64d397e570fb159f4fcaeb"
+
+
+def test_solve_results_from_mid_game_positions_are_pinned():
+    """Random and rope-heavy boards of up to 24 strings with about a
+    fifth of their strings cut, either player to move, start scores of
+    0-3, solved under every rule set: every field of every result
+    (value, principal move, states visited) is pinned."""
+    rng = random.Random(1717)
+    digest = hashlib.sha256()
+    for i in range(300):
+        if i % 2:
+            g = rope_board(rng, rng.randint(1, 4), rng.randint(4, 24))
+        else:
+            g = random_multigraph(rng, rng.randint(1, 5), rng.randint(0, 16), 0.3)
+        alive = frozenset(sid for sid in range(g.string_count) if rng.random() < 0.8)
+        mover = Player.P1 if i % 4 < 2 else Player.P2
+        state = GameState(g, alive, mover, (rng.randint(0, 3), rng.randint(0, 3)))
+        for kind in GameKind:
+            digest.update(repr(solve(state, kind)).encode() + b"\n")
+    assert digest.hexdigest() == MID_GAME_SOLVE_DIGEST
