@@ -12,7 +12,7 @@ import random
 import sys
 
 from .engine import GameKind, LiveBoard, Player, initial_state
-from .errors import CoinGameError, IllegalMove, ParseError
+from .errors import CoinGameError, IllegalMove, ParseError, clip
 from .gamesat import Mover, format_dnf, parse_dnf
 from .multigraph import canonical_text, parse_text, to_dot
 from .reduce import (
@@ -25,7 +25,7 @@ from .reduce import (
     reduce_lava_to_nimstring,
     reduce_nimstring_to_sac,
 )
-from .solver import DEFAULT_BUDGET, solve, winner_of
+from .solver import DEFAULT_BUDGET, NAIVE_BUDGET, solve, winner_of
 from .strategy import FallonScript, GreedyDisabler, TrudyScript, UniformRandom, playout
 from .verify import (
     LoonyPlanter,
@@ -72,27 +72,20 @@ def _cmd_solve(args) -> int:
     state = initial_state(_load_graph(args.infile), Player(args.first))
     result = solve(state, kind, budget=args.budget)
     winner = winner_of(state, kind, result)
-    if kind is GameKind.STRINGS_AND_COINS:
-        net = result.net_for_mover or 0
-        a = max(net, 0)
-        b = max(-net, 0)
-        if state.mover is Player.P2:
-            a, b = b, a
-    else:
-        a = b = 0
+    # Only Strings-and-Coins has a net; the other games print score=0-0.
+    net = result.net_for_mover or 0
+    a, b = max(net, 0), max(-net, 0)
+    if state.mover is Player.P2:
+        a, b = b, a
     name = winner.value if winner else "Draw"
     print(f"winner={name} score={a}-{b} states={result.states_visited}")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    if args.reduction == "nim-to-sac":
-        h = reduce_nimstring_to_sac(_load_graph(args.infile))
-        _write(args.out, canonical_text(h))
-        print(f"coins={h.coin_count} strings={h.string_count}")
-        return 0
-    if args.reduction == "lava-to-nim":
-        h = reduce_lava_to_nimstring(_load_graph(args.infile), args.chain_len)
+    if args.reduction in ("nim-to-sac", "lava-to-nim"):
+        g = _load_graph(args.infile)
+        h = reduce_nimstring_to_sac(g) if args.reduction == "nim-to-sac" else reduce_lava_to_nimstring(g, args.chain_len)
         _write(args.out, canonical_text(h))
         print(f"coins={h.coin_count} strings={h.string_count}")
         return 0
@@ -130,6 +123,14 @@ def _boards(args, **options) -> RandomMultigraphs:
     return RandomMultigraphs(args.max_coins, args.max_strings, args.ground_prob, args.seed, **options)
 
 
+def _oracle(args):
+    # ``naive_solve`` refuses more than NAIVE_BUDGET alive strings, so a
+    # larger cap would end the sweep at whichever board first exceeds it.
+    if args.max_strings > NAIVE_BUDGET:
+        raise ParseError(f"--max-strings {clip(str(args.max_strings))} is above the oracle's budget {NAIVE_BUDGET}")
+    return check_oracle(_boards(args, small_bias=True), args.count)
+
+
 def _structure(args):
     # One formula takes --N and --first, the random sweep --count and
     # --seed; a flag of the other mode would change nothing, so it is refused.
@@ -145,14 +146,14 @@ def _structure(args):
 
 def _strategies(args):
     if args.N_min > args.N_max:
-        raise ParseError(f"--N-min {args.N_min} is above --N-max {args.N_max}")
+        raise ParseError(f"--N-min {clip(str(args.N_min))} is above --N-max {clip(str(args.N_max))}")
     N_values = tuple(range(args.N_min, args.N_max + 1))
     return campaign_strategies(_load_formula(args.formula), Mover(args.first), N_values, args.seeds)
 
 
 # Each ``verify`` campaign, as a function from the parsed flags to its report.
 _CAMPAIGNS = {
-    "oracle": lambda args: check_oracle(_boards(args, small_bias=True), args.count),
+    "oracle": _oracle,
     "lemma1": lambda args: check_lemma1(_boards(args), args.count),
     "lemma3": lambda args: check_lemma3(_boards(args, no_isolated=True), args.count),
     "loony": lambda args: check_loony(LoonyPlanter(args.seed), args.count),
@@ -243,11 +244,11 @@ def _parse_transcript_line(line: str) -> int | None:
     elif len(tokens) >= 5 and tokens[0] == "ply" and tokens[3] == "cut":
         token = tokens[4]
     else:
-        raise ParseError(f"unrecognized transcript line: {line.strip()!r}")
+        raise ParseError(f"unrecognized transcript line: {clip(repr(line.strip()))}")
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"bad string id {token!r} in transcript line: {line.strip()!r}") from None
+        raise ParseError(f"bad string id {clip(repr(token))} in transcript line: {clip(repr(line.strip()))}") from None
 
 
 def _cmd_replay(args) -> int:
@@ -282,7 +283,7 @@ def _check_sizes(args) -> None:
     for name in _SIZE_FLAGS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            raise ParseError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+            raise ParseError(f"--{name.replace('_', '-')} must be at least 1, got {clip(str(value))}")
 
 
 @functools.cache

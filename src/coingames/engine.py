@@ -16,8 +16,10 @@ The rules live in two places that check each other.  ``Rules`` is the
 kernel over alive bitmasks (bit ``sid`` set while string ``sid`` is
 alive): the immutable ``GameState`` functions (``legal_moves``,
 ``apply_move``, ``is_terminal``) turn a state's alive set into a mask
-and call it, and so does the oracle ``solver.naive_solve``.
-``LiveBoard`` is the mutable playout board with O(1) updates per cut.
+and call it, and so does the oracle ``solver.naive_solve``.  The three
+stay public because the benchmark (``perfbench/``) traces them and calls
+``legal_moves``.  ``LiveBoard`` is the mutable playout board with O(1)
+updates per cut.
 """
 
 from __future__ import annotations

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+ECHO_LIMIT = 200
+
+
+def clip(text: str) -> str:
+    """``text`` cut to ``ECHO_LIMIT`` characters: an error message that
+    quotes input stays one short line whatever the input's size."""
+    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
+
 
 class CoinGameError(Exception):
     """Base class for all errors raised by this package."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InvalidEndpoint, ParseError
+from .errors import InvalidEndpoint, ParseError, clip
 
 # Endpoint encoding: a coin index (>= 0) or GROUND.
 GROUND = -1
@@ -209,11 +209,11 @@ def parse_text(text: str) -> Multigraph:
             try:
                 coin_count = int(parts[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad coin count {parts[1]!r}") from None
+                raise ParseError(f"line {lineno}: bad coin count {clip(repr(parts[1]))}") from None
             if coin_count < 0:
                 raise ParseError(f"line {lineno}: negative coin count")
             if coin_count > MAX_COINS:
-                raise ParseError(f"line {lineno}: coin count {coin_count} above {MAX_COINS}")
+                raise ParseError(f"line {lineno}: coin count {clip(str(coin_count))} above {MAX_COINS}")
         elif parts[0] == "string":
             if coin_count is None:
                 raise ParseError(f"line {lineno}: string record before coins header")
@@ -222,9 +222,9 @@ def parse_text(text: str) -> Multigraph:
             try:
                 sid = int(parts[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad string id {parts[1]!r}") from None
+                raise ParseError(f"line {lineno}: bad string id {clip(repr(parts[1]))}") from None
             if sid != len(strings):
-                raise ParseError(f"line {lineno}: string id {sid} out of order (expected {len(strings)})")
+                raise ParseError(f"line {lineno}: string id {clip(str(sid))} out of order (expected {len(strings)})")
             ends = []
             for tok in parts[2:4]:
                 if tok == "ground":
@@ -233,13 +233,13 @@ def parse_text(text: str) -> Multigraph:
                     try:
                         e = int(tok)
                     except ValueError:
-                        raise ParseError(f"line {lineno}: bad endpoint {tok!r}") from None
+                        raise ParseError(f"line {lineno}: bad endpoint {clip(repr(tok))}") from None
                     if not (0 <= e < coin_count):
-                        raise ParseError(f"line {lineno}: coin {e} out of range")
+                        raise ParseError(f"line {lineno}: coin {clip(str(e))} out of range")
                     ends.append(e)
             strings.append(StringEdge(sid, ends[0], ends[1]))
         else:
-            raise ParseError(f"line {lineno}: unknown record {parts[0]!r}")
+            raise ParseError(f"line {lineno}: unknown record {clip(repr(parts[0]))}")
     if coin_count is None:
         raise ParseError("missing coins header")
     return Multigraph(coin_count, tuple(strings))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import zip_longest
 
 from .engine import Player
-from .errors import BudgetExceeded, FormulaError, ParseError, ReductionError
+from .errors import BudgetExceeded, FormulaError, ParseError, ReductionError, clip
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, parse_dnf, solve_gamesat
 from .multigraph import GROUND, MAX_STRINGS, GraphBuilder, Multigraph, cycle_graph, disjoint_union
 
@@ -345,7 +345,7 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
             raise TypeError("a plan is an object with an integer N and a list of gadgets")
         f, N, first = parse_dnf(doc["formula"]), doc["N"], Mover(doc["first"])
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-        raise ParseError(f"malformed plan: {exc!r}") from None
+        raise ParseError(f"malformed plan: {clip(repr(exc))}") from None
     try:
         compiled = compile_gamesat_to_lava(f, N, first, string_cap=graph.string_count + 1)
     except (ReductionError, FormulaError, BudgetExceeded) as exc:
@@ -359,6 +359,6 @@ def artifact_from_json(text: str, graph: Multigraph) -> ReductionArtifact:
         gadgets = zip_longest(doc["gadgets"], want["gadgets"], fillvalue=_ABSENT)
         pairs += [(f"gadget {i}", *pair) for i, pair in enumerate(gadgets)]
         what, *shown = next(p for p in pairs if p[1] != p[2])
-        got, exp = ("nothing" if v is _ABSENT else json.dumps(v) for v in shown)
+        got, exp = ("nothing" if v is _ABSENT else clip(json.dumps(v)) for v in shown)
         raise ParseError(f"plan: {what} is {got}, but the compiled plan has {exp}")
     return replace(compiled, graph=graph)

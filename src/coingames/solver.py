@@ -29,19 +29,20 @@ distinct positions expanded: one searched again under another window
 counts once, and one that the clamp alone answers is not expanded.
 
 The search runs over the rope quotient of the position.  Parallel
-strings (a rope: same endpoint pair) are interchangeable, so the search
-lists each rope's strings together and only ever cuts a rope's last
-alive string; the alive strings of a rope are then always a prefix of
-it, and a position is its alive count per rope.  A board whose ropes
-have widths w visits at most the product of (w + 1) states instead of
-2^E, and ``budget`` bounds that product by 2^budget (the same as a
-string budget on boards without parallel strings).  The memo key is
-that alive bitmask alone: in Nimstring and Coins-are-Lava the value
+strings (a rope: same endpoint pair) are interchangeable, so a position
+is its alive count per rope.  The search keeps one slot per rope
+(endpoints, alive count, place value), and a cut of a rope names its
+lowest string id.  The memo key reads the counts as mixed-radix digits,
+base w + 1 for a rope of width w: a board's keys are exactly 0 to the
+product of (w + 1) minus 1, the full board's key is the largest, and a
+cut subtracts its rope's place value.  ``budget`` keeps the full key
+below 2^budget (a string budget on boards without parallel strings).
+The key alone suffices: in Nimstring and Coins-are-Lava the value
 depends only on the alive set, and in Strings-and-Coins the optimal
 future net score for the mover is mover-symmetric (both players face
-identical move rights).  The search recurses once per cut, so a
-position with more than ``MAX_DEPTH`` alive strings is refused whatever
-its budget.
+identical move rights).  The search recurses once per cut, so a position
+with more than ``MAX_DEPTH`` alive strings is refused whatever its
+budget.
 
 ``naive_solve`` is an independent correctness oracle: plain minimax
 with no short-circuiting over the engine's bitmask rules
@@ -62,8 +63,9 @@ or two cuts, chosen by solving the remainder graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
+from operator import mul
 
 from .engine import GameKind, GameState, Player, Rules, bitmask
 from .errors import BudgetExceeded, DegenerateInput
@@ -98,30 +100,25 @@ class LoonyWitness:
 
 
 class _Search:
-    def __init__(self, state: GameState, groups: list[list[int]], kind: GameKind):
+    def __init__(self, state: GameState, groups: dict[tuple[int, int], list[int]], kind: GameKind):
         if state.board.has_self_loop:
             raise DegenerateInput("board has a self-loop")
         board = state.board
-        # Rope by rope, in order of each rope's lowest string id, and
-        # within a rope from its highest id down.  ``higher[i]`` masks
-        # the later positions of i's rope: i is cut only when none of
-        # them is alive, so the rope's lowest id goes first.
-        self.ids, self.higher = [], []
-        for group in groups:
-            start = len(self.ids)
-            self.ids.extend(reversed(group))
-            span = ((1 << len(group)) - 1) << start
-            self.higher.extend(span & ~((2 << i) - 1) for i in range(start, len(self.ids)))
-        self.ea = [board.strings[sid].a for sid in self.ids]
-        self.eb = [board.strings[sid].b for sid in self.ids]
+        # One slot per rope, in order of lowest string id: endpoints, alive
+        # count, place value (digits are base w + 1 for a rope of width w)
+        # and that lowest id, the string that a cut of the rope names.
+        self.ends = list(groups)
+        self.first = [ids[0] for ids in groups.values()]
+        self.count = [len(ids) for ids in groups.values()]
+        *self.place, top = accumulate((w + 1 for w in self.count), mul, initial=1)
+        self.full_key = top - 1
         # Alive degree per coin, then one slot for the ground, which
         # ``GROUND`` (-1) indexes: it starts at 2, so it never reads 1 and
         # the ground is never freed.
         self.deg = [0] * board.coin_count + [2]
-        for a, b in zip(self.ea, self.eb):
-            self.deg[a] += 1
-            self.deg[b] += 1
-        self.full_mask = (1 << len(self.ids)) - 1
+        for (a, b), w in zip(self.ends, self.count):
+            self.deg[a] += w
+            self.deg[b] += w
         self.states = 0
         self.principal = None
         # The three games differ only here.  Lava forbids freeing cuts;
@@ -140,43 +137,26 @@ class _Search:
         self.floor = -board.coin_count - 1 if sac else -1
         self.leaves = {} if kind is GameKind.COINS_ARE_LAVA else {0: (0, 0) if sac else (-1, -1)}
 
-    def moves(self, mask: int) -> list[int]:
-        """Move positions, one per alive rope: the freeing ones ascending,
-        then the others ascending (Lava: the others only).  From the full
-        mask these are the ropes' lowest string ids in ascending order."""
+    def moves(self) -> list[tuple[int, int]]:
+        """(rope, coins its cut frees) for every rope with a string
+        alive: the freeing cuts in rope order, then the others in rope
+        order (Lava: the others only)."""
         freeing, plain = [], []
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            i = bit.bit_length() - 1
-            if mask & self.higher[i]:
-                continue
-            if self._freed(i):
-                freeing.append(i)
-            else:
-                plain.append(i)
+        deg = self.deg
+        for r, ((a, b), w) in enumerate(zip(self.ends, self.count)):
+            if w:
+                f = (deg[a] == 1) + (deg[b] == 1)
+                (freeing if f else plain).append((r, f))
         return freeing + plain if self.cuts_freeing else plain
 
-    def _freed(self, i: int) -> int:
-        return (self.deg[self.ea[i]] == 1) + (self.deg[self.eb[i]] == 1)
 
-    def _drop(self, i: int) -> None:
-        self.deg[self.ea[i]] -= 1
-        self.deg[self.eb[i]] -= 1
-
-    def _restore(self, i: int) -> None:
-        self.deg[self.ea[i]] += 1
-        self.deg[self.eb[i]] += 1
-
-
-def _value(s: _Search, mask: int, alpha: int, beta: int, memo: dict[int, tuple[int, int]]) -> int:
-    """Fail-soft alpha-beta value of ``mask`` for the player to move: the
-    net score still to come in Strings-and-Coins, +1 (win) or -1 (loss)
-    otherwise.  A result inside (alpha, beta) is exact; one at or below
-    alpha is an upper bound on the value, one at or above beta a lower
-    bound.  ``memo`` keeps a (lower, upper) bound pair per mask."""
-    entry = memo.get(mask)
+def _value(s: _Search, key: int, alpha: int, beta: int, memo: dict[int, tuple[int, int]]) -> int:
+    """Fail-soft alpha-beta value of position ``key`` for the player to
+    move: the net score still to come in Strings-and-Coins, +1 (win) or
+    -1 (loss) otherwise.  A result inside (alpha, beta) is exact; one at
+    or below alpha is an upper bound on the value, one at or above beta a
+    lower bound.  ``memo`` keeps a (lower, upper) bound pair per key."""
+    entry = memo.get(key)
     if entry is None:
         lo, hi = -s.reach, s.reach
     else:
@@ -191,42 +171,55 @@ def _value(s: _Search, mask: int, alpha: int, beta: int, memo: dict[int, tuple[i
         s.states += 1
     alpha, beta = max(alpha, lo), min(beta, hi)
     a, best = alpha, s.floor
-    for i in s.moves(mask):
-        f = s._freed(i)
-        s._drop(i)
+    deg, count = s.deg, s.count
+    for r, f in s.moves():
+        ea, eb = s.ends[r]
+        count[r] -= 1
+        deg[ea] -= 1
+        deg[eb] -= 1
         if f:
             # The mover keeps the turn and scores g: shift the window.
             g = f * s.points
             s.reach -= g
-            value = _value(s, mask ^ (1 << i), a - g, beta - g, memo) + g
+            value = _value(s, key - s.place[r], a - g, beta - g, memo) + g
             s.reach += g
         else:
-            value = -_value(s, mask ^ (1 << i), -beta, -a, memo)
-        s._restore(i)
+            value = -_value(s, key - s.place[r], -beta, -a, memo)
+        count[r] += 1
+        deg[ea] += 1
+        deg[eb] += 1
         if value > best:
             best = value
             # Only the root records: it runs on its full window, so a
             # child that raises ``best`` there returns its exact value.
-            if mask == s.full_mask:
-                s.principal = s.ids[i]
+            if key == s.full_key:
+                s.principal = s.first[r]
             if best >= beta:
                 break
             a = max(a, best)
     if best <= alpha:
-        memo[mask] = (lo, best)
+        memo[key] = (lo, best)
     elif best >= beta:
-        memo[mask] = (best, hi)
+        memo[key] = (best, hi)
     else:
-        memo[mask] = (best, best)
+        memo[key] = (best, best)
     return best
+
+
+def _product(factors: list[int]) -> int:
+    """Product by pairwise rounds: near-linear in the product's bits,
+    where a running product over many factors is quadratic."""
+    while len(factors) > 1:
+        factors = [x * y for x, y in zip_longest(factors[::2], factors[1::2], fillvalue=1)]
+    return factors[0] if factors else 1
 
 
 def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimal value of ``state`` under ``kind`` by memoized search
     over the rope quotient; refuses positions with more than 2^budget
     quotient states or more than ``MAX_DEPTH`` alive strings."""
-    groups = list(ropes(state.board, state.alive).values())
-    need = (math.prod(len(group) + 1 for group in groups) - 1).bit_length()
+    groups = ropes(state.board, state.alive)
+    need = (_product([len(ids) + 1 for ids in groups.values()]) - 1).bit_length()
     if need > budget:
         raise BudgetExceeded(
             f"{len(state.alive)} alive strings in {len(groups)} ropes need budget {need}, above {budget}"
@@ -235,7 +228,7 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed search depth {MAX_DEPTH}")
     s = _Search(state, groups, kind)
     # ``floor`` is below every value and ``-floor`` above: the full window.
-    value = _value(s, s.full_mask, s.floor, -s.floor, dict(s.leaves))
+    value = _value(s, s.full_key, s.floor, -s.floor, dict(s.leaves))
     if kind is GameKind.STRINGS_AND_COINS:
         return SolveResult(kind, net_for_mover=value, principal_move=s.principal, states_visited=s.states)
     return SolveResult(kind, winner_for_mover=value > 0, principal_move=s.principal, states_visited=s.states)
@@ -329,9 +322,7 @@ def find_loony_witnesses(state: GameState) -> list[LoonyWitness]:
         if len(degree1_neighbors) != 1:
             continue
         coin_a = degree1_neighbors.pop()
-        s1, s2 = incident
-        a = s1 if board.strings[s1].touches(coin_a) else s2
-        b = s2 if a == s1 else s1
+        a, b = incident if board.strings[incident[0]].touches(coin_a) else incident[::-1]
         out.append(LoonyWitness(a, b, coin_a, coin_b))
     out.sort(key=lambda w: (w.a, w.b))
     return out

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from .engine import GameKind, Player, apply_move, initial_state
-from .errors import BudgetExceeded, ParseError, StrategyError
+from .errors import BudgetExceeded, ParseError, StrategyError, clip
 from .gamesat import (
     DEFAULT_VAR_BUDGET,
     DnfFormula,
@@ -88,13 +88,13 @@ def _at_least(name: str, value: int, low: int) -> None:
     """Refuse a size below ``low`` (a generator argument, usually a CLI
     flag) with ParseError."""
     if value < low:
-        raise ParseError(f"{name} must be at least {low}, got {value}")
+        raise ParseError(f"{name} must be at least {low}, got {clip(str(value))}")
 
 
 def _at_most(name: str, value: int, high: int) -> None:
     """Refuse a size above ``high`` with ParseError."""
     if value > high:
-        raise ParseError(f"{name} must be at most {high}, got {value}")
+        raise ParseError(f"{name} must be at most {high}, got {clip(str(value))}")
 
 
 def _probability(name: str, value: float) -> None:
@@ -195,11 +195,8 @@ def random_formula(rng: random.Random, max_n: int = 4, max_m: int = 3) -> DnfFor
         if v not in used:
             i = rng.randrange(len(clauses))
             clauses[i] = clauses[i] | {v}
-    seen = []
-    for c in clauses:
-        if c not in seen:
-            seen.append(c)
-    return DnfFormula(n, tuple(seen))
+    # Drop repeated clauses, keeping the first of each.
+    return DnfFormula(n, tuple(dict.fromkeys(clauses)))
 
 
 def enumerate_small_formulas(max_n: int, max_m: int):

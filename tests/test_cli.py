@@ -521,6 +521,44 @@ def test_a_deeply_nested_plan_is_usage_error(command, tmp_path, capsys):
     assert "malformed plan" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "case,quoted",
+    [
+        ("nested gadget", "plan: gadget 0 is [[[["),
+        ("long first", "malformed plan: ValueError(\"'xxxx"),
+        ("long transcript line", "unrecognized transcript line: 'cut 9999"),
+        ("long string id", "bad string id '1111"),
+        ("huge flag", "max coins must be at most 1000000, got 9999"),
+    ],
+)
+def test_an_error_line_quotes_at_most_a_bounded_piece_of_input(case, quoted, tmp_path, capsys):
+    """An input value that an error quotes is cut to a fixed length, so
+    the error stays one short line however large the value."""
+    board, plan = _compile(tmp_path, CONJUNCTION, "conj")
+    bad = tmp_path / "bad.txt"
+    if case in ("nested gadget", "long first"):
+        doc = json.loads(Path(plan).read_text())
+        if case == "long first":
+            doc["first"] = "x" * 100_000
+        else:
+            # Gadget 0 becomes an array nested 800 deep: 1,600 characters.
+            doc["gadgets"][0] = "nested"
+        bad.write_text(json.dumps(doc).replace('"nested"', "[" * 800 + "]" * 800))
+    elif case == "long transcript line":
+        bad.write_text("cut " + "9" * 100_000 + " x\n")
+    elif case == "long string id":
+        bad.write_text("coins 1\nstring " + "1" * 100_000 + " 0 ground\n")
+    argv = {
+        "long transcript line": ["replay", "--in", board, "--game", "lava", "--transcript", str(bad)],
+        "long string id": ["solve", "--game", "lava", "--in", str(bad)],
+        "huge flag": ["verify", "oracle", "--seed", "1", "--max-coins", "9" * 4000],
+    }.get(case, ["play", "--in", board, "--plan", str(bad), "--policy-a", "random", "--policy-b", "random"])
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = _one_error_line(capsys)
+    assert quoted in err and len(err) < 600
+
+
 # sha256 of the ``play`` transcript (first 16 hex digits) of every
 # --policy-a/--policy-b pair on CONJUNCTION at N=2, seed 0, keyed by
 # (first, policy-a, policy-b).  The CLI's greedy attacks the predicted
@@ -640,6 +678,14 @@ def test_out_of_range_size_flags_are_usage_errors(argv, formula, capsys):
 def test_a_strategies_campaign_of_no_seeds_is_a_usage_error(formula, capsys):
     assert run(["verify", "strategies", "--formula", formula, "--first", "trudy", "--seeds", "0"]) == 2
     assert capsys.readouterr().err == "error: --seeds must be at least 1, got 0\n"
+
+
+def test_verify_oracle_refuses_a_string_cap_the_oracle_cannot_check(capsys):
+    """``naive_solve`` refuses more than 14 alive strings, so a larger
+    ``--max-strings`` is refused before any board is drawn, whatever the
+    seed."""
+    assert run(["verify", "oracle", "--max-strings", "15", "--count", "1", "--seed", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --max-strings 15 is above the oracle's budget 14\n")
 
 
 def test_verify_strategies_refuses_a_bad_formula_before_solving_the_game(tmp_path, monkeypatch, capsys):

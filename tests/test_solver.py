@@ -9,6 +9,7 @@ k-chain scores net -k for the mover.
 import hashlib
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -417,3 +418,17 @@ def test_solve_results_from_mid_game_positions_are_pinned():
         for kind in GameKind:
             digest.update(repr(solve(state, kind)).encode() + b"\n")
     assert digest.hexdigest() == MID_GAME_SOLVE_DIGEST
+
+
+def test_a_board_of_many_ropes_is_refused_quickly():
+    """A board of 10^5 single-string ropes needs budget 10^5.  Its
+    refusal multiplies the rope factors pairwise and builds no search
+    table, so it takes well under a second."""
+    b = GraphBuilder()
+    for c in b.add_coins(100_000):
+        b.add_string(c, GROUND)
+    state = initial_state(b.build())
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="in 100000 ropes need budget 100000, above 24"):
+        solve(state, LAVA)
+    assert time.perf_counter() - start < 3
