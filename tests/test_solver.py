@@ -423,7 +423,7 @@ def test_solve_results_from_mid_game_positions_are_pinned():
 def test_a_board_of_many_ropes_is_refused_quickly():
     """A board of 10^5 single-string ropes needs budget 10^5.  Its
     refusal multiplies the rope factors pairwise and builds no search
-    table, so it takes well under a second."""
+    table, so it finishes well within three seconds."""
     b = GraphBuilder()
     for c in b.add_coins(100_000):
         b.add_string(c, GROUND)
