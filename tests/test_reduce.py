@@ -35,7 +35,7 @@ from coingames.reduce import (
     total_strings,
 )
 from coingames.solver import solve, winner_of
-from coingames.verify import random_formula
+from coingames.verify import RandomMultigraphs, random_formula
 
 
 MAJORITY = "x1 x2\nx1 x3\nx2 x3"
@@ -424,3 +424,22 @@ def test_compiled_boards_are_lava_playable(seed: int):
     legal = legal_moves(state, GameKind.COINS_ARE_LAVA)
     # Nothing is pendant at the start, so every cut is legal.
     assert len(legal) == g.string_count
+
+
+def _text_and_labels(g) -> str:
+    labels = "".join(f"{sid} {label}\n" for sid, label in sorted(g.labels.items()))
+    return canonical_text(g) + labels
+
+
+def test_reduced_boards_and_labels_are_byte_stable():
+    """Both board-to-board reductions, on a compiled (labelled) board and
+    on 20 seeded random boards with isolated coins and ground strings,
+    pinned as written before the builder appended whole boards."""
+    boards = [compile_gamesat_to_lava(parse_dnf("x1 x2"), 2, Mover.TRUDY).graph]
+    boards += RandomMultigraphs(max_coins=5, max_strings=10, ground_prob=0.3, seed=18).instances(20)
+    digest = hashlib.sha256()
+    for g in boards:
+        digest.update(_text_and_labels(reduce_lava_to_nimstring(g)).encode())
+        digest.update(_text_and_labels(reduce_nimstring_to_sac(g)).encode())
+    assert len(boards) == 21
+    assert digest.hexdigest() == "da92d3b3359e9c508865753bf8abca9739f44386e2a41af9058ea372509c3c2c"

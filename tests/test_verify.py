@@ -1,5 +1,6 @@
 """Self-auditing campaigns: oracles, reductions, structure, and parity."""
 
+import hashlib
 import json
 import random
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coingames.engine import GameKind, initial_state
 from coingames.gamesat import Mover, parse_dnf
-from coingames.multigraph import GraphBuilder
+from coingames.multigraph import GraphBuilder, canonical_text
 from coingames.reduce import reduce_lava_to_nimstring
 from coingames.solver import NAIVE_BUDGET, solve
 from coingames.verify import (
@@ -238,3 +239,12 @@ def test_strategy_campaign_records_minimal_n():
         assert stats[name]["losses"] == 0
         assert stats[name]["violations"] == 0
         assert stats[name]["census_ok"] is True
+
+
+def test_planted_loony_instances_are_pinned():
+    """The first 50 planted instances (board text and the two planted
+    ids), pinned as written before the builder appended whole boards."""
+    digest = hashlib.sha256()
+    for g, a_sid, b_sid in LoonyPlanter(seed=11).instances(50):
+        digest.update(f"{canonical_text(g)}a {a_sid} b {b_sid}\n".encode())
+    assert digest.hexdigest() == "16146401dfa034207f68adeb61023065c30f9e19af498afcf45b748a4e139115"
