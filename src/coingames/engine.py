@@ -101,7 +101,7 @@ class Rules:
         self.lava = kind is GameKind.COINS_ARE_LAVA
         self.coin_mask = [bitmask(ids) for ids in board.incidence]
         mask = self.coin_mask
-        self.ends = [(mask[s.a] if s.a >= 0 else 0, mask[s.b] if s.b >= 0 else 0) for s in board.strings]
+        self.ends = [(mask[a] if a >= 0 else 0, mask[b] if b >= 0 else 0) for a, b in board.strings]
 
     def moves(self, alive: int) -> list[int]:
         """The legal cuts in ascending order: every alive string, less
@@ -140,7 +140,7 @@ def apply_move(state: GameState, kind: GameKind, sid: int) -> GameState:
     alive = bitmask(state.alive)
     freed = rules.freed(alive, sid)
     if freed and rules.lava:
-        coins = tuple(c for c in board.strings[sid].coin_endpoints() if alive & rules.coin_mask[c] == 1 << sid)
+        coins = tuple(c for c in board.strings[sid] if c >= 0 and alive & rules.coin_mask[c] == 1 << sid)
         raise IllegalMove(f"string {sid} would free coin(s) {coins}")
     rest = state.alive - {sid}
     if not freed:
@@ -190,7 +190,6 @@ class LiveBoard:
         self.alive_count = board.string_count
         # A coin's degree is its incidence count on a self-loop-free board.
         self.degree = [len(ids) for ids in board.incidence]
-        self._ends = [(s.a, s.b) for s in board.strings]
         self._incidence = board.incidence
         # frozen[sid] is True once cutting sid would free a coin.
         self.frozen = [False] * board.string_count
@@ -226,7 +225,7 @@ class LiveBoard:
         # An alive string frees a coin exactly when it is frozen (its
         # coin is down to this one string), so only frozen cuts count.
         freed = 0
-        a, b = self._ends[sid]
+        a, b = self.board.strings[sid]
         degree = self.degree
         if self.frozen[sid]:
             if self._lava:

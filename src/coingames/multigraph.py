@@ -2,17 +2,20 @@
 
 Coins are vertices and strings are edges.  A string normally joins two
 coins, but either endpoint may instead be the ground: a shared, absent
-endpoint that never scores and is never freed.  Parallel strings are
-allowed and stored individually, each with its own dense id.  String ids
-are stable: game play never re-indexes a board, it only marks strings
-dead in a separate alive set.
+endpoint that never scores and is never freed.  A string is nothing but
+its endpoint pair, and its id is its index in ``Multigraph.strings``;
+parallel strings are allowed and stored individually, one index each.
+String ids are stable: game play never re-indexes a board, it only marks
+strings dead in a separate alive set.  ``GraphBuilder`` adds coins,
+strings and ropes, and appends whole boards with their coins, ids and
+labels shifted past its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidEndpoint, ParseError, clip
 
@@ -33,33 +36,12 @@ def is_coin(endpoint: int) -> bool:
     return endpoint >= 0
 
 
-@dataclass(frozen=True)
-class StringEdge:
-    """One string.  Endpoints are unordered; (a, b) equals (b, a)."""
+class StringEdge(NamedTuple):
+    """One string: its two endpoints, unordered.  Its id is its index in
+    ``Multigraph.strings``."""
 
-    id: int
     a: int
     b: int
-
-    def coin_endpoints(self) -> tuple[int, ...]:
-        a, b = self.a, self.b
-        if is_coin(a):
-            return (a, b) if is_coin(b) else (a,)
-        return (b,) if is_coin(b) else ()
-
-    def touches(self, coin: int) -> bool:
-        return self.a == coin or self.b == coin
-
-    def other_end(self, coin: int) -> int:
-        """The endpoint opposite ``coin``; for a self-loop returns ``coin``."""
-        return self.b if self.a == coin else self.a
-
-    def pair(self) -> tuple[int, int]:
-        """Order-normalized endpoint pair, usable as a rope key."""
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
-
-    def is_self_loop(self) -> bool:
-        return is_coin(self.a) and self.a == self.b
 
 
 @dataclass(frozen=True)
@@ -81,7 +63,7 @@ class Multigraph:
 
     @cached_property
     def has_self_loop(self) -> bool:
-        return any(s.is_self_loop() for s in self.strings)
+        return any(a == b and is_coin(a) for a, b in self.strings)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.coin_count
@@ -97,11 +79,11 @@ class Multigraph:
         """String ids incident to each coin, ascending, each listed once;
         computed once per board."""
         inc: list[list[int]] = [[] for _ in range(self.coin_count)]
-        for s in self.strings:
-            if is_coin(s.a):
-                inc[s.a].append(s.id)
-            if is_coin(s.b) and s.b != s.a:
-                inc[s.b].append(s.id)
+        for sid, (a, b) in enumerate(self.strings):
+            if is_coin(a):
+                inc[a].append(sid)
+            if is_coin(b) and b != a:
+                inc[b].append(sid)
         return tuple(map(tuple, inc))
 
 
@@ -128,7 +110,7 @@ class GraphBuilder:
     def add_string(self, a: int, b: int, label: str | None = None) -> int:
         self._check(a, b)
         sid = len(self._strings)
-        self._strings.append(StringEdge(sid, a, b))
+        self._strings.append(StringEdge(a, b))
         if label is not None:
             self._labels[sid] = label
         return sid
@@ -139,10 +121,22 @@ class GraphBuilder:
             raise ValueError("rope width must be >= 1")
         self._check(a, b)
         ids = list(range(len(self._strings), len(self._strings) + width))
-        self._strings += [StringEdge(sid, a, b) for sid in ids]
+        self._strings += [StringEdge(a, b)] * width
         if label is not None:
             self._labels.update(dict.fromkeys(ids, label))
         return ids
+
+    def add_board(self, g: Multigraph) -> None:
+        """Append ``g``: its coins, string ids and labels come after this
+        builder's; the ground stays the ground."""
+        coin_off, sid_off = self.coin_count, len(self._strings)
+
+        def shift(e: int) -> int:
+            return e if e == GROUND else e + coin_off
+
+        self._strings += [StringEdge(shift(a), shift(b)) for a, b in g.strings] if coin_off else g.strings
+        self._labels.update({sid + sid_off: label for sid, label in g.labels.items()})
+        self.coin_count += g.coin_count
 
     def build(self) -> Multigraph:
         return Multigraph(self.coin_count, tuple(self._strings), dict(self._labels))
@@ -150,18 +144,10 @@ class GraphBuilder:
 
 def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:
     """Concatenate two boards; h's coins and strings are re-indexed after g's."""
-    coin_off = g.coin_count
-    sid_off = g.string_count
-
-    def shift(e: int) -> int:
-        return e if e == GROUND else e + coin_off
-
-    moved = tuple(
-        StringEdge(s.id + sid_off, shift(s.a), shift(s.b)) for s in h.strings
-    )
-    labels = dict(g.labels)
-    labels.update({sid + sid_off: lab for sid, lab in h.labels.items()})
-    return Multigraph(g.coin_count + h.coin_count, g.strings + moved, labels)
+    b = GraphBuilder()
+    b.add_board(g)
+    b.add_board(h)
+    return b.build()
 
 
 def cycle_graph(n: int) -> Multigraph:
@@ -179,10 +165,10 @@ def cycle_graph(n: int) -> Multigraph:
 def canonical_text(g: Multigraph) -> str:
     """Deterministic text serialization; round-trips through parse_text."""
     lines = [f"coins {g.coin_count}"]
-    for s in g.strings:
-        ea = "ground" if s.a == GROUND else str(s.a)
-        eb = "ground" if s.b == GROUND else str(s.b)
-        lines.append(f"string {s.id} {ea} {eb}")
+    for sid, (a, b) in enumerate(g.strings):
+        ea = "ground" if a == GROUND else str(a)
+        eb = "ground" if b == GROUND else str(b)
+        lines.append(f"string {sid} {ea} {eb}")
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +223,7 @@ def parse_text(text: str) -> Multigraph:
                     if not (0 <= e < coin_count):
                         raise ParseError(f"line {lineno}: coin {clip(str(e))} out of range")
                     ends.append(e)
-            strings.append(StringEdge(sid, ends[0], ends[1]))
+            strings.append(StringEdge(*ends))
         else:
             raise ParseError(f"line {lineno}: unknown record {clip(repr(parts[0]))}")
     if coin_count is None:
@@ -249,10 +235,10 @@ def ropes(g: Multigraph, alive: Iterable[int] | None = None) -> dict[tuple[int, 
     """Group (alive) strings into ropes by their endpoint pair."""
     keep = set(alive) if alive is not None else None
     out: dict[tuple[int, int], list[int]] = {}
-    for s in g.strings:
-        if keep is not None and s.id not in keep:
+    for sid, (a, b) in enumerate(g.strings):
+        if keep is not None and sid not in keep:
             continue
-        out.setdefault(s.pair(), []).append(s.id)
+        out.setdefault((a, b) if a <= b else (b, a), []).append(sid)
     return out
 
 
@@ -274,11 +260,11 @@ def to_dot(
     for c in range(g.coin_count):
         name = coin_names.get(c, f"c{c}")
         lines.append(f'  c{c} [label="{name}"];')
-    for s in g.strings:
-        na = "ground" if s.a == GROUND else f"c{s.a}"
-        nb = "ground" if s.b == GROUND else f"c{s.b}"
-        attrs = [f'tooltip="string {s.id}"']
-        color = string_colors.get(s.id)
+    for sid, (a, b) in enumerate(g.strings):
+        na = "ground" if a == GROUND else f"c{a}"
+        nb = "ground" if b == GROUND else f"c{b}"
+        attrs = [f'tooltip="string {sid}"']
+        color = string_colors.get(sid)
         if color:
             attrs.append(f'color="{color}"')
         lines.append(f"  {na} -- {nb} [{', '.join(attrs)}];")

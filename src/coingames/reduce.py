@@ -62,9 +62,7 @@ def reduce_lava_to_nimstring(g: Multigraph, chain_len: int = DEFAULT_CHAIN_LEN) 
     if size > MAX_STRINGS:
         raise ReductionError(f"anchored board needs {size} strings, above {MAX_STRINGS}")
     b = GraphBuilder()
-    b.add_coins(g.coin_count)
-    for s in g.strings:
-        b.add_string(s.a, s.b, g.labels.get(s.id))
+    b.add_board(g)
     for c in range(g.coin_count):
         chain = [c, *b.add_coins(chain_len - 1), GROUND]
         for x, y in zip(chain, chain[1:]):

@@ -316,13 +316,14 @@ def find_loony_witnesses(state: GameState) -> list[LoonyWitness]:
             continue
         degree1_neighbors = set()
         for sid in incident:
-            other = board.strings[sid].other_end(coin_b)
+            x, y = board.strings[sid]
+            other = y if x == coin_b else x
             if is_coin(other) and state.alive_degree(other) == 1:
                 degree1_neighbors.add(other)
         if len(degree1_neighbors) != 1:
             continue
         coin_a = degree1_neighbors.pop()
-        a, b = incident if board.strings[incident[0]].touches(coin_a) else incident[::-1]
+        a, b = incident if coin_a in board.strings[incident[0]] else incident[::-1]
         out.append(LoonyWitness(a, b, coin_a, coin_b))
     out.sort(key=lambda w: (w.a, w.b))
     return out

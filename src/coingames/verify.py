@@ -324,9 +324,7 @@ class LoonyPlanter:
             strings = rng.randint(0, 8)
             base = random_multigraph(rng, coins, strings, 0.3)
             b = GraphBuilder()
-            b.add_coins(base.coin_count)
-            for s in base.strings:
-                b.add_string(s.a, s.b)
+            b.add_board(base)
             coin_b = b.add_coin()
             coin_a = b.add_coin()
             a_sid = b.add_string(coin_a, coin_b)

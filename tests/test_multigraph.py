@@ -76,7 +76,7 @@ def test_self_loop_detection():
     b.add_string(c, c)
     g = b.build()
     assert g.has_self_loop
-    assert g.strings[0].is_self_loop()
+    assert g.strings[0] == (c, c)
     assert g.degrees()[c] == 2
 
 
@@ -88,12 +88,10 @@ def test_ground_loop_is_not_a_self_loop():
 
 
 def test_string_edge_helpers():
-    s = StringEdge(0, 3, GROUND)
-    assert (s.a, s.b) == (3, GROUND)
-    assert s.coin_endpoints() == (3,)
-    assert s.touches(3) and s.touches(GROUND)
-    assert s.other_end(3) == GROUND
-    assert s.pair() == (GROUND, 3)
+    """A string is its endpoint pair: it unpacks and compares as one."""
+    s = StringEdge(3, GROUND)
+    assert (s.a, s.b) == (3, GROUND) == s
+    assert StringEdge._fields == ("a", "b")
 
 
 def test_cycle_graph_shape():

@@ -352,7 +352,7 @@ def test_rope_quotient_matches_oracle_on_rope_heavy_boards(seed: int, coins: int
         assert fast.principal_move in legal_moves(state, kind), kind
         # Ties within a rope go to its lowest string id, as in a search
         # over every string in id order.
-        assert fast.principal_move == min(ropes(g)[g.strings[fast.principal_move].pair()])
+        assert fast.principal_move == min(ropes(g)[tuple(sorted(g.strings[fast.principal_move]))])
         nxt = apply_move(state, kind, fast.principal_move)
         if kind is GameKind.STRINGS_AND_COINS:
             assert margin_for(nxt, kind, state.mover) == fast.net_for_mover
