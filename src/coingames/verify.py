@@ -67,7 +67,8 @@ class CampaignReport:
 
     @property
     def ok(self) -> bool:
-        return self.fails == 0 and self.skipped == 0
+        """At least one pass and no fail or skip: a campaign that checked nothing shows nothing."""
+        return self.passes > 0 and self.fails == 0 and self.skipped == 0
 
     def tally(self, ok: bool, counterexample: Callable[[], dict]) -> None:
         """Count a pass, or a fail with the dict that ``counterexample()``
@@ -207,7 +208,7 @@ def enumerate_small_formulas(max_n: int, max_m: int):
         for size in range(1, n + 1):
             for combo in itertools.combinations(range(n), size):
                 subsets.append(frozenset(combo))
-        for m in range(1, max_m + 1):
+        for m in range(1, min(max_m, len(subsets)) + 1):
             for clause_combo in itertools.combinations(subsets, m):
                 yield DnfFormula(n, tuple(clause_combo))
 
@@ -499,7 +500,9 @@ def sweep_structure(count: int, seed: int) -> CampaignReport:
 def check_skip_dominance(max_n: int = 3, max_m: int = 3) -> CampaignReport:
     """Exhaustive: for every small positive DNF and both first movers,
     the value with skips equals the value without, and is never
-    Unresolved."""
+    Unresolved.  ``max_n`` above the Game SAT budget is refused with
+    ParseError before any formula is solved."""
+    _at_most("max variables", max_n, DEFAULT_VAR_BUDGET)
     report = CampaignReport("skip-dominance", details={"formulas": 0})
     for f in enumerate_small_formulas(max_n, max_m):
         report.details["formulas"] += 1
@@ -525,7 +528,8 @@ def campaign_strategies(
 ) -> CampaignReport:
     """Run the predicted winner's script against UniformRandom,
     GreedyDisabler, and the opposing script at each N until one N yields
-    a perfect campaign; record that minimal N."""
+    a perfect campaign (every opponent played at least one playout and
+    lost all of them); record that minimal N."""
     # The compiler refuses a bad formula or size before it solves the game.
     artifact = compile_gamesat_to_lava(f, N_values[0], first)
     side = artifact.winner
@@ -583,7 +587,7 @@ def campaign_strategies(
                 "violations": violations,
                 "census_ok": census_ok,
             }
-            all_ok = all_ok and losses == 0 and violations == 0 and census_ok
+            all_ok = all_ok and 0 < wins == seeds and census_ok
         report.details["per_N"][str(N)] = stats
         report.count += 1
         report.tally(all_ok, lambda: {"N": N, "stats": stats})

@@ -3,6 +3,7 @@ that deletes, renames or stops binding one of them must fail here, not
 in the benchmark.  Nothing under ``perfbench/`` is changed by this test."""
 
 import importlib
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,9 +50,11 @@ def test_every_traced_function_is_hooked_and_then_restored(monkeypatch):
 
 
 def test_every_workload_sets_up_and_runs_its_first_item(monkeypatch, tmp_path):
-    """Each benchmark workload, at one seed, builds its round and runs
-    its first item to an ``ok`` outcome: a refactor that drops a name the
-    workloads call fails here too."""
+    """Each benchmark workload, at one seed, builds its round, runs its
+    first item to an ``ok`` outcome and reports its inputs and extra
+    outcomes as the benchmark's report does: a refactor that drops a name
+    the workloads call, or an attribute they read off a board (a
+    string's ``a`` and ``b``), fails here too."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     cg = workloads.import_package()
@@ -61,5 +64,6 @@ def test_every_workload_sets_up_and_runs_its_first_item(monkeypatch, tmp_path):
             workload.setup(cg, 1, str(tmp_path / name))
             ok, outcome = workload.run_item(workload.items[0])
             assert ok, (name, outcome)
+            json.dumps([workload.inputs(), workload.digest_extra()])
         finally:
             workload.close()

@@ -307,7 +307,7 @@ def test_structure_audits_keep_their_defaults(formula, monkeypatch):
 
     def record(*args):
         calls.append(args[-2:])
-        return CampaignReport("structure")
+        return CampaignReport("structure", passes=1)
 
     monkeypatch.setattr(cli_module, "check_structure", record)
     monkeypatch.setattr(cli_module, "sweep_structure", record)
@@ -329,6 +329,18 @@ def test_verify_skip_dominance(capsys):
     assert run(["verify", "skip-dominance", "--max-n", "2", "--max-m", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
+
+
+def test_verify_skip_dominance_refuses_more_variables_than_game_sat_solves(monkeypatch, capsys):
+    """Every formula up to the bound is solved, so a bound past the Game
+    SAT budget is refused before the first solve."""
+
+    def skip_dominance_check(*args):
+        raise AssertionError("solved a formula before the bound was checked")
+
+    monkeypatch.setattr(verify_module, "skip_dominance_check", skip_dominance_check)
+    assert run(["verify", "skip-dominance", "--max-n", "13", "--max-m", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: max variables must be at most 12, got 13\n")
 
 
 def test_verify_strategies_small(formula, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,7 @@ from coingames.verify import (
     parity_campaign,
     random_multigraph,
     recount_structure,
+    sweep_structure,
 )
 
 
@@ -39,6 +41,23 @@ def test_report_ok_requires_no_fails_and_no_skips():
     assert CampaignReport("x", passes=3).ok
     assert not CampaignReport("x", fails=1).ok
     assert not CampaignReport("x", skipped=1).ok
+    assert not CampaignReport("x").ok
+
+
+def test_a_campaign_that_checks_nothing_is_not_ok():
+    """Library calls with empty sizes (the CLI refuses these flags with
+    exit 2) do no work, so none of them may report success."""
+    strategies = campaign_strategies(parse_dnf("x1 x2\n"), Mover.TRUDY, seeds=0)
+    reports = [
+        strategies,
+        check_oracle(RandomMultigraphs(3, 5, 0.3, 1), 0),
+        parity_campaign(minimum=0),
+        check_skip_dominance(0, 0),
+        sweep_structure(0, 1),
+        check_loony(LoonyPlanter(1), -3),
+    ]
+    assert [(r.name, r.passes, r.ok) for r in reports] == [(r.name, 0, False) for r in reports]
+    assert strategies.details["minimal_N"] is None
 
 
 def test_report_serializes_to_json():
@@ -102,6 +121,16 @@ def test_small_bias_shrinks_instances():
 def test_enumerate_small_formulas_counts():
     assert sum(1 for _ in enumerate_small_formulas(2, 2)) == 7
     assert sum(1 for _ in enumerate_small_formulas(3, 2)) == 35
+
+
+def test_enumerate_small_formulas_stops_at_the_clause_count():
+    """Three variables have 7 distinct clauses, so a clause bound past 7
+    adds nothing and costs nothing."""
+    start = time.perf_counter()
+    huge = list(enumerate_small_formulas(3, 10**5))
+    assert time.perf_counter() - start < 1
+    assert huge == list(enumerate_small_formulas(3, 7))
+    assert len(huge) == 135
 
 
 def test_oracle_campaign_small():
