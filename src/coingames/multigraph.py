@@ -37,8 +37,8 @@ def is_coin(endpoint: int) -> bool:
 
 
 class StringEdge(NamedTuple):
-    """One string: its two endpoints, unordered.  Its id is its index in
-    ``Multigraph.strings``."""
+    """One string: its two endpoints, whose order means nothing in play.
+    Its id is its index in ``Multigraph.strings``."""
 
     a: int
     b: int

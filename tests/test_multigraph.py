@@ -88,7 +88,7 @@ def test_ground_loop_is_not_a_self_loop():
 
 
 def test_string_edge_helpers():
-    """A string is its endpoint pair: it unpacks and compares as one."""
+    """A string is its endpoint pair: two fields, equal to the plain tuple."""
     s = StringEdge(3, GROUND)
     assert (s.a, s.b) == (3, GROUND) == s
     assert StringEdge._fields == ("a", "b")
