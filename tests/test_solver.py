@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from coingames.engine import GameKind, GameState, Player, apply_move, initial_state, legal_moves
 from coingames.errors import BudgetExceeded, DegenerateInput
 from coingames.multigraph import GROUND, GraphBuilder, cycle_graph, ropes
-from coingames.reduce import reduce_nimstring_to_sac
+from coingames.reduce import reduce_lava_to_nimstring, reduce_nimstring_to_sac
 from coingames.solver import (
     DEFAULT_BUDGET,
     MAX_DEPTH,
@@ -418,6 +418,54 @@ def test_solve_results_from_mid_game_positions_are_pinned():
         for kind in GameKind:
             digest.update(repr(solve(state, kind)).encode() + b"\n")
     assert digest.hexdigest() == MID_GAME_SOLVE_DIGEST
+
+
+# sha256 of every ``repr(SolveResult)``, one per line, over the seeded
+# Lemma-3 pairs of ``test_win_loss_solves_on_many_ropes_are_pinned``.
+MANY_ROPES_SOLVE_DIGEST = "3ad7532c3975fde9728c9ca2af36de8c9f039eddf22430cc0e761710e3a28549"
+
+
+def test_win_loss_solves_on_many_ropes_are_pinned():
+    """Lemma-3 pairs shaped like the benchmark's: G has 3 coins, none
+    isolated, and 3-7 strings; H is G with every coin chained to ground,
+    18-22 strings in 16 or more ropes.  H is solved as Nimstring and G
+    as Coins-are-Lava, and on every fifth pair one or two strings of H
+    (and those of them that G shares) are cut first, leaving 15 or more
+    ropes.  Every field of every result is pinned."""
+    rng = random.Random(1919)
+    digest = hashlib.sha256()
+    start = time.perf_counter()
+    for i in range(100):
+        while True:
+            g = random_multigraph(rng, 3, rng.randint(3, 7), 0.3)
+            if all(g.degrees()[:3]):
+                break
+        h = reduce_lava_to_nimstring(g)
+        alive = frozenset(range(h.string_count))
+        if i % 5 == 0:
+            alive -= set(rng.sample(sorted(alive), rng.randint(1, 2)))
+        assert len(ropes(h, alive)) >= 15
+        for board, kind in ((h, NIM), (g, LAVA)):
+            state = GameState(board, alive & frozenset(range(board.string_count)))
+            digest.update(repr(solve(state, kind)).encode() + b"\n")
+    assert digest.hexdigest() == MANY_ROPES_SOLVE_DIGEST
+    assert time.perf_counter() - start < 2
+
+
+def test_the_deepest_search_needs_one_frame_per_cut():
+    """``solve`` holds one Python frame per cut and no more: a rope of
+    ``MAX_DEPTH`` strings from a coin to the ground is solved under every
+    rule set from 500 frames deep, inside the default recursion limit of
+    1000, visiting one position per alive count."""
+    b = GraphBuilder()
+    b.add_rope(b.add_coin(), GROUND, MAX_DEPTH)
+    state = initial_state(b.build())
+
+    def solve_from(depth: int, kind: GameKind) -> SolveResult:
+        return solve_from(depth - 1, kind) if depth else solve(state, kind)
+
+    for kind in GameKind:
+        assert solve_from(500, kind).states_visited == MAX_DEPTH
 
 
 def test_a_board_of_many_ropes_is_refused_quickly():
