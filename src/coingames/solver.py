@@ -63,6 +63,7 @@ or two cuts, chosen by solving the remainder graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from operator import mul
@@ -104,19 +105,19 @@ class _Search:
         if state.board.has_self_loop:
             raise DegenerateInput("board has a self-loop")
         board = state.board
-        # One slot per rope, in order of lowest string id: endpoints, alive
-        # count, place value (digits are base w + 1 for a rope of width w)
-        # and that lowest id, the string that a cut of the rope names.
-        self.ends = list(groups)
+        # One slot per rope, in order of lowest string id: alive count, that
+        # lowest id (the string a cut names) and what a cut reads: (index,
+        # endpoints, place value), digits base w + 1 for a rope of width w.
         self.first = [ids[0] for ids in groups.values()]
         self.count = [len(ids) for ids in groups.values()]
-        *self.place, top = accumulate((w + 1 for w in self.count), mul, initial=1)
+        *place, top = accumulate((w + 1 for w in self.count), mul, initial=1)
         self.full_key = top - 1
+        self.ropes = [(r, a, b, p) for r, ((a, b), p) in enumerate(zip(groups, place))]
         # Alive degree per coin, then one slot for the ground, which
         # ``GROUND`` (-1) indexes: it starts at 2, so it never reads 1 and
         # the ground is never freed.
         self.deg = [0] * board.coin_count + [2]
-        for (a, b), w in zip(self.ends, self.count):
+        for (a, b), w in zip(groups, self.count):
             self.deg[a] += w
             self.deg[b] += w
         self.states = 0
@@ -137,17 +138,20 @@ class _Search:
         self.floor = -board.coin_count - 1 if sac else -1
         self.leaves = {} if kind is GameKind.COINS_ARE_LAVA else {0: (0, 0) if sac else (-1, -1)}
 
-    def moves(self) -> list[tuple[int, int]]:
-        """(rope, coins its cut frees) for every rope with a string
-        alive: the freeing cuts in rope order, then the others in rope
-        order (Lava: the others only)."""
-        freeing, plain = [], []
-        deg = self.deg
-        for r, ((a, b), w) in enumerate(zip(self.ends, self.count)):
-            if w:
-                f = (deg[a] == 1) + (deg[b] == 1)
-                (freeing if f else plain).append((r, f))
-        return freeing + plain if self.cuts_freeing else plain
+    def moves(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """(rope, its endpoints, its place value, coins its cut frees) for
+        every rope with a string alive: the freeing cuts in rope order,
+        then the others in rope order (Lava: the others only).  Lazy: the
+        caller restores ``count`` and ``deg`` before it resumes, so each
+        rope is read at the position's own degrees."""
+        count, deg = self.count, self.deg
+        if self.cuts_freeing:
+            for r, a, b, p in self.ropes:
+                if count[r] and (f := (deg[a] == 1) + (deg[b] == 1)):
+                    yield r, a, b, p, f
+        for r, a, b, p in self.ropes:
+            if count[r] and deg[a] != 1 and deg[b] != 1:
+                yield r, a, b, p, 0
 
 
 def _value(s: _Search, key: int, alpha: int, beta: int, memo: dict[int, tuple[int, int]]) -> int:
@@ -172,8 +176,7 @@ def _value(s: _Search, key: int, alpha: int, beta: int, memo: dict[int, tuple[in
     alpha, beta = max(alpha, lo), min(beta, hi)
     a, best = alpha, s.floor
     deg, count = s.deg, s.count
-    for r, f in s.moves():
-        ea, eb = s.ends[r]
+    for r, ea, eb, p, f in s.moves():
         count[r] -= 1
         deg[ea] -= 1
         deg[eb] -= 1
@@ -181,10 +184,10 @@ def _value(s: _Search, key: int, alpha: int, beta: int, memo: dict[int, tuple[in
             # The mover keeps the turn and scores g: shift the window.
             g = f * s.points
             s.reach -= g
-            value = _value(s, key - s.place[r], a - g, beta - g, memo) + g
+            value = _value(s, key - p, a - g, beta - g, memo) + g
             s.reach += g
         else:
-            value = -_value(s, key - s.place[r], -beta, -a, memo)
+            value = -_value(s, key - p, -beta, -a, memo)
         count[r] += 1
         deg[ea] += 1
         deg[eb] += 1

@@ -497,12 +497,35 @@ def sweep_structure(count: int, seed: int) -> CampaignReport:
     return report
 
 
+# Work that ``check_skip_dominance`` accepts, in the units of
+# ``_skip_dominance_work``: (7, 1) is 332,643 and (4, 5) 403,662, each
+# a few seconds, while (8, 1) is 2,005,698 and takes about half a minute.
+SKIP_DOMINANCE_WORK_CAP = 500_000
+
+
+def _skip_dominance_work(max_n: int, max_m: int) -> int:
+    """Closed form of the sum of 3^n over the formulas that
+    ``enumerate_small_formulas(max_n, max_m)`` yields: each formula on n
+    variables is solved with a table of 3^n positions, and there are
+    C(2^n - 1, m) formulas of m clauses."""
+    work = 0
+    for n in range(1, max_n + 1):
+        subsets = 2**n - 1
+        formulas = 1
+        for m in range(1, min(max_m, subsets) + 1):
+            formulas = formulas * (subsets - m + 1) // m
+            work += formulas * 3**n
+    return work
+
+
 def check_skip_dominance(max_n: int = 3, max_m: int = 3) -> CampaignReport:
     """Exhaustive: for every small positive DNF and both first movers,
     the value with skips equals the value without, and is never
-    Unresolved.  ``max_n`` above the Game SAT budget is refused with
-    ParseError before any formula is solved."""
+    Unresolved.  ``max_n`` above the Game SAT budget, or a campaign whose
+    work is above ``SKIP_DOMINANCE_WORK_CAP``, is refused with ParseError
+    before any formula is solved."""
     _at_most("max variables", max_n, DEFAULT_VAR_BUDGET)
+    _at_most("skip-dominance work", _skip_dominance_work(max_n, max_m), SKIP_DOMINANCE_WORK_CAP)
     report = CampaignReport("skip-dominance", details={"formulas": 0})
     for f in enumerate_small_formulas(max_n, max_m):
         report.details["formulas"] += 1

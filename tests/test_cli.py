@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,34 @@ def test_verify_skip_dominance_refuses_more_variables_than_game_sat_solves(monke
     monkeypatch.setattr(verify_module, "skip_dominance_check", skip_dominance_check)
     assert run(["verify", "skip-dominance", "--max-n", "13", "--max-m", "1"]) == 2
     assert capsys.readouterr() == ("", "error: max variables must be at most 12, got 13\n")
+
+
+@pytest.mark.parametrize("max_n", [8, 9])
+def test_verify_skip_dominance_refuses_a_campaign_of_too_much_work(max_n, monkeypatch, capsys):
+    """(8, 1) takes about half a minute and (9, 1) far longer; both are
+    refused in well under a second, before the first solve.  The work in
+    the message is the sum of 3^n over the formulas the campaign would
+    solve."""
+
+    def skip_dominance_check(*args):
+        raise AssertionError("solved a formula before the work was checked")
+
+    monkeypatch.setattr(verify_module, "skip_dominance_check", skip_dominance_check)
+    start = time.perf_counter()
+    assert run(["verify", "skip-dominance", "--max-n", str(max_n), "--max-m", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    work = sum(3**f.variable_count for f in verify_module.enumerate_small_formulas(max_n, 1))
+    assert capsys.readouterr() == ("", f"error: skip-dominance work must be at most 500000, got {work}\n")
+
+
+@pytest.mark.parametrize("max_n,max_m,formulas", [(2, 2, 7), (3, 3, 71), (7, 1, 247), (4, 5, 5070)])
+def test_verify_skip_dominance_runs_every_campaign_below_the_work_cap(max_n, max_m, formulas, monkeypatch, capsys):
+    """The largest accepted sizes, (7, 1) and (4, 5), run every formula;
+    the check is stubbed so that the test does not spend their seconds."""
+    monkeypatch.setattr(verify_module, "skip_dominance_check", lambda f, first: True)
+    assert run(["verify", "skip-dominance", "--max-n", str(max_n), "--max-m", str(max_m)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True and doc["details"]["formulas"] == formulas and doc["count"] == 2 * formulas
 
 
 def test_verify_strategies_small(formula, capsys):
