@@ -28,6 +28,14 @@ value.  A lost win/loss root has none.  ``states_visited`` counts the
 distinct positions expanded: one searched again under another window
 counts once, and one that the clamp alone answers is not expanded.
 
+Moves are generated lazily, in two passes over the ropes: the freeing
+cuts in rope order (Lava skips this pass), then the plain cuts in rope
+order.  ``_value`` restores the alive counts and degrees after each
+child, before it resumes the generator, so each rope's freeing status
+is read at the position's own degrees and the order equals that of an
+eager list.  A cutoff, the win/loss early stop included, skips every
+rope not yet reached.
+
 The search runs over the rope quotient of the position.  Parallel
 strings (a rope: same endpoint pair) are interchangeable, so a position
 is its alive count per rope.  The search keeps one slot per rope
