@@ -173,17 +173,13 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-_POLICIES = ("random", "greedy", "trudy-script", "fallon-script")
-
-
-def _make_policy(name: str, artifact):
-    if name == "random":
-        return UniformRandom()
-    if name == "greedy":
-        return GreedyDisabler(artifact, artifact.winner)
-    if name == "trudy-script":
-        return TrudyScript(artifact)
-    return FallonScript(artifact)
+# Each ``play`` policy, as a function from the compiled artifact to a policy.
+_POLICIES = {
+    "random": lambda artifact: UniformRandom(),
+    "greedy": lambda artifact: GreedyDisabler(artifact, artifact.winner),
+    "trudy-script": TrudyScript,
+    "fallon-script": FallonScript,
+}
 
 
 def _cmd_play(args) -> int:
@@ -191,8 +187,8 @@ def _cmd_play(args) -> int:
     artifact = artifact_from_json(_read(args.plan), graph)
     record = playout(
         artifact,
-        _make_policy(args.policy_a, artifact),
-        _make_policy(args.policy_b, artifact),
+        _POLICIES[args.policy_a](artifact),
+        _POLICIES[args.policy_b](artifact),
         seed=args.seed,
     )
     text = record.transcript_text()

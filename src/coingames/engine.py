@@ -20,6 +20,10 @@ and call it, and so does the oracle ``solver.naive_solve``.  The three
 stay public because the benchmark (``perfbench/``) traces them and calls
 ``legal_moves``.  ``LiveBoard`` is the mutable playout board with O(1)
 updates per cut.
+
+A self-loop (a string from a coin to itself) leaves freeing undefined,
+so a board with one is refused at two doors: building a ``GameState``
+and building a ``LiveBoard``.  Nothing that takes a state checks again.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ class GameState:
     mover: Player = Player.P1
     scores: tuple[int, int] = (0, 0)
 
+    def __post_init__(self) -> None:
+        if self.board.has_self_loop:
+            raise DegenerateInput("board has a self-loop; freeing semantics undefined")
+
     def score(self, p: Player) -> int:
         return self.scores[0] if p is Player.P1 else self.scores[1]
 
@@ -78,8 +86,6 @@ class Outcome:
 
 
 def initial_state(board: Multigraph, mover: Player = Player.P1) -> GameState:
-    if board.has_self_loop:
-        raise DegenerateInput("board has a self-loop; freeing semantics undefined")
     return GameState(board, frozenset(range(board.string_count)), mover)
 
 
@@ -132,8 +138,6 @@ def legal_moves(state: GameState, kind: GameKind) -> set[int]:
 
 def apply_move(state: GameState, kind: GameKind, sid: int) -> GameState:
     board = state.board
-    if board.has_self_loop:
-        raise DegenerateInput("board has a self-loop; freeing semantics undefined")
     if sid not in state.alive:
         raise IllegalMove(f"string {sid} is not alive")
     rules = Rules(board, kind)

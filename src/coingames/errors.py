@@ -23,7 +23,8 @@ class InvalidEndpoint(CoinGameError):
 
 
 class DegenerateInput(CoinGameError):
-    """The board contains a self-loop, which the game engines reject."""
+    """The board contains a self-loop.  Raised only where a game is
+    set up on a board: building a ``GameState`` or a ``LiveBoard``."""
 
 
 class IllegalMove(CoinGameError):

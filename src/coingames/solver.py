@@ -77,7 +77,7 @@ from itertools import accumulate, zip_longest
 from operator import mul
 
 from .engine import GameKind, GameState, Player, Rules, bitmask
-from .errors import BudgetExceeded, DegenerateInput
+from .errors import BudgetExceeded
 from .multigraph import is_coin, ropes
 
 DEFAULT_BUDGET = 24
@@ -110,8 +110,6 @@ class LoonyWitness:
 
 class _Search:
     def __init__(self, state: GameState, groups: dict[tuple[int, int], list[int]], kind: GameKind):
-        if state.board.has_self_loop:
-            raise DegenerateInput("board has a self-loop")
         board = state.board
         # One slot per rope, in order of lowest string id: alive count, that
         # lowest id (the string a cut names) and what a cut reads: (index,
@@ -254,8 +252,6 @@ def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
     alive strings."""
     if len(state.alive) > NAIVE_BUDGET:
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed naive budget {NAIVE_BUDGET}")
-    if state.board.has_self_loop:
-        raise DegenerateInput("board has a self-loop")
     sac = kind is GameKind.STRINGS_AND_COINS
     rules = Rules(state.board, kind)
     # A coin is freed at most once, so a gain is at most ``coin_count``
@@ -318,8 +314,6 @@ def winner_of(state: GameState, kind: GameKind, result: SolveResult) -> Player |
 
 def find_loony_witnesses(state: GameState) -> list[LoonyWitness]:
     board = state.board
-    if board.has_self_loop:
-        raise DegenerateInput("board has a self-loop")
     out = []
     for coin_b, strings in enumerate(board.incidence):
         incident = [sid for sid in strings if sid in state.alive]

@@ -212,8 +212,9 @@ class ArtifactTracker:
         return self._assignment
 
     def satisfied(self, key: str, assignment: tuple[bool | None, ...]) -> bool:
-        if key == "empty":
-            return True
+        """Whether ``assignment`` sets every variable of clause ``key``
+        true.  ``key`` names a real or a singleton clause; callers test
+        for the empty clause first."""
         kind, _, idx = key.partition(":")
         if kind == "real":
             return all(assignment[v] is True for v in self.artifact.formula.clauses[int(idx)])
@@ -648,10 +649,9 @@ class TrudyScript(_ScriptBase):
 
     def _margin(self, key: str) -> int:
         t = self.tracker
-        l2 = [w for w in t.clause_wires[key] if w.level == 2 and not w.disabled]
-        if not l2:
-            return -(10**9)
-        w = l2[0]
+        # The layout gives a real or singleton clause one level-2 wire, and
+        # a candidate is not doomed, so that wire is not disabled.
+        w = next(u for u in t.clause_wires[key] if u.level == 2)
         distance = sum(
             u.hp for u in self.threats if u is not w and (u.hp, u.index) < (w.hp, w.index)
         )

@@ -59,6 +59,15 @@ def test_solve_sac_score_line(board, capsys):
     assert "winner=P2 score=0-3" in out
 
 
+def test_solve_sac_with_p2_first_prints_the_score_from_p1s_side(tmp_path, capsys):
+    """The solver's net is the mover's; with P2 to move the CLI swaps it
+    so the score still reads P1-P2."""
+    path = tmp_path / "board.txt"
+    path.write_text("coins 2\nstring 0 0 1\nstring 1 1 ground\nstring 2 0 ground\nstring 3 0 ground\n")
+    assert run(["solve", "--game", "sac", "--in", str(path), "--first", "P2"]) == 0
+    assert capsys.readouterr().out.startswith("winner=P2 score=0-2 ")
+
+
 def test_solve_budget_exhaustion_is_usage_error(board, capsys):
     assert run(["solve", "--game", "sac", "--in", board, "--budget", "2"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -89,6 +98,20 @@ def test_malformed_board_is_usage_error(tmp_path, capsys):
     path.write_text("coins -3\n")
     assert run(["solve", "--game", "sac", "--in", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_bare_coins_header_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bare.txt"
+    path.write_text("coins\n")
+    assert run(["solve", "--game", "sac", "--in", str(path)]) == 2
+    assert _one_error_line(capsys) == "error: line 1: expected 'coins <count>'\n"
+
+
+def test_solve_refuses_a_self_loop_board(tmp_path, capsys):
+    path = tmp_path / "loop.txt"
+    path.write_text("coins 1\nstring 0 0 0\nstring 1 0 ground\n")
+    assert run(["solve", "--game", "sac", "--in", str(path)]) == 2
+    assert _one_error_line(capsys) == "error: board has a self-loop; freeing semantics undefined\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "replay"])
@@ -199,6 +222,24 @@ def test_reduce_pipeline_writes_all_three_boards(formula, tmp_path, capsys):
     sac = parse_text(paths["sac"].read_text())
     assert nim.string_count == lava.string_count + 5 * lava.coin_count
     assert sac.string_count == nim.string_count + nim.coin_count + 1
+
+
+def test_reduce_pipeline_plan_fits_its_lava_board(formula, tmp_path, capsys):
+    lava, plan = str(tmp_path / "lava.txt"), str(tmp_path / "plan.json")
+    argv = ["reduce", "pipeline", "--formula", formula, "--N", "2", "--first", "trudy", "--out-lava", lava]
+    argv += ["--out-nim", str(tmp_path / "nim.txt"), "--out-sac", str(tmp_path / "sac.txt"), "--plan", plan]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(["play", "--in", lava, "--plan", plan, "--policy-a", "random", "--policy-b", "random"]) == 0
+    assert "'winner':" in capsys.readouterr().out
+
+
+def test_reduce_gamesat_to_lava_refuses_more_variables_than_the_budget(tmp_path, capsys):
+    path = tmp_path / "wide.dnf"
+    path.write_text(" ".join(f"x{i}" for i in range(1, 14)) + "\n")
+    argv = ["reduce", "gamesat-to-lava", "--formula", str(path), "--N", "2", "--first", "trudy"]
+    assert run(argv + ["--out", str(tmp_path / "lava.txt")]) == 2
+    assert _one_error_line(capsys) == "error: 13 variables exceed budget 12\n"
 
 
 def test_verify_oracle_small(tmp_path, capsys):
@@ -451,6 +492,18 @@ def test_play_then_replay_round_trip(formula, tmp_path, capsys):
     assert f"winner=P1 score=0-0 plies={plies}" in line
 
 
+def test_play_without_out_prints_the_transcript_then_the_summary(tmp_path, capsys):
+    board, plan = _compile(tmp_path, CONJUNCTION, "conj")
+    log = tmp_path / "game.log"
+    argv = ["play", "--in", board, "--plan", plan, "--policy-a", "trudy-script", "--policy-b", "greedy"]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(log)]) == 0
+    summary = capsys.readouterr().out
+    assert summary.count("\n") == 1
+    assert run(argv) == 0
+    assert capsys.readouterr().out == log.read_text() + summary
+
+
 def test_replay_flags_illegal_transcripts(board, tmp_path, capsys):
     transcript = tmp_path / "bogus.log"
     cases = [
@@ -530,6 +583,14 @@ def _one_error_line(capsys) -> str:
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+def test_play_names_the_size_of_the_board_a_plan_compiles_to(tmp_path, capsys):
+    _, plan = _compile(tmp_path, CONJUNCTION, "conj")
+    board, _ = _compile(tmp_path, "x1 x2\nx1 x3\nx2 x3\n", "majority")
+    capsys.readouterr()
+    assert run(["play", "--in", board, "--plan", plan, "--policy-a", "random", "--policy-b", "random"]) == 2
+    assert _one_error_line(capsys) == "error: plan: its formula compiles to another board (265 strings)\n"
 
 
 @pytest.mark.parametrize("flag", ["--in", "--transcript", "--formula", "--plan"])
@@ -751,6 +812,16 @@ def test_gen_formula(capsys):
     from coingames.gamesat import parse_dnf
 
     parse_dnf(out)
+
+
+def test_gen_formula_out_writes_the_file_and_prints_nothing(tmp_path, capsys):
+    argv = ["gen", "formula", "--seed", "2", "--max-n", "3", "--max-m", "2"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "formula.dnf"
+    assert run(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == printed
 
 
 def test_export_dot_colors_gadgets(formula, tmp_path):

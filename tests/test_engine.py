@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from coingames.engine import (
     GameKind,
+    GameState,
     LiveBoard,
     Player,
     apply_move,
@@ -46,6 +47,24 @@ def test_initial_state_rejects_self_loop():
         initial_state(b.build())
     with pytest.raises(DegenerateInput):
         LiveBoard(b.build(), GameKind.NIMSTRING)
+
+
+def test_a_state_over_a_self_loop_board_is_refused():
+    """Every function that takes a state relies on ``GameState`` itself
+    refusing a coin-to-itself string; a ground-to-ground string frees
+    nothing and is allowed."""
+    b = GraphBuilder()
+    c = b.add_coin()
+    b.add_string(c, c)
+    b.add_string(c, GROUND)
+    with pytest.raises(DegenerateInput, match="^board has a self-loop; freeing semantics undefined$"):
+        GameState(b.build(), frozenset({0, 1}))
+    b = GraphBuilder()
+    c = b.add_coin()
+    b.add_string(GROUND, GROUND)
+    b.add_string(c, GROUND)
+    state = GameState(b.build(), frozenset({0, 1}), Player.P2)
+    assert legal_moves(state, GameKind.NIMSTRING) == {0, 1}
 
 
 def test_lava_forbids_freeing_cuts():
