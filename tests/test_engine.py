@@ -63,7 +63,7 @@ def test_a_state_over_a_self_loop_board_is_refused():
     c = b.add_coin()
     b.add_string(GROUND, GROUND)
     b.add_string(c, GROUND)
-    state = GameState(b.build(), frozenset({0, 1}), Player.P2)
+    state = GameState(b.build(), frozenset({0, 1}))
     assert legal_moves(state, GameKind.NIMSTRING) == {0, 1}
 
 
