@@ -452,6 +452,27 @@ def test_win_loss_solves_on_many_ropes_are_pinned():
     assert time.perf_counter() - start < 2
 
 
+# sha256 of every ``repr(SolveResult)``, one per line, over the seeded
+# boards of ``test_win_loss_solves_on_lava_item_boards_are_pinned``.
+LAVA_ITEM_SOLVE_DIGEST = "c0c23f8d49b027aae2884e233db01f81ddbe03d30ef235d37e4ac0ebb7bf7816"
+
+
+def test_win_loss_solves_on_lava_item_boards_are_pinned():
+    """Fresh random boards of 3-5 coins and 17-22 strings, the shape of
+    the benchmark's Lava items and above the 16 strings that the
+    mid-game pin draws, solved as Nimstring and as Coins-are-Lava: every
+    field of every result is pinned."""
+    rng = random.Random(2121)
+    digest = hashlib.sha256()
+    start = time.perf_counter()
+    for _ in range(12):
+        state = initial_state(random_multigraph(rng, rng.randint(3, 5), rng.randint(17, 22), 0.3))
+        for kind in (NIM, LAVA):
+            digest.update(repr(solve(state, kind)).encode() + b"\n")
+    assert digest.hexdigest() == LAVA_ITEM_SOLVE_DIGEST
+    assert time.perf_counter() - start < 1
+
+
 def test_the_deepest_search_needs_one_frame_per_cut():
     """``solve`` holds one Python frame per cut and no more: a rope of
     ``MAX_DEPTH`` strings from a coin to the ground is solved under every

@@ -171,6 +171,27 @@ def test_lemma3_campaign_small():
     assert rep.passes == 10
 
 
+def test_lemma3_sweep_with_three_coin_g():
+    """G of up to 3 coins and 7 strings, so H reaches 22 strings: every
+    instance is solved on both sides, none is skipped."""
+    gen = RandomMultigraphs(max_coins=3, max_strings=7, ground_prob=0.3, seed=7, no_isolated=True)
+    rep = check_lemma3(gen, 100)
+    assert rep.ok, rep.counterexamples[:3]
+    assert (rep.passes, rep.skipped) == (100, 0)
+
+
+def test_lemma1_sweep_above_the_oracle_cap():
+    """G of up to 4 coins and 22 strings, a quarter of them above the
+    oracle's 14: Nimstring on G and Strings-and-Coins on H run in
+    different searches, so each cross-checks the other where the oracle
+    cannot."""
+    gen = RandomMultigraphs(max_coins=4, max_strings=22, ground_prob=0.3, seed=8)
+    assert max(g.string_count for g in gen.instances(30)) > NAIVE_BUDGET
+    rep = check_lemma1(gen, 30)
+    assert rep.ok, rep.counterexamples[:3]
+    assert (rep.passes, rep.skipped) == (30, 0)
+
+
 @pytest.mark.parametrize(
     "check,no_isolated", [(check_lemma1, False), (check_lemma3, True)], ids=["lemma1", "lemma3"]
 )
