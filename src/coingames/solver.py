@@ -1,40 +1,40 @@
 """Exact solvers for all three games, plus loony-position tools.
 
-``solve`` runs one memoized negamax, ``_value``, for all three games.
-Its value is for the player to move: the net score still to come in
-Strings-and-Coins, and +1 (win) or -1 (loss) in Nimstring and
-Coins-are-Lava.  The games share their one move, cutting a string, and
-differ in two rules: a cut that frees a coin is illegal in Lava and
-scores the coin in Strings-and-Coins.  In every game a freeing cut keeps
-the turn, so that child's value keeps its sign (plus the coins it
-scores); any other cut passes the turn and negates it.
+``solve`` runs one of two memoized searches.  The games share their one
+move, cutting a string, and differ in two rules: a cut that frees a coin
+is illegal in Lava and scores the coin in Strings-and-Coins.  In every
+game a freeing cut keeps the turn; any other cut passes it.
 
-The negamax is fail-soft alpha-beta.  A position searched on the window
-(alpha, beta) returns its exact value when that lies strictly inside
-the window, else a bound on the side it fell: an upper bound at or
-below alpha, a lower bound at or above beta.  A plain cut searches its
-child on (-beta, -alpha) and negates the result; a freeing cut that
-scores g coins searches its child on (alpha - g, beta - g) and adds g.
-Each position's window is first clamped to the range of its value: plus
-or minus the coins that still have an alive string in
-Strings-and-Coins, plus or minus 1 in the win/loss games.  The memo
-keeps a (lower, upper) bound pair per position and narrows the window
-with it.  In Nimstring and Lava the clamp leaves only the window
-(-1, 1), so every stored bound is exact and a beta cut is the stop at
-the first winning child: the win/loss search is a plain negamax with
-early stop.  The principal move is recorded while the root is searched
-on the full window: the first child, in search order, worth the root's
-value.  A lost win/loss root has none.  ``states_visited`` counts the
-distinct positions expanded: one searched again under another window
-counts once, and one that the clamp alone answers is not expanded.
+Nimstring and Coins-are-Lava decide only who wins, and ``_wins`` solves
+them by a plain negamax with early stop (*Winning Ways*, vol. 3,
+ch. 16).  A position is won when some cut reaches a won position by a
+freeing cut (the mover moves again) or a lost one by a plain cut (the
+opponent moves); it returns at the first such cut.  Its memo maps a won
+position to its winning rope plus 1 and a lost one to 0, and the root's
+entry gives the principal move.  A lost root has none.
 
-Moves are generated lazily, in two passes over the ropes: the freeing
-cuts in rope order (Lava skips this pass), then the plain cuts in rope
-order.  ``_value`` restores the alive counts and degrees after each
-child, before it resumes the generator, so each rope's freeing status
-is read at the position's own degrees and the order equals that of an
-eager list.  A cutoff, the win/loss early stop included, skips every
-rope not yet reached.
+Strings-and-Coins is valued by ``_value``, a fail-soft alpha-beta
+negamax on the net score still to come for the player to move.  A
+position searched on the window (alpha, beta) returns its exact value
+when that lies strictly inside the window, else a bound on the side it
+fell: an upper bound at or below alpha, a lower bound at or above beta.
+A plain cut searches its child on (-beta, -alpha) and negates the
+result; a freeing cut that scores g coins searches its child on
+(alpha - g, beta - g) and adds g.  Each position's window is first
+clamped to plus or minus the coins that still have an alive string.
+The memo keeps a (lower, upper) bound pair per position and narrows the
+window with it.  The principal move is recorded while the root is
+searched on the full window: the first child, in search order, worth
+the root's value.
+
+Both searches walk the moves inline, in two passes over the ropes: the
+freeing cuts in rope order (Lava skips this pass), then the plain cuts
+in rope order.  A child restores the alive counts and degrees before the
+walk goes on, so each rope's freeing status is read at the position's
+own degrees.  A win, or a beta cut, returns at once and skips every rope
+not yet reached.  ``states_visited`` counts the distinct positions
+expanded: one searched again under another window counts once, and one
+that the clamp alone answers is not expanded.
 
 The search runs over the rope quotient of the position.  Parallel
 strings (a rope: same endpoint pair) are interchangeable, so a position
@@ -58,9 +58,9 @@ with no short-circuiting over the engine's bitmask rules
 ``legal_moves``, ``apply_move`` and ``is_terminal`` run on.  It is
 memoized on the full position (alive strings, mover, scores gained
 since the root), packed into one int.  It stays independent of
-``solve``: it shares no code with ``_Search`` or ``_value``, and its
-memo key keeps the mover and scores, so it does not lean on the mover
-symmetry that ``solve`` assumes for Strings-and-Coins.  A fault in
+``solve``: it shares no code with ``_Search``, ``_value`` or ``_wins``,
+and its memo key keeps the mover and scores, so it does not lean on the
+mover symmetry that ``solve`` assumes for Strings-and-Coins.  A fault in
 either shows up as a disagreement.  It is exponential in the string
 count and capped at 14 strings.
 
@@ -71,7 +71,6 @@ or two cuts, chosen by solving the remainder graph.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from operator import mul
@@ -128,44 +127,49 @@ class _Search:
             self.deg[b] += w
         self.states = 0
         self.principal = None
-        # The three games differ only here.  Lava forbids freeing cuts;
-        # only Strings-and-Coins scores a freed coin.  ``reach`` bounds
-        # the value of the position being searched: the coins that still
-        # have an alive string in Strings-and-Coins (a freeing cut lowers
-        # it by the coins it scores), 1 in the win/loss games.  ``floor``
-        # is below every move's value, so a position with no move is
-        # lost.  ``leaves`` seeds the memo: outside Lava the empty board
-        # is a terminal the search does not count, while Lava visits it as
-        # a position with no legal cut.
-        sac = kind is GameKind.STRINGS_AND_COINS
-        self.cuts_freeing = kind is not GameKind.COINS_ARE_LAVA
-        self.points = 1 if sac else 0
-        self.reach = sum(1 for d in self.deg[:-1] if d) if sac else 1
-        self.floor = -board.coin_count - 1 if sac else -1
-        self.leaves = {} if kind is GameKind.COINS_ARE_LAVA else {0: (0, 0) if sac else (-1, -1)}
+        # Whether each pass walks the freeing cuts: Lava forbids them.
+        self.passes = (False,) if kind is GameKind.COINS_ARE_LAVA else (True, False)
+        # Strings-and-Coins only.  ``reach`` bounds the value of the
+        # position being searched: the coins that still have an alive
+        # string (a freeing cut lowers it by the coins it scores).
+        # ``floor`` is below every move's value.
+        self.reach = sum(1 for d in self.deg[:-1] if d)
+        self.floor = -board.coin_count - 1
 
-    def moves(self) -> Iterator[tuple[int, int, int, int, int]]:
-        """(rope, its endpoints, its place value, coins its cut frees) for
-        every rope with a string alive: the freeing cuts in rope order,
-        then the others in rope order (Lava: the others only).  Lazy: the
-        caller restores ``count`` and ``deg`` before it resumes, so each
-        rope is read at the position's own degrees."""
-        count, deg = self.count, self.deg
-        if self.cuts_freeing:
-            for r, a, b, p in self.ropes:
-                if count[r] and (f := (deg[a] == 1) + (deg[b] == 1)):
-                    yield r, a, b, p, f
-        for r, a, b, p in self.ropes:
-            if count[r] and deg[a] != 1 and deg[b] != 1:
-                yield r, a, b, p, 0
+
+def _wins(s: _Search, key: int, memo: dict[int, int]) -> int:
+    """Nimstring or Coins-are-Lava position ``key`` for the player to
+    move: its winning rope plus 1 if it is won, else 0.  A freeing
+    child wins if it is won (the mover moves again), a plain child if it
+    is lost; the walk stops at the first winning child."""
+    w = memo.get(key)
+    if w is not None:
+        return w
+    s.states += 1
+    count, deg = s.count, s.deg
+    for freeing in s.passes:
+        for r, a, b, p in s.ropes:
+            if count[r] and (deg[a] == 1 or deg[b] == 1) is freeing:
+                count[r] -= 1
+                deg[a] -= 1
+                deg[b] -= 1
+                won = _wins(s, key - p, memo) > 0
+                count[r] += 1
+                deg[a] += 1
+                deg[b] += 1
+                if won is freeing:
+                    memo[key] = r + 1
+                    return r + 1
+    memo[key] = 0
+    return 0
 
 
 def _value(s: _Search, key: int, alpha: int, beta: int, memo: dict[int, tuple[int, int]]) -> int:
-    """Fail-soft alpha-beta value of position ``key`` for the player to
-    move: the net score still to come in Strings-and-Coins, +1 (win) or
-    -1 (loss) otherwise.  A result inside (alpha, beta) is exact; one at
-    or below alpha is an upper bound on the value, one at or above beta a
-    lower bound.  ``memo`` keeps a (lower, upper) bound pair per key."""
+    """Fail-soft alpha-beta value of Strings-and-Coins position ``key``
+    for the player to move: the net score still to come.  A result
+    inside (alpha, beta) is exact; one at or below alpha is an upper
+    bound on the value, one at or above beta a lower bound.  ``memo``
+    keeps a (lower, upper) bound pair per key."""
     entry = memo.get(key)
     if entry is None:
         lo, hi = -s.reach, s.reach
@@ -181,37 +185,34 @@ def _value(s: _Search, key: int, alpha: int, beta: int, memo: dict[int, tuple[in
         s.states += 1
     alpha, beta = max(alpha, lo), min(beta, hi)
     a, best = alpha, s.floor
-    deg, count = s.deg, s.count
-    for r, ea, eb, p, f in s.moves():
-        count[r] -= 1
-        deg[ea] -= 1
-        deg[eb] -= 1
-        if f:
-            # The mover keeps the turn and scores g: shift the window.
-            g = f * s.points
-            s.reach -= g
-            value = _value(s, key - p, a - g, beta - g, memo) + g
-            s.reach += g
-        else:
-            value = -_value(s, key - p, -beta, -a, memo)
-        count[r] += 1
-        deg[ea] += 1
-        deg[eb] += 1
-        if value > best:
-            best = value
-            # Only the root records: it runs on its full window, so a
-            # child that raises ``best`` there returns its exact value.
-            if key == s.full_key:
-                s.principal = s.first[r]
-            if best >= beta:
-                break
-            a = max(a, best)
-    if best <= alpha:
-        memo[key] = (lo, best)
-    elif best >= beta:
-        memo[key] = (best, hi)
-    else:
-        memo[key] = (best, best)
+    count, deg = s.count, s.deg
+    for freeing in s.passes:
+        for r, ea, eb, p in s.ropes:
+            if count[r] and ((f := (deg[ea] == 1) + (deg[eb] == 1)) > 0) is freeing:
+                count[r] -= 1
+                deg[ea] -= 1
+                deg[eb] -= 1
+                if f:
+                    # The mover keeps the turn and scores f: shift the window.
+                    s.reach -= f
+                    value = _value(s, key - p, a - f, beta - f, memo) + f
+                    s.reach += f
+                else:
+                    value = -_value(s, key - p, -beta, -a, memo)
+                count[r] += 1
+                deg[ea] += 1
+                deg[eb] += 1
+                if value > best:
+                    best = value
+                    # Only the root records: it runs on its full window, so
+                    # a child that raises ``best`` there returns its exact value.
+                    if key == s.full_key:
+                        s.principal = s.first[r]
+                    if best >= beta:
+                        memo[key] = (best, hi)
+                        return best
+                    a = max(a, best)
+    memo[key] = (lo, best) if best <= alpha else (best, best)
     return best
 
 
@@ -236,11 +237,17 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
     if len(state.alive) > MAX_DEPTH:
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed search depth {MAX_DEPTH}")
     s = _Search(state, groups, kind)
-    # ``floor`` is below every value and ``-floor`` above: the full window.
-    value = _value(s, s.full_key, s.floor, -s.floor, dict(s.leaves))
     if kind is GameKind.STRINGS_AND_COINS:
+        # The empty board is a terminal that the search does not count.
+        # ``floor`` is below every value and ``-floor`` above: the full window.
+        value = _value(s, s.full_key, s.floor, -s.floor, {0: (0, 0)})
         return SolveResult(kind, net_for_mover=value, principal_move=s.principal, states_visited=s.states)
-    return SolveResult(kind, winner_for_mover=value > 0, principal_move=s.principal, states_visited=s.states)
+    # Nimstring's empty board is a lost terminal that the search does not
+    # count, while Lava visits it as a position with no legal cut.
+    w = _wins(s, s.full_key, {} if kind is GameKind.COINS_ARE_LAVA else {0: 0})
+    return SolveResult(
+        kind, winner_for_mover=w > 0, principal_move=s.first[w - 1] if w else None, states_visited=s.states
+    )
 
 
 def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
