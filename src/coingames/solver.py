@@ -29,8 +29,8 @@ the root's value.
 
 Both searches walk the moves inline, in two passes over the ropes: the
 freeing cuts in rope order (Lava skips this pass), then the plain cuts
-in rope order.  A child restores the alive counts and degrees before the
-walk goes on, so each rope's freeing status is read at the position's
+in rope order.  The walk restores the alive counts and degrees after
+each child, so each rope's freeing status is read at the position's
 own degrees.  A win, or a beta cut, returns at once and skips every rope
 not yet reached.  ``states_visited`` counts the distinct positions
 expanded: one searched again under another window counts once, and one
@@ -254,7 +254,8 @@ def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
     """Oracle twin of ``solve``: plain minimax over the engine's bitmask
     rules, every child expanded, memoized on the full position (alive
     strings, mover, scores gained since the root) with a fresh memo per
-    call.  ``states_visited`` counts the distinct positions evaluated,
+    call.  It shares no code with ``_Search``, ``_value`` or ``_wins``.
+    ``states_visited`` counts the distinct positions evaluated,
     terminal ones included.  Refuses positions above ``NAIVE_BUDGET``
     alive strings."""
     if len(state.alive) > NAIVE_BUDGET:
