@@ -159,16 +159,21 @@ def apply_move(state: GameState, kind: GameKind, sid: int) -> GameState:
     return GameState(board, rest, state.mover, scores)
 
 
+def _stuck(kind: GameKind, mover: Player, scores) -> Outcome:
+    """The outcome once ``mover`` has no legal cut: in Strings-and-Coins
+    the scores decide, elsewhere the stuck mover loses."""
+    if kind is not GameKind.STRINGS_AND_COINS:
+        return Outcome(mover.other)
+    p1, p2 = scores
+    winner = Player.P1 if p1 > p2 else Player.P2 if p2 > p1 else None
+    return Outcome(winner, (p1, p2))
+
+
 def is_terminal(state: GameState, kind: GameKind) -> Outcome | None:
-    """The outcome once the mover has no legal cut, else None: in
-    Strings-and-Coins the scores decide, elsewhere the stuck mover loses."""
+    """The outcome once the mover has no legal cut, else None."""
     if Rules(state.board, kind).moves(bitmask(state.alive)):
         return None
-    if kind is not GameKind.STRINGS_AND_COINS:
-        return Outcome(state.mover.other)
-    p1, p2 = state.scores
-    winner = Player.P1 if p1 > p2 else Player.P2 if p2 > p1 else None
-    return Outcome(winner, state.scores)
+    return _stuck(kind, state.mover, state.scores)
 
 
 class LiveBoard:
@@ -254,14 +259,4 @@ class LiveBoard:
         return freed
 
     def outcome(self) -> Outcome | None:
-        if self.kind is GameKind.COINS_ARE_LAVA:
-            if self.legal_count > 0:
-                return None
-            return Outcome(self.mover.other)
-        if self.alive_count > 0:
-            return None
-        if self.kind is GameKind.NIMSTRING:
-            return Outcome(self.mover.other)
-        p1, p2 = self.scores
-        winner = Player.P1 if p1 > p2 else Player.P2 if p2 > p1 else None
-        return Outcome(winner, (p1, p2))
+        return None if self.has_legal_move() else _stuck(self.kind, self.mover, self.scores)

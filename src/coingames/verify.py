@@ -43,7 +43,6 @@ from .reduce import (
 )
 from .solver import NAIVE_BUDGET, find_loony_witnesses, loony_first_move, naive_solve, solve, winner_of
 from .strategy import (
-    FallonScript,
     GreedyDisabler,
     TrudyScript,
     UniformRandom,
@@ -543,6 +542,22 @@ def check_skip_dominance(max_n: int = 3, max_m: int = 3) -> CampaignReport:
     return report
 
 
+def _script_playout(artifact: ReductionArtifact, side: Mover, opponent, seed: int):
+    """Play ``side``'s script against ``opponent``, the script in the seat
+    that ``side`` maps to.  None if either policy cuts an illegal string,
+    else the record, whether the script's seat won, and whether play
+    reached ``side``'s canonical terminal."""
+    seat = artifact.player_for(side)
+    script = script_for(side, artifact)
+    p1, p2 = (script, opponent) if seat is Player.P1 else (opponent, script)
+    try:
+        record = playout(artifact, p1, p2, seed=seed)
+    except StrategyError:
+        return None
+    terminal = is_trudy_terminal if side is Mover.TRUDY else is_fallon_terminal
+    return record, record.winner is seat, terminal(record.census)
+
+
 def campaign_strategies(
     f: DnfFormula,
     first: Mover,
@@ -569,7 +584,6 @@ def campaign_strategies(
     for N in N_values:
         if N != artifact.N:
             artifact = compile_gamesat_to_lava(f, N, first)
-        script_seat = artifact.player_for(side)
         opponents = {
             "random": lambda: UniformRandom(),
             "greedy": lambda: GreedyDisabler(artifact, side),
@@ -583,26 +597,16 @@ def campaign_strategies(
             violations = 0
             census_ok = True
             for seed in range(seeds):
-                script = script_for(side, artifact)
-                opponent = make()
-                try:
-                    if script_seat is Player.P1:
-                        record = playout(artifact, script, opponent, seed=seed)
-                    else:
-                        record = playout(artifact, opponent, script, seed=seed)
-                except StrategyError:
+                played = _script_playout(artifact, side, make(), seed)
+                if played is None:
                     violations += 1
                     losses += 1
                     continue
-                if record.winner is script_seat:
+                _, won, canonical = played
+                if won:
                     wins += 1
                 else:
                     losses += 1
-                canonical = (
-                    is_trudy_terminal(record.census)
-                    if side is Mover.TRUDY
-                    else is_fallon_terminal(record.census)
-                )
                 census_ok = census_ok and canonical
             stats[name] = {
                 "wins": wins,
@@ -640,7 +644,8 @@ def parity_campaign(
 ) -> CampaignReport:
     """Script-vs-script playouts on small Fallon-win formulas: every
     playout must reach the canonical Fallon terminal, and the stuck
-    mover there must be the Trudy-mapped player."""
+    mover there must be the Trudy-mapped player.  An illegal cut by
+    either script fails its playout."""
     report = CampaignReport(
         "parity",
         details={"canonical_terminals": 0, "playouts": 0, "non_canonical": 0, "minimum": minimum},
@@ -650,25 +655,26 @@ def parity_campaign(
         if report.details["playouts"] >= minimum and report.fails == 0:
             break
         artifact = compile_gamesat_to_lava(f, N, first)
-        fallon = FallonScript(artifact)
-        trudy = TrudyScript(artifact)
-        if artifact.fallon_player is Player.P1:
-            record = playout(artifact, fallon, trudy, seed=0)
-        else:
-            record = playout(artifact, trudy, fallon, seed=0)
+        played = _script_playout(artifact, Mover.FALLON, TrudyScript(artifact), 0)
         report.details["playouts"] += 1
         report.count += 1
         problem = None
-        if is_fallon_terminal(record.census):
-            report.details["canonical_terminals"] += 1
-            if record.stuck is not artifact.trudy_player:
-                problem = {"stuck": record.stuck.value}
+        if played is None:
+            census = None
+            problem = {"problem": "illegal cut in script-vs-script play"}
         else:
-            report.details["non_canonical"] += 1
-            problem = {"problem": "non-canonical terminal in script-vs-script play"}
+            record, won, canonical = played
+            census = record.census
+            if canonical:
+                report.details["canonical_terminals"] += 1
+                if not won:
+                    problem = {"stuck": record.stuck.value}
+            else:
+                report.details["non_canonical"] += 1
+                problem = {"problem": "non-canonical terminal in script-vs-script play"}
         report.tally(
             problem is None,
-            lambda: {"formula": format_dnf(f), "first": first.value, "N": N, "census": record.census, **problem},
+            lambda: {"formula": format_dnf(f), "first": first.value, "N": N, "census": census, **problem},
         )
     seen = report.details["canonical_terminals"]
     if seen < minimum:

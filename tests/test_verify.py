@@ -9,11 +9,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coingames.engine import GameKind, initial_state
+from coingames import verify as verify_module
+from coingames.cli import run
+from coingames.engine import GameKind, Player, initial_state
 from coingames.gamesat import Mover, parse_dnf
 from coingames.multigraph import GraphBuilder, canonical_text
 from coingames.reduce import reduce_lava_to_nimstring
 from coingames.solver import NAIVE_BUDGET, solve
+from coingames.strategy import TrudyScript
 from coingames.verify import (
     CampaignReport,
     LoonyPlanter,
@@ -289,6 +292,42 @@ def test_strategy_campaign_records_minimal_n():
         assert stats[name]["losses"] == 0
         assert stats[name]["violations"] == 0
         assert stats[name]["census_ok"] is True
+
+
+def test_campaigns_seat_the_winners_script_at_its_own_seat(monkeypatch):
+    """Each playout puts the predicted winner's script in the seat its
+    side maps to; a campaign that judged the win from that seat while
+    playing the script from the other one would still report wins."""
+    seatings = []
+    real_playout = verify_module.playout
+
+    def spy(artifact, p1, p2, seed=0):
+        seatings.append((artifact, p1.name, p2.name))
+        return real_playout(artifact, p1, p2, seed=seed)
+
+    monkeypatch.setattr(verify_module, "playout", spy)
+    for text, first in (("x1 x2", Mover.TRUDY), ("x1 x2", Mover.FALLON), (MAJORITY, Mover.TRUDY)):
+        campaign_strategies(parse_dnf(text), first, N_values=(2,), seeds=1)
+    parity_campaign((2,), 3, 2, minimum=3)
+    assert len(seatings) == 3 * 3 + 3
+    for artifact, p1_name, p2_name in seatings:
+        names = {Player.P1: p1_name, Player.P2: p2_name}
+        assert names[artifact.player_for(artifact.winner)] == f"{artifact.winner.value}-script"
+
+
+def test_an_illegal_script_cut_fails_the_playout_in_both_campaigns(monkeypatch, capsys):
+    monkeypatch.setattr(TrudyScript, "choose", lambda self: -1)
+    assert run(["verify", "parity", "--minimum", "3"]) == 1
+    out, err = capsys.readouterr()
+    rep = json.loads(out)  # exactly one JSON document, and no error line
+    assert err == ""
+    assert rep["ok"] is False
+    assert rep["counterexamples"][0]["problem"] == "illegal cut in script-vs-script play"
+
+    rep = campaign_strategies(parse_dnf(MAJORITY), Mover.TRUDY, N_values=(2,), seeds=2)
+    row = rep.details["per_N"]["2"]["opposing-script"]
+    assert row["violations"] == row["losses"] == 2
+    assert not rep.ok
 
 
 def test_planted_loony_instances_are_pinned():
