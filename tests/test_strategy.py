@@ -252,6 +252,27 @@ def test_script_sweep_transcripts_are_pinned():
     assert digest.hexdigest() == SWEEP_DIGEST
 
 
+# sha256 of every transcript on the two fixtures at N=3 and N=4 with
+# Trudy first: each side's script against random, greedy and the
+# opposing script at seed 1 (24 playouts, about 127,000 plies).  Long
+# epochs on large boards are where a script's waterfall state lives
+# longest; the N=2 sweep above barely reaches them.
+LARGE_BOARD_DIGEST = "c67a15252960d4ca96dc36082bf311e15375e08fe9526dcb504b5ab7c8459ed8"
+
+
+def test_large_board_transcripts_are_pinned():
+    digest = hashlib.sha256()
+    for text in ("x1 x2", MAJORITY):
+        for N in (3, 4):
+            art = compile_gamesat_to_lava(parse_dnf(text), N, Mover.TRUDY)
+            for side in Mover:
+                opponents = (UniformRandom(), GreedyDisabler(art, side), script_for(side.other, art))
+                for opp in opponents:
+                    p1, p2, _ = seat_policies(art, side, opp)
+                    digest.update(playout(art, p1, p2, seed=1).transcript_text().encode())
+    assert digest.hexdigest() == LARGE_BOARD_DIGEST
+
+
 def test_record_summary_fields():
     art, side = hero_and_artifact("x1 x2", Mover.FALLON)
     p1, p2, _ = seat_policies(art, side, UniformRandom())
