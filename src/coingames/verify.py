@@ -645,14 +645,15 @@ def parity_campaign(
     """Script-vs-script playouts on small Fallon-win formulas: every
     playout must reach the canonical Fallon terminal, and the stuck
     mover there must be the Trudy-mapped player.  An illegal cut by
-    either script fails its playout."""
+    either script fails its playout.  The campaign stops after
+    ``minimum`` playouts, failed or not."""
     report = CampaignReport(
         "parity",
         details={"canonical_terminals": 0, "playouts": 0, "non_canonical": 0, "minimum": minimum},
     )
     jobs = [(f, first, N) for f, first in fallon_win_combos(max_n, max_m) for N in N_values]
     for f, first, N in jobs:
-        if report.details["playouts"] >= minimum and report.fails == 0:
+        if report.details["playouts"] >= minimum:
             break
         artifact = compile_gamesat_to_lava(f, N, first)
         played = _script_playout(artifact, Mover.FALLON, TrudyScript(artifact), 0)

@@ -330,6 +330,16 @@ def test_an_illegal_script_cut_fails_the_playout_in_both_campaigns(monkeypatch, 
     assert not rep.ok
 
 
+def test_a_failing_parity_campaign_stops_at_its_minimum(monkeypatch):
+    """A fault that fails every playout costs ``minimum`` playouts and
+    their counterexamples, plus the shortfall of canonical terminals."""
+    monkeypatch.setattr(TrudyScript, "choose", lambda self: -1)
+    rep = parity_campaign(minimum=3)
+    assert rep.details["playouts"] == rep.count == 3
+    assert rep.ok is False
+    assert len(rep.counterexamples) <= 4
+
+
 def test_planted_loony_instances_are_pinned():
     """The first 50 planted instances (board text and the two planted
     ids), pinned as written before the builder appended whole boards."""
