@@ -7,11 +7,13 @@ disabling the wrong ones and activating one survivor per relevant
 variable; (3) the same fight one level up, over the level-2 wires out
 of the root coin; (4) empty clause ropes and whittle every remaining
 rope to its floor.  Progress is monotone (strings only die), so each
-script is a priority waterfall re-evaluated every ply: the first stage
-with work remaining supplies the move, and a lowest-id cleanup cut is
-the final fallback.  Cleanup has one guard: Trudy's script keeps the
-bottom ropes of its chosen clause's live wires until nothing else is
-legal.
+script is a priority waterfall: the first stage with work remaining
+supplies the move, and a lowest-id cleanup cut is the final fallback.
+A stage that finds no work stays dry until a rope empties, so the
+waterfall skips it until then; only the two racing stages, which watch
+the opponent's top cuts, are asked every ply.  Cleanup has one guard:
+Trudy's script keeps the bottom ropes of its chosen clause's live wires
+until nothing else is legal.
 
 The decisive facts the waterfalls are built on:
 
@@ -39,7 +41,7 @@ into Fallon's classes and ``_trudy_threat`` marks the level-2 wires an
 attacker on Trudy chews through.  The script of a side and the
 ``GreedyDisabler`` that targets it both read that rule.
 
-Re-evaluating every ply stays cheap because the facts the waterfalls
+Walking the waterfalls every ply stays cheap because the facts they
 branch on are monotone and move only when a rope empties, a few dozen
 times in a game of thousands of plies.  ``ArtifactTracker`` keeps them
 current inside ``observe``: the set of doomed clauses (a wire's bottom
@@ -84,9 +86,14 @@ class _Rope:
         return self.cursor if self.cursor < self.stop else None
 
     def lowest_legal(self, live: LiveBoard) -> int | None:
-        sid = self.lowest_alive(live)
-        if sid is not None and live.is_legal(sid):
-            return sid
+        # A tracked board is a Lava board: an alive string is legal
+        # unless frozen.
+        alive, cursor, stop = live.alive, self.cursor, self.stop
+        while cursor < stop and not alive[cursor]:
+            cursor += 1
+        self.cursor = cursor
+        if cursor < stop and not live.frozen[cursor]:
+            return cursor
         return None
 
 
@@ -310,13 +317,15 @@ class UniformRandom(Policy):
         self.pool = list(range(self.live.board.string_count))
 
     def choose(self) -> int:
+        pool, randrange = self.pool, self.rng.randrange
+        alive, frozen = self.live.alive, self.live.frozen
         while True:
-            idx = self.rng.randrange(len(self.pool))
-            sid = self.pool[idx]
-            if self.live.is_legal(sid):
+            idx = randrange(len(pool))
+            sid = pool[idx]
+            if alive[sid] and not frozen[sid]:
                 return sid
-            self.pool[idx] = self.pool[-1]
-            self.pool.pop()
+            pool[idx] = pool[-1]
+            pool.pop()
 
 
 class _TrackedPolicy(Policy):
@@ -349,19 +358,22 @@ class _TrackedPolicy(Policy):
         raise NotImplementedError
 
     def _cleanup_move(self) -> int:
-        live, rope_of = self.live, self.tracker.rope_of
-        total = live.board.string_count
-        while self.scan_at < total:
-            sid = self.scan_at
+        alive, frozen = self.live.alive, self.live.frozen
+        rope_of, protected = self.tracker.rope_of, self.protected
+        total = len(alive)
+        sid = self.scan_at
+        while sid < total:
             # Lava legality is monotone, so a skipped string never
             # becomes cuttable later.
-            if live.alive[sid] and live.is_legal(sid):
-                if rope_of[sid] not in self.protected:
+            if alive[sid] and not frozen[sid]:
+                if rope_of[sid] not in protected:
+                    self.scan_at = sid
                     return sid
                 self.deferred.append(sid)
-            self.scan_at += 1
+            sid += 1
+        self.scan_at = sid
         for sid in self.deferred:
-            if live.alive[sid] and live.is_legal(sid):
+            if alive[sid] and not frozen[sid]:
                 return sid  # forced: only protected cuts remain
         raise StrategyError("asked to move with no legal cut available")
 
@@ -417,10 +429,21 @@ class GreedyDisabler(_TrackedPolicy):
 class _ScriptBase(_TrackedPolicy):
     """Shared waterfall machinery for the two scripts.
 
-    ``stages`` is the waterfall: (phase, function) pairs in priority
-    order, kept on the class so that an instance holds no reference to
-    itself.  Once the variables are set, each move first brings the
-    script's wire lists up to the tracker's epoch."""
+    ``stages`` is the waterfall: (phase, function, settles) triples in
+    priority order, kept on the class so that an instance holds no
+    reference to itself.  Once the variables are set, each move first
+    brings the script's wire lists up to the tracker's epoch.
+
+    A settling stage that returns None keeps returning None until the
+    epoch moves: its wire and rope tuples are fixed between refreshes,
+    ``hp``, ``alive`` and ``top.alive`` only fall, ``frozen`` never
+    clears, and a wounded bottom rope never heals.  So ``waiting``
+    holds the stages still worth asking in this epoch: every refresh
+    refills it from ``stages``, and a settling stage leaves it the first
+    time it returns None.  Two stages never settle:
+    ``FallonScript._danger_raced`` and ``TrudyScript._urgent`` race the
+    wires whose top rope the opponent has cut, and such a cut moves no
+    epoch."""
 
     side: Mover
     stages: tuple = ()
@@ -475,16 +498,29 @@ class _ScriptBase(_TrackedPolicy):
                     return sid
         return None
 
+    def _sync(self) -> None:
+        if self.epoch != self.tracker.epoch:
+            super()._sync()
+            self.waiting = list(self.stages)
+
     def choose(self) -> int:
         sid = self._variable_move()
         if sid is not None:
             return sid
         self._sync()
-        for stage_phase, stage in self.stages:
+        waiting = self.waiting
+        i = 0
+        while i < len(waiting):
+            stage_phase, stage, settles = waiting[i]
             sid = stage(self)
             if sid is not None:
-                self.phase = max(self.phase, stage_phase)
+                if stage_phase > self.phase:
+                    self.phase = stage_phase
                 return sid
+            if settles:
+                del waiting[i]
+            else:
+                i += 1
         self.phase = 4
         return self._cleanup_move()
 
@@ -563,14 +599,14 @@ class FallonScript(_ScriptBase):
         return self._rope_cut(self.open_clauses)
 
     stages = (
-        (2, _l1_bads),
-        (3, _danger_raced),
-        (2, _l1_rest),
-        (2, _l1_keepers),
-        (3, _l2_bads),
-        (3, _l2_surplus),
-        (3, _l2_keeper),
-        (4, _ropes),
+        (2, _l1_bads, True),
+        (3, _danger_raced, False),
+        (2, _l1_rest, True),
+        (2, _l1_keepers, True),
+        (3, _l2_bads, True),
+        (3, _l2_surplus, True),
+        (3, _l2_keeper, True),
+        (4, _ropes, True),
     )
 
 
@@ -683,11 +719,11 @@ class TrudyScript(_ScriptBase):
         return self._rope_cut(self.doomed_keys)
 
     stages = (
-        (2, _wounds),
-        (3, _urgent),
-        (2, _pump),
-        (3, _post_sweep),
-        (4, _ropes),
+        (2, _wounds, True),
+        (3, _urgent, False),
+        (2, _pump, True),
+        (3, _post_sweep, True),
+        (4, _ropes, True),
     )
 
 
@@ -727,30 +763,32 @@ def playout(
     tracker = ArtifactTracker(artifact, live)
     policy_p1.reset(tracker, Player.P1, seed)
     policy_p2.reset(tracker, Player.P2, seed)
-    labels = artifact.graph.labels
-    p1_text, p2_text = Player.P1.value, Player.P2.value
+    # The per-ply callables, bound once.
+    choose_p1, observe_p1 = policy_p1.choose, policy_p1.observe
+    choose_p2, observe_p2 = policy_p2.choose, policy_p2.observe
+    cut, track, label = live.cut, tracker.observe, artifact.graph.labels.get
+    p1, p1_text, p2_text = Player.P1, Player.P1.value, Player.P2.value
     lines: list[str] = []
+    append = lines.append
     ply = 0
-    while live.has_legal_move():
-        mover = live.mover
-        if mover is Player.P1:
-            policy, seat = policy_p1, p1_text
+    # A Lava board has a legal move exactly while legal_count is positive.
+    while live.legal_count:
+        p1_moved = live.mover is p1
+        if p1_moved:
+            policy, seat, sid = policy_p1, p1_text, choose_p1()
         else:
-            policy, seat = policy_p2, p2_text
-        sid = policy.choose()
+            policy, seat, sid = policy_p2, p2_text, choose_p2()
         try:
-            live.cut(sid)
+            cut(sid)
         except IllegalMove:
             raise StrategyError(
                 f"policy {policy.name} at seat {seat} chose illegal string {sid}"
             ) from None
-        tracker.observe(sid)
+        track(sid)
         ply += 1
-        lines.append(
-            f"ply {ply} {seat} cut {sid} # {labels.get(sid, '-')} phase={policy.phase}"
-        )
-        policy_p1.observe(sid, mover is Player.P1)
-        policy_p2.observe(sid, mover is Player.P2)
+        append(f"ply {ply} {seat} cut {sid} # {label(sid, '-')} phase={policy.phase}")
+        observe_p1(sid, p1_moved)
+        observe_p2(sid, not p1_moved)
     stuck = live.mover
     return PlayoutRecord(
         winner=stuck.other,

@@ -347,3 +347,52 @@ def test_tracker_keeps_dooms_assignment_and_epoch(seed, text, first, side):
     p1, p2, _ = seat_policies(art, side, auditor)
     record = playout(art, p1, p2, seed=seed)
     assert auditor.plies == record.plies
+
+
+def _settle_audited(script_class):
+    """``script_class`` with its settling rule checked: right after each
+    refresh every stage waits again, and after every cut by either
+    player each stage dropped in the current epoch is called again and
+    still finds no move (``observe`` runs once the tracker has seen the
+    cut, so a cut that moves the epoch is skipped until the refresh)."""
+
+    class Audited(script_class):
+        def reset(self, tracker, seat, seed):
+            super().reset(tracker, seat, seed)
+            self.rechecked: dict[str, int] = {}
+
+        def _sync(self):
+            moved = self.epoch != self.tracker.epoch
+            super()._sync()
+            if moved:
+                assert self.waiting == list(self.stages)
+
+        def observe(self, sid, mine):
+            if self.epoch != self.tracker.epoch:
+                return
+            for stage_phase, stage, settles in self.stages:
+                if (stage_phase, stage, settles) in self.waiting:
+                    continue
+                assert settles, f"{stage.__name__} was dropped but never settles"
+                assert stage(self) is None, f"{stage.__name__} found a move in its dropped epoch"
+                self.rechecked[stage.__name__] = self.rechecked.get(stage.__name__, 0) + 1
+
+    return Audited
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_dropped_stages_stay_settled_until_the_epoch_moves(N):
+    audited = {Mover.TRUDY: _settle_audited(TrudyScript), Mover.FALLON: _settle_audited(FallonScript)}
+    rechecked = {Mover.TRUDY: set(), Mover.FALLON: set()}
+    for text in ("x1 x2", MAJORITY):
+        for first in Mover:
+            art = compile_gamesat_to_lava(parse_dnf(text), N, first)
+            for side in Mover:
+                for opp in (UniformRandom(), GreedyDisabler(art, side), audited[side.other](art)):
+                    hero = audited[side](art)
+                    seats = {art.player_for(side): hero, art.player_for(side.other): opp}
+                    playout(art, seats[Player.P1], seats[Player.P2], seed=1)
+                    rechecked[side] |= set(hero.rechecked)
+    # Every settling stage was dropped and re-called somewhere.
+    for side, script_class in ((Mover.TRUDY, TrudyScript), (Mover.FALLON, FallonScript)):
+        assert rechecked[side] == {stage.__name__ for _, stage, settles in script_class.stages if settles}
