@@ -763,7 +763,6 @@ def playout(
     tracker = ArtifactTracker(artifact, live)
     policy_p1.reset(tracker, Player.P1, seed)
     policy_p2.reset(tracker, Player.P2, seed)
-    # The per-ply callables, bound once.
     choose_p1, observe_p1 = policy_p1.choose, policy_p1.observe
     choose_p2, observe_p2 = policy_p2.choose, policy_p2.observe
     cut, track, label = live.cut, tracker.observe, artifact.graph.labels.get
