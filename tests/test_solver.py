@@ -270,6 +270,42 @@ def test_oracle_matches_solver_from_mid_game_positions_with_scores():
         assert winner_of(state, kind, slow) == winner_of(state, kind, fast), (i, kind)
 
 
+# sha256 of every ``repr(SolveResult)``, one per line, over the seeded
+# positions of ``test_oracle_results_from_mid_game_positions_are_pinned``.
+NAIVE_MID_GAME_DIGEST = "31aa6cc9ca9d243798755b39db20f81facc0080252f16546d1eef615a8928295"
+
+
+def test_oracle_results_from_mid_game_positions_are_pinned():
+    """Boards of 5-12 strings cut 1-4 times at random under the rule set
+    being solved, then handed to P2 with start scores of 1-9 on each
+    side, solved by the oracle: every field of every result is pinned,
+    states visited included.  P2 moves first, so the oracle's P2 fold
+    and its P2 score digit are on every path; over half of the Lava
+    positions have a frozen string (one whose cut would free a coin)."""
+    rng = random.Random(2424)
+    digest = hashlib.sha256()
+    totals = dict.fromkeys(GameKind, 0)
+    frozen = 0
+    for i in range(120):
+        kind = list(GameKind)[i % 3]
+        g = random_multigraph(rng, rng.randint(2, 5), rng.randint(5, 12), 0.3)
+        state = initial_state(g)
+        for _ in range(rng.randint(1, 4)):
+            legal = sorted(legal_moves(state, kind))
+            if not legal:
+                break
+            state = apply_move(state, kind, rng.choice(legal))
+        state = GameState(g, state.alive, Player.P2, (rng.randint(1, 9), rng.randint(1, 9)))
+        if kind is LAVA and len(legal_moves(state, kind)) < len(state.alive):
+            frozen += 1
+        result = naive_solve(state, kind)
+        totals[kind] += result.states_visited
+        digest.update(repr(result).encode() + b"\n")
+    assert frozen == 22
+    assert totals == {SAC: 9_000, NIM: 13_355, LAVA: 6_445}
+    assert digest.hexdigest() == NAIVE_MID_GAME_DIGEST
+
+
 @given(seed=st.integers(min_value=0, max_value=2000))
 @settings(max_examples=40, deadline=None)
 def test_solver_is_deterministic(seed: int):
