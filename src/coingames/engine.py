@@ -14,12 +14,14 @@ start are inert: never freed, never scored.
 
 The rules live in two places that check each other.  ``Rules`` is the
 kernel over alive bitmasks (bit ``sid`` set while string ``sid`` is
-alive): the immutable ``GameState`` functions (``legal_moves``,
-``apply_move``, ``is_terminal``) turn a state's alive set into a mask
-and call it, and so does the oracle ``solver.naive_solve``.  The three
-stay public because the benchmark (``perfbench/``) traces them and calls
-``legal_moves``.  ``LiveBoard`` is the mutable playout board with O(1)
-updates per cut.
+alive), one table of ``(bit, mask_a, mask_b)`` per string and one
+freeing rule, ``alive & mask == bit``.  The immutable ``GameState``
+functions (``legal_moves``, ``apply_move``, ``is_terminal``) turn a
+state's alive set into a mask and call ``Rules.moves`` and
+``Rules.freed``; the oracle ``solver.naive_solve`` walks the table
+itself.  The three functions stay public because the benchmark
+(``perfbench/``) traces them and calls ``legal_moves``.  ``LiveBoard``
+is the mutable playout board with O(1) updates per cut.
 
 A self-loop (a string from a coin to itself) leaves freeing undefined,
 so a board with one is refused at two doors: building a ``GameState``
@@ -97,38 +99,34 @@ def bitmask(ids: Iterable[int]) -> int:
 class Rules:
     """The rules of one game on one board, over alive bitmasks.
 
-    ``coin_mask[c]`` masks the strings at coin ``c``; a cut of ``sid``
-    frees ``c`` exactly when ``alive & coin_mask[c] == 1 << sid``.  Each
-    string keeps the masks of its two endpoints, 0 for the ground, which
-    never matches and so is never freed.  Built per call: O(E).
+    ``table[sid]`` is ``(bit, mask_a, mask_b)``: the string's own bit
+    ``1 << sid`` and the masks of the strings at its two endpoints, 0
+    for the ground.  A cut of ``sid`` frees an endpoint exactly when
+    ``alive & mask == bit``; the ground's 0 never matches, so the
+    ground is never freed.  ``moves``, ``freed`` and the oracle
+    ``solver.naive_solve`` all read this one table.  Built per call: O(E).
     """
 
     def __init__(self, board: Multigraph, kind: GameKind):
         self.lava = kind is GameKind.COINS_ARE_LAVA
-        self.coin_mask = [bitmask(ids) for ids in board.incidence]
-        mask = self.coin_mask
-        self.ends = [(mask[a] if a >= 0 else 0, mask[b] if b >= 0 else 0) for a, b in board.strings]
+        mask = [bitmask(ids) for ids in board.incidence]
+        self.table = [
+            (1 << sid, mask[a] if a >= 0 else 0, mask[b] if b >= 0 else 0) for sid, (a, b) in enumerate(board.strings)
+        ]
 
     def moves(self, alive: int) -> list[int]:
         """The legal cuts in ascending order: every alive string, less
         the freeing cuts in Lava."""
-        out = []
-        m = alive
-        while m:
-            bit = m & -m
-            m ^= bit
-            sid = bit.bit_length() - 1
-            if self.lava:
-                a, b = self.ends[sid]
-                if alive & a == bit or alive & b == bit:
-                    continue
-            out.append(sid)
-        return out
+        lava = self.lava
+        return [
+            sid
+            for sid, (bit, a, b) in enumerate(self.table)
+            if alive & bit and not (lava and (alive & a == bit or alive & b == bit))
+        ]
 
     def freed(self, alive: int, sid: int) -> int:
         """How many coins the cut of ``sid`` frees."""
-        bit = 1 << sid
-        a, b = self.ends[sid]
+        bit, a, b = self.table[sid]
         return (alive & a == bit) + (alive & b == bit)
 
 
@@ -144,7 +142,8 @@ def apply_move(state: GameState, kind: GameKind, sid: int) -> GameState:
     alive = bitmask(state.alive)
     freed = rules.freed(alive, sid)
     if freed and rules.lava:
-        coins = tuple(c for c in board.strings[sid] if c >= 0 and alive & rules.coin_mask[c] == 1 << sid)
+        bit, *masks = rules.table[sid]
+        coins = tuple(c for c, mask in zip(board.strings[sid], masks) if alive & mask == bit)
         raise IllegalMove(f"string {sid} would free coin(s) {coins}")
     rest = state.alive - {sid}
     if not freed:

@@ -53,16 +53,21 @@ with more than ``MAX_DEPTH`` alive strings is refused whatever its
 budget.
 
 ``naive_solve`` is an independent correctness oracle: plain minimax
-with no short-circuiting over the engine's bitmask rules
-(``engine.Rules``), the same kernel that the ``GameState`` functions
-``legal_moves``, ``apply_move`` and ``is_terminal`` run on.  It is
-memoized on the full position (alive strings, mover, scores gained
-since the root), packed into one int.  It stays independent of
-``solve``: it shares no code with ``_Search``, ``_value`` or ``_wins``,
-and its memo key keeps the mover and scores, so it does not lean on the
-mover symmetry that ``solve`` assumes for Strings-and-Coins.  A fault in
-either shows up as a disagreement.  It is exponential in the string
-count and capped at 14 strings.
+with no short-circuiting, memoized on the full position (alive strings,
+mover, scores gained since the root), packed into one int.  From the
+engine it takes the per-string mask table ``Rules.table``, which
+``Rules.moves`` and ``Rules.freed`` also read, and the freeing rule
+``alive & mask == bit``.  Each position is one walk over that table:
+it skips dead strings and, in Lava, freeing cuts, builds each child's
+key and probes the memo before it recurses, and folds every child into
+one running best, the largest for P1 and the smallest for P2 (a margin
+in Strings-and-Coins, elsewhere whether P1 wins, a bool with False <
+True).  It stays independent of ``solve``: it shares no code with
+``_Search``, ``_value`` or ``_wins``, and its memo key keeps the mover
+and scores, so it does not lean on the mover symmetry that ``solve``
+assumes for Strings-and-Coins.  A fault in either shows up as a
+disagreement.  It is exponential in the string count and capped at 14
+strings.
 
 A loony position has a degree-2 coin adjacent to exactly one degree-1
 coin; the mover wins Nimstring from it with a scripted opening of one
@@ -251,55 +256,65 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
 
 
 def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
-    """Oracle twin of ``solve``: plain minimax over the engine's bitmask
-    rules, every child expanded, memoized on the full position (alive
-    strings, mover, scores gained since the root) with a fresh memo per
-    call.  It shares no code with ``_Search``, ``_value`` or ``_wins``.
-    ``states_visited`` counts the distinct positions evaluated,
-    terminal ones included.  Refuses positions above ``NAIVE_BUDGET``
-    alive strings."""
+    """Oracle twin of ``solve``: plain minimax over the engine's table
+    ``Rules.table``, every child expanded, memoized on the full position
+    (alive strings, mover, scores gained since the root) with a fresh
+    memo per call.  It shares no code with ``_Search``, ``_value`` or
+    ``_wins``.  ``states_visited`` counts the distinct positions
+    evaluated, terminal ones included.  Refuses positions above
+    ``NAIVE_BUDGET`` alive strings."""
     if len(state.alive) > NAIVE_BUDGET:
         raise BudgetExceeded(f"{len(state.alive)} alive strings exceed naive budget {NAIVE_BUDGET}")
     sac = kind is GameKind.STRINGS_AND_COINS
     rules = Rules(state.board, kind)
+    table, lava = rules.table, rules.lava
     # A coin is freed at most once, so a gain is at most ``coin_count``
-    # and one int packs the position; a tuple key per position would
-    # hold three more objects per memo entry.
+    # and one int packs the position, ((alive*2 + p1)*k + g1)*k + g2; a
+    # tuple key per position would hold three more objects per memo entry.
     k = state.board.coin_count + 1
+    step = 2 * k * k
     # Values are absolute: P1's gained margin in Strings-and-Coins, else
     # whether P1 wins under optimal play.
     memo: dict[int, int | bool] = {}
+    probe = memo.get
 
-    def value(alive: int, p1: bool, g1: int, g2: int) -> int | bool:
-        key = ((alive * 2 + p1) * k + g1) * k + g2
-        v = memo.get(key)
-        if v is not None:
-            return v
-        children = []
-        for sid in rules.moves(alive):
-            rest = alive ^ (1 << sid)
-            f = rules.freed(alive, sid)
-            if not f:
-                children.append(value(rest, not p1, g1, g2))
-            elif not sac:
-                children.append(value(rest, p1, g1, g2))
-            elif p1:
-                children.append(value(rest, p1, g1 + f, g2))
+    def value(alive: int, p1: bool, key: int) -> int | bool:
+        # One fold for every game: P1 keeps the largest child, P2 the
+        # smallest, and a win/loss value is a bool, where False < True.
+        best = None
+        # A freeing cut keeps the turn and adds its coins to the mover's
+        # digit of the key (none outside Strings-and-Coins); a plain cut
+        # flips the mover's digit.
+        gain = (k if p1 else 1) if sac else 0
+        turn = -k * k if p1 else k * k
+        for bit, a, b in table:
+            if not alive & bit:
+                continue
+            f = (alive & a == bit) + (alive & b == bit)
+            if f:
+                if lava:
+                    continue
+                child = key - bit * step + f * gain
+                v = probe(child)
+                if v is None:
+                    v = value(alive ^ bit, p1, child)
             else:
-                children.append(value(rest, p1, g1, g2 + f))
-        # With no move the game is over: the scores decide
-        # Strings-and-Coins, and elsewhere the stuck mover loses.
-        if not children:
-            v = g1 - g2 if sac else not p1
-        elif sac:
-            v = max(children) if p1 else min(children)
-        else:
-            v = any(children) if p1 else all(children)
-        memo[key] = v
-        return v
+                child = key - bit * step + turn
+                v = probe(child)
+                if v is None:
+                    v = value(alive ^ bit, not p1, child)
+            if best is None or (v > best if p1 else v < best):
+                best = v
+        # With no move the game is over: the scores gained, the key's last
+        # two digits, decide Strings-and-Coins; elsewhere the stuck mover loses.
+        if best is None:
+            best = key // k % k - key % k if sac else not p1
+        memo[key] = best
+        return best
 
     p1 = state.mover is Player.P1
-    v = value(bitmask(state.alive), p1, 0, 0)
+    alive = bitmask(state.alive)
+    v = value(alive, p1, (alive * 2 + p1) * k * k)
     if sac:
         # The gained margin is the net still to come; the start scores
         # only shift both sides of the final margin alike.

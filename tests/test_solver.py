@@ -372,7 +372,7 @@ def test_rope_quotient_matches_oracle_on_rope_heavy_boards(seed: int, coins: int
     """Property: on boards built from ropes, the quotient search agrees
     with the oracle under every rule set, visits at most prod(w + 1)
     states, and its principal move is legal and keeps the solved value.
-    Boards stop at 12 strings: the oracle needs about 2.5 s for the three
+    Boards stop at 12 strings: the oracle needs about 0.2 s for the three
     rule sets on a 14-string rope board."""
     g = rope_board(random.Random(seed), coins, strings)
     state = initial_state(g)
@@ -395,6 +395,22 @@ def test_rope_quotient_matches_oracle_on_rope_heavy_boards(seed: int, coins: int
         else:
             assert fast.winner_for_mover
             assert winner_of(nxt, kind, solve(nxt, kind)) is state.mover, kind
+
+
+def test_rope_quotient_matches_oracle_at_13_and_14_strings():
+    """Seeded rope boards of 2-4 coins at the top of the oracle's range,
+    above the 12 strings that the property test draws: the quotient
+    search agrees with the oracle under every rule set and visits at
+    most prod(w + 1) states."""
+    rng = random.Random(1314)
+    for strings in (13, 13, 14, 14, 14):
+        g = rope_board(rng, rng.randint(2, 4), strings)
+        state = initial_state(g)
+        for kind in GameKind:
+            fast, slow = solve(state, kind), naive_solve(state, kind)
+            assert fast.winner_for_mover == slow.winner_for_mover, (strings, kind)
+            assert fast.net_for_mover == slow.net_for_mover, (strings, kind)
+            assert fast.states_visited <= quotient_states(g), (strings, kind)
 
 
 @pytest.mark.parametrize(
