@@ -212,13 +212,6 @@ class LiveBoard:
                 self.frozen[sid] = True
                 self.legal_count -= 1
 
-    def is_legal(self, sid: int) -> bool:
-        """Whether ``sid`` names a string of the board that the mover may
-        cut; ids outside ``range(string_count)`` are never legal."""
-        if not 0 <= sid < len(self.alive) or not self.alive[sid]:
-            return False
-        return not (self._lava and self.frozen[sid])
-
     def has_legal_move(self) -> bool:
         if self._lava:
             return self.legal_count > 0

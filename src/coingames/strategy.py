@@ -9,9 +9,10 @@ of the root coin; (4) empty clause ropes and whittle every remaining
 rope to its floor.  Progress is monotone (strings only die), so each
 script is a priority waterfall: the first stage with work remaining
 supplies the move, and a lowest-id cleanup cut is the final fallback.
-A stage that finds no work stays dry until a rope empties, so the
-waterfall skips it until then; only the two racing stages, which watch
-the opponent's top cuts, are asked every ply.  Cleanup has one guard:
+A stage that finds no work stays dry until some rope is first cut or
+emptied, so the waterfall skips it until then; no stage is exempt,
+the racing stages that watch the opponent's top cuts included.
+Cleanup has one guard:
 Trudy's script keeps the bottom ropes of its chosen clause's live wires
 until nothing else is legal.
 
@@ -42,15 +43,16 @@ attacker on Trudy chews through.  The script of a side and the
 ``GreedyDisabler`` that targets it both read that rule.
 
 Walking the waterfalls every ply stays cheap because the facts they
-branch on are monotone and move only when a rope empties, a few dozen
-times in a game of thousands of plies.  ``ArtifactTracker`` keeps them
-current inside ``observe``: the set of doomed clauses (a wire's bottom
-rope or a clause rope emptied), the induced assignment (a variable
-rope emptied), and an ``epoch`` that counts emptied ropes.  The scripts
-and the greedy attacker share one base, ``_TrackedPolicy``: one
-``reset``, one step that rebuilds a policy's wire lists as tuples when
-the epoch moves (per ply they are only re-sorted by rope counts), and
-one lowest-id cleanup scan with a monotone cursor.  The tracker and
+branch on are monotone and move only when a rope is first cut or
+emptied, a few dozen times in a game of thousands of plies.
+``ArtifactTracker`` keeps them current inside ``observe``: the set of
+doomed clauses (a wire's bottom rope or a clause rope emptied), the
+induced assignment (a variable rope emptied), and an ``epoch`` that
+counts first cuts and emptyings of ropes.  The scripts and the greedy
+attacker share one base, ``_TrackedPolicy``: one ``reset``, one step
+that rebuilds a policy's wire lists as tuples when the epoch moves (per
+ply they are only re-sorted by rope counts), and one lowest-id cleanup
+scan with a monotone cursor.  The tracker and
 those lists live for one playout: ``playout`` makes a new tracker and
 ``Policy.reset`` starts every policy afresh.
 """
@@ -79,11 +81,6 @@ class _Rope:
         self.start, self.stop = rng
         self.width = self.alive = self.stop - self.start
         self.cursor = self.start
-
-    def lowest_alive(self, live: LiveBoard) -> int | None:
-        while self.cursor < self.stop and not live.alive[self.cursor]:
-            self.cursor += 1
-        return self.cursor if self.cursor < self.stop else None
 
     def lowest_legal(self, live: LiveBoard) -> int | None:
         # A tracked board is a Lava board: an alive string is legal
@@ -127,8 +124,9 @@ class ArtifactTracker:
 
     Dooms and the assignment change only when some rope's ``alive``
     reaches 0, so ``observe`` updates them there and ``doomed`` and
-    ``assignment`` are plain reads.  ``epoch`` counts those events:
-    anything computed from emptiness alone holds until it moves."""
+    ``assignment`` are plain reads.  ``epoch`` counts those events and
+    each rope's first cut: anything computed from which ropes are
+    empty and which are whole holds until it moves."""
 
     def __init__(self, artifact: ReductionArtifact, live: LiveBoard):
         self.artifact = artifact
@@ -185,6 +183,8 @@ class ArtifactTracker:
         if rope is None or rope.alive <= 0:
             raise StrategyError(f"tracker out of sync at string {sid}")
         rope.alive -= 1
+        if rope.alive == rope.width - 1:
+            self.epoch += 1
         if rope.alive == 0:
             self.epoch += 1
             key = self._dooms.get(rope)
@@ -332,9 +332,10 @@ class _TrackedPolicy(Policy):
     """Shared machinery of the policies that read the tracker: the
     greedy attacker and both scripts.
 
-    Each keeps the wire lists it reads as tuples that depend on rope
-    emptiness alone; ``_sync`` has ``_refresh`` rebuild them when the
-    tracker's epoch has moved since the last rebuild.  Cleanup cuts the
+    Each keeps the wire lists it reads as tuples that depend only on
+    which ropes are empty and which are whole; ``_sync`` has
+    ``_refresh`` rebuild them when the tracker's epoch has moved since
+    the last rebuild.  Cleanup cuts the
     lowest-id legal string whose rope is not in ``protected``, and a
     protected string only once no other cut is left."""
 
@@ -429,21 +430,19 @@ class GreedyDisabler(_TrackedPolicy):
 class _ScriptBase(_TrackedPolicy):
     """Shared waterfall machinery for the two scripts.
 
-    ``stages`` is the waterfall: (phase, function, settles) triples in
-    priority order, kept on the class so that an instance holds no
-    reference to itself.  Once the variables are set, each move first
-    brings the script's wire lists up to the tracker's epoch.
+    ``stages`` is the waterfall: (phase, function) pairs in priority
+    order, kept on the class so that an instance holds no reference to
+    itself.  Once the variables are set, each move first brings the
+    script's wire lists up to the tracker's epoch.
 
-    A settling stage that returns None keeps returning None until the
-    epoch moves: its wire and rope tuples are fixed between refreshes,
+    A stage that returns None keeps returning None until the epoch
+    moves: its wire and rope tuples are fixed between refreshes, which
+    wires are pumped or raced changes only with a top rope's first cut,
     ``hp``, ``alive`` and ``top.alive`` only fall, ``frozen`` never
-    clears, and a wounded bottom rope never heals.  So ``waiting``
-    holds the stages still worth asking in this epoch: every refresh
-    refills it from ``stages``, and a settling stage leaves it the first
-    time it returns None.  Two stages never settle:
-    ``FallonScript._danger_raced`` and ``TrudyScript._urgent`` race the
-    wires whose top rope the opponent has cut, and such a cut moves no
-    epoch."""
+    clears, and a wounded bottom rope never heals.  So the stages still
+    worth asking in this epoch are a suffix of ``stages``, from the
+    monotone cursor ``stage_at``: every refresh resets it to 0, and a
+    stage that returns None moves it past itself."""
 
     side: Mover
     stages: tuple = ()
@@ -463,10 +462,11 @@ class _ScriptBase(_TrackedPolicy):
             move = self._fallback_set(assignment)
         v, value = move
         rope = t.var_top[v] if value else t.var_bottom[v]
-        # Both strings of an unset variable are alive.  The top one is
-        # frozen only once every level-1 wire of the variable is disabled;
-        # playout reports that pick as illegal.
-        return rope.lowest_alive(self.live)
+        # The top string of an unset variable is frozen once every
+        # level-1 wire of the variable is disabled; its bottom string is
+        # always legal.
+        sid = rope.lowest_legal(self.live)
+        return sid if sid is not None else t.var_bottom[v].lowest_legal(self.live)
 
     def _fallback_set(self, assignment) -> tuple[int, bool]:
         raise NotImplementedError
@@ -501,26 +501,22 @@ class _ScriptBase(_TrackedPolicy):
     def _sync(self) -> None:
         if self.epoch != self.tracker.epoch:
             super()._sync()
-            self.waiting = list(self.stages)
+            self.stage_at = 0
 
     def choose(self) -> int:
         sid = self._variable_move()
         if sid is not None:
             return sid
         self._sync()
-        waiting = self.waiting
-        i = 0
-        while i < len(waiting):
-            stage_phase, stage, settles = waiting[i]
+        stages = self.stages
+        while self.stage_at < len(stages):
+            stage_phase, stage = stages[self.stage_at]
             sid = stage(self)
             if sid is not None:
                 if stage_phase > self.phase:
                     self.phase = stage_phase
                 return sid
-            if settles:
-                del waiting[i]
-            else:
-                i += 1
+            self.stage_at += 1
         self.phase = 4
         return self._cleanup_move()
 
@@ -599,14 +595,14 @@ class FallonScript(_ScriptBase):
         return self._rope_cut(self.open_clauses)
 
     stages = (
-        (2, _l1_bads, True),
-        (3, _danger_raced, False),
-        (2, _l1_rest, True),
-        (2, _l1_keepers, True),
-        (3, _l2_bads, True),
-        (3, _l2_surplus, True),
-        (3, _l2_keeper, True),
-        (4, _ropes, True),
+        (2, _l1_bads),
+        (3, _danger_raced),
+        (2, _l1_rest),
+        (2, _l1_keepers),
+        (3, _l2_bads),
+        (3, _l2_surplus),
+        (3, _l2_keeper),
+        (4, _ropes),
     )
 
 
@@ -652,11 +648,14 @@ class TrudyScript(_ScriptBase):
         """Re-pick c' if it stopped being a candidate, then rebuild the
         lists that hang on c' and on the dooms."""
         t = self.tracker
-        assignment = t.assignment()
-        self.threats = tuple(u for u in _live(t.wires) if _trudy_threat(t, u, assignment))
-        cands = self._candidates()
-        if self.c_prime not in cands:
-            self.c_prime = max(cands, key=lambda k: (self._margin(k), k), default=None)
+        # The assignment is final by now, so a candidate stops being one
+        # only when it is doomed.
+        if self.c_prime is None or t.doomed(self.c_prime):
+            assignment = t.assignment()
+            threats = tuple(u for u in _live(t.wires) if _trudy_threat(t, u, assignment))
+            self.c_prime = max(
+                self._candidates(), key=lambda k: (self._margin(k, threats), k), default=None
+            )
         mine = t.clause_wires[self.c_prime] if self.c_prime is not None else ()
         # Cleanup keeps the bottoms of the live wires of c' to the last.
         self.protected = frozenset(w.bottom for w in mine if not w.disabled)
@@ -683,13 +682,13 @@ class TrudyScript(_ScriptBase):
             k for k in t.clause_keys if k != "empty" and not t.doomed(k) and t.satisfied(k, assignment)
         ]
 
-    def _margin(self, key: str) -> int:
+    def _margin(self, key: str, threats: Sequence[_Wire]) -> int:
         t = self.tracker
         # The layout gives a real or singleton clause one level-2 wire, and
         # a candidate is not doomed, so that wire is not disabled.
         w = next(u for u in t.clause_wires[key] if u.level == 2)
         distance = sum(
-            u.hp for u in self.threats if u is not w and (u.hp, u.index) < (w.hp, w.index)
+            u.hp for u in threats if u is not w and (u.hp, u.index) < (w.hp, w.index)
         )
         work = sum(u.top.alive for u in t.clause_wires[key] if not u.disabled)
         return distance - work
@@ -719,11 +718,11 @@ class TrudyScript(_ScriptBase):
         return self._rope_cut(self.doomed_keys)
 
     stages = (
-        (2, _wounds, True),
-        (3, _urgent, False),
-        (2, _pump, True),
-        (3, _post_sweep, True),
-        (4, _ropes, True),
+        (2, _wounds),
+        (3, _urgent),
+        (2, _pump),
+        (3, _post_sweep),
+        (4, _ropes),
     )
 
 

@@ -28,7 +28,9 @@ MAJORITY = "x1 x2\nx1 x3\nx2 x3"
 
 
 def _legal(live) -> list[int]:
-    return [sid for sid in range(len(live.alive)) if live.is_legal(sid)]
+    # A playout's board is a Lava board: an alive string is legal unless
+    # frozen.
+    return [sid for sid, alive in enumerate(live.alive) if alive and not live.frozen[sid]]
 
 
 def compiled(text: str, first: Mover):
@@ -160,6 +162,32 @@ def test_playout_rejects_illegal_policy_moves():
     for pick in (lambda live: 5, lambda live: -1, wrapped, frozen):
         with pytest.raises(StrategyError, match="chose illegal string"):
             playout(art, Stubborn(pick), p2, seed=0)
+
+
+def test_script_sets_a_variable_whose_top_string_is_frozen():
+    """Once both bottom strings of x2's only level-1 wire are cut, x2's
+    top string is frozen; Trudy's script, which wants x2 true, sets it
+    by its bottom string instead of picking the frozen one."""
+
+    class WireCutter(Policy):
+        """Cuts x2's level-1 wire bottom (strings 10 and 11), then the
+        lowest-id legal string."""
+
+        name = "wire-cutter"
+
+        def reset(self, tracker, seat, seed):
+            self.live = tracker.live
+            self.first = [10, 11]
+
+        def choose(self):
+            return self.first.pop(0) if self.first else _legal(self.live)[0]
+
+    art = compiled("x1 x2", Mover.FALLON)
+    assert art.player_for(Mover.TRUDY) is Player.P2
+    record = playout(art, WireCutter(), TrudyScript(art), seed=0)
+    assert record.lines[3].startswith("ply 4 P2 cut 2 ")
+    assert record.plies == len(record.lines)
+    assert record.winner is record.stuck.other
 
 
 # sha256 of transcript_text() (first 16 hex digits) at N=3, keyed by
@@ -298,8 +326,9 @@ def test_random_vs_random_playouts_terminate(seed: int):
 
 
 def _recount(tracker):
-    """Dooms, assignment and emptied-rope count, straight from the rope
-    counters."""
+    """Dooms, assignment and epoch, straight from the rope counters: the
+    epoch counts each rope once when it is first cut and once when it
+    is emptied."""
     t = tracker
     doomed = {
         key
@@ -314,8 +343,8 @@ def _recount(tracker):
     ropes = t.var_bottom + t.var_top + list(t.clause_rope.values())
     ropes += [r for w in t.wires for r in (w.bottom, w.top)]
     ropes += [t.pad] if t.pad is not None else []
-    emptied = sum(1 for r in ropes if r.alive == 0)
-    return doomed, assignment, emptied
+    epoch = sum((r.alive < r.width) + (r.alive == 0) for r in ropes)
+    return doomed, assignment, epoch
 
 
 class _AuditedRandom(UniformRandom):
@@ -351,10 +380,11 @@ def test_tracker_keeps_dooms_assignment_and_epoch(seed, text, first, side):
 
 def _settle_audited(script_class):
     """``script_class`` with its settling rule checked: right after each
-    refresh every stage waits again, and after every cut by either
-    player each stage dropped in the current epoch is called again and
-    still finds no move (``observe`` runs once the tracker has seen the
-    cut, so a cut that moves the epoch is skipped until the refresh)."""
+    refresh the stage cursor is back at the first stage, and after every
+    cut by either player each stage before the cursor is called again
+    and still finds no move (``observe`` runs once the tracker has seen
+    the cut, so a cut that moves the epoch is skipped until the
+    refresh)."""
 
     class Audited(script_class):
         def reset(self, tracker, seat, seed):
@@ -365,15 +395,12 @@ def _settle_audited(script_class):
             moved = self.epoch != self.tracker.epoch
             super()._sync()
             if moved:
-                assert self.waiting == list(self.stages)
+                assert self.stage_at == 0
 
         def observe(self, sid, mine):
             if self.epoch != self.tracker.epoch:
                 return
-            for stage_phase, stage, settles in self.stages:
-                if (stage_phase, stage, settles) in self.waiting:
-                    continue
-                assert settles, f"{stage.__name__} was dropped but never settles"
+            for _, stage in self.stages[: self.stage_at]:
                 assert stage(self) is None, f"{stage.__name__} found a move in its dropped epoch"
                 self.rechecked[stage.__name__] = self.rechecked.get(stage.__name__, 0) + 1
 
@@ -393,6 +420,6 @@ def test_dropped_stages_stay_settled_until_the_epoch_moves(N):
                     seats = {art.player_for(side): hero, art.player_for(side.other): opp}
                     playout(art, seats[Player.P1], seats[Player.P2], seed=1)
                     rechecked[side] |= set(hero.rechecked)
-    # Every settling stage was dropped and re-called somewhere.
+    # Every stage was passed by the cursor and re-called somewhere.
     for side, script_class in ((Mover.TRUDY, TrudyScript), (Mover.FALLON, FallonScript)):
-        assert rechecked[side] == {stage.__name__ for _, stage, settles in script_class.stages if settles}
+        assert rechecked[side] == {stage.__name__ for _, stage in script_class.stages}
