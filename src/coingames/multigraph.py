@@ -7,8 +7,10 @@ its endpoint pair, and its id is its index in ``Multigraph.strings``;
 parallel strings are allowed and stored individually, one index each.
 String ids are stable: game play never re-indexes a board, it only marks
 strings dead in a separate alive set.  ``GraphBuilder`` adds coins,
-strings and ropes, and appends whole boards with their coins, ids and
-labels shifted past its own.
+strings and ropes, and appends whole boards with their coins and ids
+shifted past its own.  Labels line up with the strings: ``labels[sid]``
+is string ``sid``'s label or None, and a board with no label at all has
+``labels == ()``.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ class StringEdge(NamedTuple):
 class Multigraph:
     """An immutable board: ``coin_count`` coins and a dense string list.
 
-    ``labels`` optionally maps string ids to provenance text (which
-    reduction gadget created the string).  Labels never affect game
-    semantics or serialization.
+    ``labels`` is ``()`` on a board without labels, or else one slot per
+    string, in id order: the provenance text of the string (which
+    reduction gadget created it), or None.  Labels never affect game
+    semantics, equality or serialization.
     """
 
     coin_count: int = 0
     strings: tuple[StringEdge, ...] = ()
-    labels: dict[int, str] = field(default_factory=dict, compare=False)
+    labels: tuple[str | None, ...] = field(default=(), compare=False)
 
     @property
     def string_count(self) -> int:
@@ -63,15 +66,15 @@ class Multigraph:
 
     @cached_property
     def has_self_loop(self) -> bool:
-        return any(a == b and is_coin(a) for a, b in self.strings)
+        return any(a == b and a >= 0 for a, b in self.strings)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.coin_count
-        for s in self.strings:
-            if is_coin(s.a):
-                deg[s.a] += 1
-            if is_coin(s.b):
-                deg[s.b] += 1
+        for a, b in self.strings:
+            if a >= 0:
+                deg[a] += 1
+            if b >= 0:
+                deg[b] += 1
         return deg
 
     @cached_property
@@ -80,9 +83,9 @@ class Multigraph:
         computed once per board."""
         inc: list[list[int]] = [[] for _ in range(self.coin_count)]
         for sid, (a, b) in enumerate(self.strings):
-            if is_coin(a):
+            if a >= 0:
                 inc[a].append(sid)
-            if is_coin(b) and b != a:
+            if b >= 0 and b != a:
                 inc[b].append(sid)
         return tuple(map(tuple, inc))
 
@@ -93,7 +96,7 @@ class GraphBuilder:
 
     coin_count: int = 0
     _strings: list[StringEdge] = field(default_factory=list)
-    _labels: dict[int, str] = field(default_factory=dict)
+    _labels: list[str | None] = field(default_factory=list)
 
     def add_coin(self) -> int:
         self.coin_count += 1
@@ -111,8 +114,7 @@ class GraphBuilder:
         self._check(a, b)
         sid = len(self._strings)
         self._strings.append(StringEdge(a, b))
-        if label is not None:
-            self._labels[sid] = label
+        self._labels.append(label)
         return sid
 
     def add_rope(self, a: int, b: int, width: int, label: str | None = None) -> list[int]:
@@ -122,24 +124,26 @@ class GraphBuilder:
         self._check(a, b)
         ids = list(range(len(self._strings), len(self._strings) + width))
         self._strings += [StringEdge(a, b)] * width
-        if label is not None:
-            self._labels.update(dict.fromkeys(ids, label))
+        self._labels += [label] * width
         return ids
 
     def add_board(self, g: Multigraph) -> None:
-        """Append ``g``: its coins, string ids and labels come after this
-        builder's; the ground stays the ground."""
-        coin_off, sid_off = self.coin_count, len(self._strings)
+        """Append ``g``: its coins and string ids come after this
+        builder's, the ground stays the ground, and its labels follow its
+        strings (Nones for a board without labels)."""
+        coin_off = self.coin_count
 
         def shift(e: int) -> int:
             return e if e == GROUND else e + coin_off
 
         self._strings += [StringEdge(shift(a), shift(b)) for a, b in g.strings] if coin_off else g.strings
-        self._labels.update({sid + sid_off: label for sid, label in g.labels.items()})
+        self._labels += g.labels or [None] * g.string_count
         self.coin_count += g.coin_count
 
     def build(self) -> Multigraph:
-        return Multigraph(self.coin_count, tuple(self._strings), dict(self._labels))
+        """Freeze the board, with ``labels == ()`` if no string has a label."""
+        labelled = self._labels.count(None) < len(self._labels)
+        return Multigraph(self.coin_count, tuple(self._strings), tuple(self._labels) if labelled else ())
 
 
 def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:

@@ -38,7 +38,7 @@ from itertools import zip_longest
 from .engine import Player
 from .errors import BudgetExceeded, FormulaError, ParseError, ReductionError, clip
 from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, parse_dnf, solve_gamesat
-from .multigraph import GROUND, MAX_STRINGS, GraphBuilder, Multigraph, cycle_graph, disjoint_union
+from .multigraph import GROUND, MAX_STRINGS, GraphBuilder, Multigraph
 
 DEFAULT_CHAIN_LEN = 5
 DEFAULT_STRING_CAP = 200_000
@@ -47,9 +47,12 @@ DEFAULT_STRING_CAP = 200_000
 def reduce_nimstring_to_sac(g: Multigraph) -> Multigraph:
     """Adjoin a cycle on max(2, coin_count + 1) coins (a 1-cycle would be
     a self-loop, which engines reject)."""
-    h = disjoint_union(g, cycle_graph(max(2, g.coin_count + 1)))
-    labels = h.labels | dict.fromkeys(range(g.string_count, h.string_count), "winner-cycle")
-    return Multigraph(h.coin_count, h.strings, labels)
+    b = GraphBuilder()
+    b.add_board(g)
+    cycle = b.add_coins(max(2, g.coin_count + 1))
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        b.add_string(x, y, "winner-cycle")
+    return b.build()
 
 
 def reduce_lava_to_nimstring(g: Multigraph, chain_len: int = DEFAULT_CHAIN_LEN) -> Multigraph:

@@ -764,7 +764,9 @@ def playout(
     policy_p2.reset(tracker, Player.P2, seed)
     choose_p1, observe_p1 = policy_p1.choose, policy_p1.observe
     choose_p2, observe_p2 = policy_p2.choose, policy_p2.observe
-    cut, track, label = live.cut, tracker.observe, artifact.graph.labels.get
+    cut, track = live.cut, tracker.observe
+    # A board read from text has no labels, and every ply of it prints '-'.
+    labels = artifact.graph.labels or (None,) * artifact.graph.string_count
     p1, p1_text, p2_text = Player.P1, Player.P1.value, Player.P2.value
     lines: list[str] = []
     append = lines.append
@@ -784,7 +786,8 @@ def playout(
             ) from None
         track(sid)
         ply += 1
-        append(f"ply {ply} {seat} cut {sid} # {label(sid, '-')} phase={policy.phase}")
+        label = labels[sid]
+        append(f"ply {ply} {seat} cut {sid} # {'-' if label is None else label} phase={policy.phase}")
         observe_p1(sid, p1_moved)
         observe_p2(sid, not p1_moved)
     stuck = live.mover

@@ -64,7 +64,7 @@ def test_rope_builder_and_labels():
 
 def test_labels_do_not_affect_equality_or_hash():
     g = cycle_graph(3)
-    labelled = Multigraph(g.coin_count, g.strings, {0: "wire", 2: "clause"})
+    labelled = Multigraph(g.coin_count, g.strings, ("wire", None, "clause"))
     assert labelled == g
     assert hash(labelled) == hash(g)
     assert len({g, labelled, parse_text(canonical_text(labelled))}) == 1

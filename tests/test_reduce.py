@@ -19,7 +19,7 @@ from coingames import reduce as reduce_module
 from coingames.engine import GameKind, Player, initial_state
 from coingames.errors import FormulaError, ParseError, ReductionError
 from coingames.gamesat import GameSatValue, Mover, parse_dnf
-from coingames.multigraph import GROUND, GraphBuilder, canonical_text, cycle_graph
+from coingames.multigraph import GROUND, GraphBuilder, canonical_text, cycle_graph, disjoint_union, parse_text
 from coingames.reduce import (
     DEFAULT_CHAIN_LEN,
     ReductionArtifact,
@@ -317,7 +317,7 @@ def test_compiled_boards_and_labels_are_byte_stable(text, first, N, strings, boa
     """Board text and string labels, padded and unpadded, pinned as
     written before the compiler built each board in one pass."""
     g = compile_gamesat_to_lava(parse_dnf(text), N, first).graph
-    labels = "".join(f"{sid} {label}\n" for sid, label in sorted(g.labels.items()))
+    labels = "".join(f"{sid} {label}\n" for sid, label in enumerate(g.labels) if label is not None)
     assert g.string_count == strings
     assert hashlib.sha256(canonical_text(g).encode()).hexdigest() == board_digest
     assert hashlib.sha256(labels.encode()).hexdigest() == labels_digest
@@ -427,7 +427,7 @@ def test_compiled_boards_are_lava_playable(seed: int):
 
 
 def _text_and_labels(g) -> str:
-    labels = "".join(f"{sid} {label}\n" for sid, label in sorted(g.labels.items()))
+    labels = "".join(f"{sid} {label}\n" for sid, label in enumerate(g.labels) if label is not None)
     return canonical_text(g) + labels
 
 
@@ -443,3 +443,36 @@ def test_reduced_boards_and_labels_are_byte_stable():
         digest.update(_text_and_labels(reduce_nimstring_to_sac(g)).encode())
     assert len(boards) == 21
     assert digest.hexdigest() == "da92d3b3359e9c508865753bf8abca9739f44386e2a41af9058ea372509c3c2c"
+
+
+def _label_slots(g) -> tuple:
+    """A board's labels, one slot per string: ``()`` or aligned."""
+    assert g.labels == () or len(g.labels) == g.string_count
+    return g.labels or (None,) * g.string_count
+
+
+def test_labels_are_empty_or_one_slot_per_string():
+    """Every source of boards keeps ``labels`` empty or aligned with
+    ``strings``, and a reduction of an unlabelled board labels exactly
+    the strings it adds."""
+    b = GraphBuilder()
+    c = b.add_coin()
+    b.add_rope(c, GROUND, 2)
+    bare = b.build()
+    assert bare.labels == ()
+    b.add_string(c, c, "loop")
+    b.add_rope(c, GROUND, 2)
+    assert b.build().labels == (None, None, "loop", None, None)
+    plain = parse_text("coins 2\nstring 0 0 1\nstring 1 1 ground\n")
+    assert plain.labels == ()
+    compiled = compile_gamesat_to_lava(parse_dnf("x1 x2"), 2, Mover.TRUDY).graph
+    assert None not in _label_slots(compiled)
+    assert _label_slots(disjoint_union(compiled, plain)) == compiled.labels + (None, None)
+    assert _label_slots(disjoint_union(plain, compiled)) == (None, None) + compiled.labels
+    assert disjoint_union(plain, bare).labels == ()
+    for g in (plain, compiled):
+        nim = reduce_lava_to_nimstring(g)
+        sac = reduce_nimstring_to_sac(g)
+        for h, added in ((nim, [f"anchor-chain:{c}" for c in range(g.coin_count) for _ in range(5)]),
+                         (sac, ["winner-cycle"] * (g.coin_count + 1))):
+            assert _label_slots(h) == _label_slots(g) + tuple(added)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from coingames.engine import Player
 from coingames.errors import StrategyError
 from coingames.gamesat import Mover, parse_dnf
+from coingames.multigraph import Multigraph, canonical_text, parse_text
 from coingames.reduce import compile_gamesat_to_lava
 from coingames.strategy import (
     FallonScript,
@@ -129,6 +131,21 @@ def test_transcript_format_and_phase_monotonicity():
             assert phase >= last_phase[seat]
             last_phase[seat] = phase
     assert record.transcript_text().endswith("phase=" + phase_text + "\n")
+
+
+def test_transcript_prints_a_dash_for_no_label_only():
+    """A string without a label prints ``-``; an empty label prints as
+    itself, and a board read from text prints ``-`` on every ply."""
+    art = compiled("x1 x2", Mover.TRUDY)
+    g = art.graph
+    kinds = (None, "", "wire")
+    labelled = Multigraph(g.coin_count, g.strings, tuple(kinds[sid % 3] for sid in range(g.string_count)))
+    for board, shown in ((labelled, ("-", "", "wire")), (parse_text(canonical_text(g)), ("-",) * 3)):
+        record = playout(replace(art, graph=board), UniformRandom(), UniformRandom(), seed=3)
+        assert record.plies > 0
+        for line in record.lines:
+            sid = int(line.split()[4])
+            assert line.split(" # ", 1)[1] == f"{shown[sid % 3]} phase=-"
 
 
 def test_playout_rejects_illegal_policy_moves():

@@ -252,7 +252,7 @@ def test_recount_flags_a_tampered_board():
     g = art.graph
     from coingames.multigraph import Multigraph
 
-    tampered = Multigraph(g.coin_count, g.strings[:-2], dict(g.labels))
+    tampered = Multigraph(g.coin_count, g.strings[:-2], g.labels[:-2])
     observed = recount_structure(tampered, 2)
     full = recount_structure(g, 2)
     assert observed != full
