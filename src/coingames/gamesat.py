@@ -127,7 +127,10 @@ class _GsSolver:
     """
 
     def __init__(self, f: DnfFormula, allow_skip: bool):
-        self.f = f
+        # The clauses, not ``f``: ``f`` caches this solver, and a reference
+        # back would leave both, tables included, to the cycle collector.
+        self.clauses = f.clauses
+        self.variable_count = f.variable_count
         self.allow_skip = allow_skip
         self.memo: dict[Assignment, tuple[GameSatValue, GameSatValue]] = {}
 
@@ -136,11 +139,10 @@ class _GsSolver:
         if cached is not None:
             return cached
         if None not in assignment:
-            v = (
-                GameSatValue.TRUDY_WINS
-                if evaluate(self.f, assignment)
-                else GameSatValue.FALLON_WINS
-            )
+            if len(assignment) != self.variable_count:
+                raise FormulaError("assignment length does not match variable count")
+            won = any(all(assignment[v] for v in clause) for clause in self.clauses)
+            v = GameSatValue.TRUDY_WINS if won else GameSatValue.FALLON_WINS
             result = (v, v)
         else:
             child_pairs = [self.pair(a) for a in _set_children(assignment)]

@@ -176,6 +176,19 @@ def canonical_text(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _end(tok: str, coin_count: int, lineno: int) -> int:
+    """One endpoint token of a string record: ``ground`` or a coin index."""
+    if tok == "ground":
+        return GROUND
+    try:
+        e = int(tok)
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad endpoint {clip(repr(tok))}") from None
+    if not (0 <= e < coin_count):
+        raise ParseError(f"line {lineno}: coin {clip(str(e))} out of range")
+    return e
+
+
 def parse_text(text: str) -> Multigraph:
     """Parse the board text format.
 
@@ -183,15 +196,34 @@ def parse_text(text: str) -> Multigraph:
     ``string <id> <end> <end>`` records where each end is a decimal coin
     index or the literal ``ground``.  Ids must appear in increasing order
     from 0.  ``#`` begins a comment line.
+
+    A run of records with the same endpoint tokens is checked once and
+    shares one ``StringEdge``, as a rope from ``GraphBuilder.add_rope``
+    does.
     """
     coin_count: int | None = None
     strings: list[StringEdge] = []
+    append = strings.append
+    prev: list[str] = []  # endpoint tokens of the last string record
+    edge = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if len(parts) == 4 and parts[0] == "string" and coin_count is not None:
+            if parts[1] != str(len(strings)):
+                try:
+                    sid = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: bad string id {clip(repr(parts[1]))}") from None
+                if sid != len(strings):
+                    raise ParseError(f"line {lineno}: string id {clip(str(sid))} out of order (expected {len(strings)})")
+            ends = parts[2:]
+            if ends != prev:
+                edge = StringEdge(_end(ends[0], coin_count, lineno), _end(ends[1], coin_count, lineno))
+                prev = ends
+            append(edge)
+        elif not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if parts[0] == "coins":
+        elif parts[0] == "coins":
             if coin_count is not None:
                 raise ParseError(f"line {lineno}: duplicate coins header")
             if len(parts) != 2:
@@ -204,32 +236,12 @@ def parse_text(text: str) -> Multigraph:
                 raise ParseError(f"line {lineno}: negative coin count")
             if coin_count > MAX_COINS:
                 raise ParseError(f"line {lineno}: coin count {clip(str(coin_count))} above {MAX_COINS}")
-        elif parts[0] == "string":
-            if coin_count is None:
-                raise ParseError(f"line {lineno}: string record before coins header")
-            if len(parts) != 4:
-                raise ParseError(f"line {lineno}: expected 'string <id> <end> <end>'")
-            try:
-                sid = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad string id {clip(repr(parts[1]))}") from None
-            if sid != len(strings):
-                raise ParseError(f"line {lineno}: string id {clip(str(sid))} out of order (expected {len(strings)})")
-            ends = []
-            for tok in parts[2:4]:
-                if tok == "ground":
-                    ends.append(GROUND)
-                else:
-                    try:
-                        e = int(tok)
-                    except ValueError:
-                        raise ParseError(f"line {lineno}: bad endpoint {clip(repr(tok))}") from None
-                    if not (0 <= e < coin_count):
-                        raise ParseError(f"line {lineno}: coin {clip(str(e))} out of range")
-                    ends.append(e)
-            strings.append(StringEdge(*ends))
-        else:
+        elif parts[0] != "string":
             raise ParseError(f"line {lineno}: unknown record {clip(repr(parts[0]))}")
+        elif coin_count is None:
+            raise ParseError(f"line {lineno}: string record before coins header")
+        else:
+            raise ParseError(f"line {lineno}: expected 'string <id> <end> <end>'")
     if coin_count is None:
         raise ParseError("missing coins header")
     return Multigraph(coin_count, tuple(strings))

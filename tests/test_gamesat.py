@@ -1,7 +1,9 @@
 """Set-or-skip satisfiability game: parsing, evaluation, and solved values."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,3 +206,23 @@ def test_someone_wins_without_skips(seed: int):
     for first in Mover:
         v = solve_gamesat(f, first, allow_skip=False)
         assert v in (GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS)
+
+
+def test_solved_formula_is_freed_without_the_cycle_collector():
+    """A formula's cached solvers hold its clauses, not the formula, so
+    dropping a solved formula frees it and its tables at once."""
+    f = parse_dnf(MAJORITY)
+    gone = weakref.ref(f)
+    gc.disable()
+    try:
+        assert solve_gamesat(f, Mover.TRUDY) is GameSatValue.TRUDY_WINS
+        assert winning_set_move(f, f.unset_assignment(), Mover.TRUDY) is not None
+        del f
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_solve_refuses_an_assignment_of_the_wrong_length():
+    with pytest.raises(FormulaError):
+        solve_gamesat(parse_dnf(MAJORITY), Mover.TRUDY, assignment=(True, False))

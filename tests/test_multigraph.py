@@ -27,6 +27,15 @@ def small_board(seed: int) -> Multigraph:
     return random_multigraph(rng, rng.randint(0, 5), rng.randint(0, 9), 0.3)
 
 
+def rope_board(seed: int) -> Multigraph:
+    rng = random.Random(seed)
+    b = GraphBuilder()
+    ends = b.add_coins(rng.randint(1, 4)) + [GROUND]
+    for _ in range(rng.randint(0, 6)):
+        b.add_rope(rng.choice(ends), rng.choice(ends), rng.randint(1, 5))
+    return b.build()
+
+
 def test_ground_is_not_a_coin():
     assert not is_coin(GROUND)
     assert is_coin(0)
@@ -148,21 +157,68 @@ def test_parse_text_basic():
     assert (g.strings[1].a, g.strings[1].b) == (1, GROUND)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "string 0 0 1\n",
-        "coins 2\ncoins 2\n",
-        "coins -1\n",
-        "coins 1\nstring 1 0 ground\n",
-        "coins 1\nstring 0 2 ground\n",
-        "coins 1\nwire 0 0 ground\n",
-        "",
-    ],
-)
+# Every ParseError text, line number included.  The repeat cases fail on
+# a record whose endpoints are those of the record before it.
+PARSE_ERRORS = {
+    "string 0 0 1\n": "line 1: string record before coins header",
+    "coins 2\ncoins 2\n": "line 2: duplicate coins header",
+    "coins -1\n": "line 1: negative coin count",
+    "coins 1\nstring 1 0 ground\n": "line 2: string id 1 out of order (expected 0)",
+    "coins 1\nstring 0 2 ground\n": "line 2: coin 2 out of range",
+    "coins 1\nwire 0 0 ground\n": "line 2: unknown record 'wire'",
+    "": "missing coins header",
+    "# a comment\n\n": "missing coins header",
+    "coins\n": "line 1: expected 'coins <count>'",
+    "coins 2 3\n": "line 1: expected 'coins <count>'",
+    "coins two\n": "line 1: bad coin count 'two'",
+    "coins 1000001\n": "line 1: coin count 1000001 above 1000000",
+    "coins 1\nstring 0 0\n": "line 2: expected 'string <id> <end> <end>'",
+    "coins 1\nstring 0 0 ground 1\n": "line 2: expected 'string <id> <end> <end>'",
+    "coins 1\nstring x 0 ground\n": "line 2: bad string id 'x'",
+    "coins 1\nstring 0 zero ground\n": "line 2: bad endpoint 'zero'",
+    "coins 1\nstring 0 ground -1\n": "line 2: coin -1 out of range",
+    "coins 1\nstring 0 0 01\n": "line 2: coin 1 out of range",
+    "coins 2\nstring 0 0 1\nstring 0 0 1\n": "line 3: string id 0 out of order (expected 1)",
+    "coins 2\nstring 0 0 1\nstring one 0 1\n": "line 3: bad string id 'one'",
+    "coins 2\nstring 0 0 1\nstring 1 0 1 1\n": "line 3: expected 'string <id> <end> <end>'",
+    "coins 2\nstring 0 0 1\nstring 1 0 1\nstring 3 0 1\n": "line 4: string id 3 out of order (expected 2)",
+    "coins 2\nstring 0 0 1\nstring 1 0 1\ncoins 2\n": "line 4: duplicate coins header",
+    "coins 2\nstring 0 0 1\nstring 1 0 1\nrope 2 0 1\n": "line 4: unknown record 'rope'",
+    "coins 2\nstring 0 0 1\nstring 1 0 2\n": "line 3: coin 2 out of range",
+    "coins 2\nstring 0 1 ground\nstring 1 1 groun\n": "line 3: bad endpoint 'groun'",
+    "coins 2\r\n\r\n# c\r\nstring 0 0 1\r\nstring 2 0 1\r\n": "line 5: string id 2 out of order (expected 1)",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_text_rejects_malformed(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_text(text)
+    assert str(info.value) == PARSE_ERRORS[text]
+
+
+def test_parse_error_clips_a_long_token():
+    with pytest.raises(ParseError) as info:
+        parse_text("coins 1\nstring " + "x" * 300 + " 0 ground\n")
+    assert str(info.value) == "line 2: bad string id '" + "x" * 196 + "..."
+
+
+def test_parse_text_accepts_odd_layout():
+    """Tabs, indents, CRLF, blank and comment lines inside a rope, and ids
+    or endpoints written with a sign or a leading zero."""
+    text = (
+        "  coins 3\t\r\n"
+        "\tstring 0 0 1\r\n"
+        "   # an indented comment inside the rope\r\n"
+        "\r\n"
+        "string 01 0 1\r\n"
+        "string +2\t0   1\r\n"
+        "string 3 00 +1\r\n"
+        "string 4 ground 2\r\n"
+    )
+    g = parse_text(text)
+    assert g == Multigraph(3, (StringEdge(0, 1),) * 4 + (StringEdge(GROUND, 2),))
+    assert g.labels == ()
 
 
 def test_to_dot_mentions_every_string():
@@ -177,11 +233,13 @@ def test_to_dot_mentions_every_string():
 
 @given(seed=st.integers(min_value=0, max_value=5000))
 def test_text_round_trip(seed: int):
-    """Property: canonical_text then parse_text reproduces the board."""
-    g = small_board(seed)
-    h = parse_text(canonical_text(g))
-    assert h.coin_count == g.coin_count
-    assert [(s.a, s.b) for s in h.strings] == [(s.a, s.b) for s in g.strings]
+    """Property: canonical_text then parse_text reproduces the board, a
+    random one or one of ropes, and a run of equal strings read from text
+    shares one record, as a rope from ``add_rope`` does."""
+    for g in (small_board(seed), rope_board(seed)):
+        h = parse_text(canonical_text(g))
+        assert h == g
+        assert all(s is t for s, t in zip(h.strings, h.strings[1:]) if s == t)
 
 
 @given(seed=st.integers(min_value=0, max_value=5000))
