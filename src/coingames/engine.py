@@ -199,6 +199,7 @@ class LiveBoard:
         # A coin's degree is its incidence count on a self-loop-free board.
         self.degree = [len(ids) for ids in board.incidence]
         self._incidence = board.incidence
+        self._strings = board.strings
         # frozen[sid] is True once cutting sid would free a coin.
         self.frozen = [False] * board.string_count
         self.legal_count = board.string_count
@@ -226,7 +227,7 @@ class LiveBoard:
         # An alive string frees a coin exactly when it is frozen (its
         # coin is down to this one string), so only frozen cuts count.
         freed = 0
-        a, b = self.board.strings[sid]
+        a, b = self._strings[sid]
         degree = self.degree
         if self.frozen[sid]:
             if self._lava:

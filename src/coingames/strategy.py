@@ -55,6 +55,15 @@ ply they are only re-sorted by rope counts), and one lowest-id cleanup
 scan with a monotone cursor.  The tracker and
 those lists live for one playout: ``playout`` makes a new tracker and
 ``Policy.reset`` starts every policy afresh.
+
+A ply of ``playout`` does only what can change the game: the mover's
+policy chooses, the ``LiveBoard`` cuts, the tracker observes, the cut
+and the mover's phase are appended to two lists, and both policies
+observe.  A policy's ``choose`` compares epochs inline and calls
+``_sync`` only when the epoch has moved; a script asks its variable
+stage only while in phase 1, and its stages read rope counters
+directly.  The transcript is not formatted during play:
+``PlayoutRecord`` formats it from the cuts and phases on demand.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import GameKind, LiveBoard, Player
 from .errors import IllegalMove, StrategyError
@@ -317,10 +326,17 @@ class UniformRandom(Policy):
         self.pool = list(range(self.live.board.string_count))
 
     def choose(self) -> int:
-        pool, randrange = self.pool, self.rng.randrange
+        pool, getrandbits = self.pool, self.rng.getrandbits
         alive, frozen = self.live.alive, self.live.frozen
         while True:
-            idx = randrange(len(pool))
+            # Draw the index as ``randrange(len(pool))`` does, inline.
+            n = len(pool)
+            k = n.bit_length()
+            idx = getrandbits(k)
+            while idx >= n:
+                if not n:
+                    raise StrategyError("asked to move with no legal cut available")
+                idx = getrandbits(k)
             sid = pool[idx]
             if alive[sid] and not frozen[sid]:
                 return sid
@@ -333,9 +349,10 @@ class _TrackedPolicy(Policy):
     greedy attacker and both scripts.
 
     Each keeps the wire lists it reads as tuples that depend only on
-    which ropes are empty and which are whole; ``_sync`` has
-    ``_refresh`` rebuild them when the tracker's epoch has moved since
-    the last rebuild.  Cleanup cuts the
+    which ropes are empty and which are whole.  ``choose`` compares its
+    ``epoch`` with the tracker's and, when it has moved since the last
+    rebuild, calls ``_sync``, which has ``_refresh`` rebuild them.
+    Cleanup cuts the
     lowest-id legal string whose rope is not in ``protected``, and a
     protected string only once no other cut is left."""
 
@@ -351,9 +368,8 @@ class _TrackedPolicy(Policy):
         self.epoch = -1
 
     def _sync(self) -> None:
-        if self.epoch != self.tracker.epoch:
-            self.epoch = self.tracker.epoch
-            self._refresh()
+        self.epoch = self.tracker.epoch
+        self._refresh()
 
     def _refresh(self) -> None:
         raise NotImplementedError
@@ -416,14 +432,17 @@ class GreedyDisabler(_TrackedPolicy):
         self.goods = _live(goods)
 
     def choose(self) -> int:
-        self._sync()
+        if self.epoch != self.tracker.epoch:
+            self._sync()
+        live = self.live
         best, best_hp = None, None
         # The goods are in wire order, so the lowest id wins a tie in HP.
         for w in self.goods:
-            if best_hp is None or w.hp < best_hp:
-                sid = w.bottom.lowest_legal(self.live)
+            hp = w.bottom.alive
+            if best_hp is None or hp < best_hp:
+                sid = w.bottom.lowest_legal(live)
                 if sid is not None:
-                    best, best_hp = sid, w.hp
+                    best, best_hp = sid, hp
         return best if best is not None else self._cleanup_move()
 
 
@@ -432,8 +451,10 @@ class _ScriptBase(_TrackedPolicy):
 
     ``stages`` is the waterfall: (phase, function) pairs in priority
     order, kept on the class so that an instance holds no reference to
-    itself.  Once the variables are set, each move first brings the
-    script's wire lists up to the tracker's epoch.
+    itself.  The variable stage runs only in phase 1: the assignment is
+    monotone, and the first move after every variable is set leaves
+    phase 1 for good.  From then on each move first brings the script's
+    wire lists up to the tracker's epoch.
 
     A stage that returns None keeps returning None until the epoch
     moves: its wire and rope tuples are fixed between refreshes, which
@@ -473,41 +494,43 @@ class _ScriptBase(_TrackedPolicy):
 
     # -- generic helpers ----------------------------------------------
     def _disable_first(self, wires: Sequence[_Wire]) -> int | None:
+        live = self.live
         for w in wires:
-            if w.hp > 0:
-                sid = w.bottom.lowest_legal(self.live)
+            if w.bottom.alive:
+                sid = w.bottom.lowest_legal(live)
                 if sid is not None:
                     return sid
         return None
 
     def _activate_first(self, wires: Sequence[_Wire]) -> int | None:
+        live = self.live
         for w in wires:
-            if w.hp > 0 and not w.activated:
-                sid = w.top.lowest_legal(self.live)
+            if w.bottom.alive and w.top.alive:
+                sid = w.top.lowest_legal(live)
                 if sid is not None:
                     return sid
         return None
 
-    def _rope_cut(self, keys: Sequence[str]) -> int | None:
-        t = self.tracker
-        for key in keys:
-            rope = t.clause_rope[key]
-            if rope.alive > 0:
-                sid = rope.lowest_legal(self.live)
+    def _rope_cut(self, ropes: Sequence[_Rope]) -> int | None:
+        live = self.live
+        for rope in ropes:
+            if rope.alive:
+                sid = rope.lowest_legal(live)
                 if sid is not None:
                     return sid
         return None
 
     def _sync(self) -> None:
-        if self.epoch != self.tracker.epoch:
-            super()._sync()
-            self.stage_at = 0
+        super()._sync()
+        self.stage_at = 0
 
     def choose(self) -> int:
-        sid = self._variable_move()
-        if sid is not None:
-            return sid
-        self._sync()
+        if self.phase == 1:
+            sid = self._variable_move()
+            if sid is not None:
+                return sid
+        if self.epoch != self.tracker.epoch:
+            self._sync()
         stages = self.stages
         while self.stage_at < len(stages):
             stage_phase, stage = stages[self.stage_at]
@@ -531,8 +554,9 @@ class FallonScript(_ScriptBase):
     wires, keep the lowest good wire alive and activate it.  Finally
     empty every clause rope.
 
-    The class tuples keep only wires that are not yet disabled, and
-    ``open_clauses`` only non-empty clause ropes.
+    Each wire is classed once per playout, at the first refresh; every
+    refresh keeps the wires of each class that are not yet disabled,
+    and ``open_clauses`` the clause ropes that are not yet empty.
     """
 
     name = "fallon-script"
@@ -541,27 +565,34 @@ class FallonScript(_ScriptBase):
     def _fallback_set(self, assignment):
         return assignment.index(None), False
 
+    def reset(self, tracker, seat, seed):
+        super().reset(tracker, seat, seed)
+        self.classes: defaultdict[str, list[_Wire]] | None = None
+
     def _refresh(self):
-        # The variables are all set by now, so the assignment is final.
         t = self.tracker
-        assignment = t.assignment()
-        by_class: dict[str, list[_Wire]] = defaultdict(list)
-        for w in _live(t.wires):
-            by_class[_fallon_class(t, w, assignment)].append(w)
+        classes = self.classes
+        if classes is None:
+            # The variables are all set by now, so the assignment, and
+            # with it every wire's class, is final.
+            assignment = t.assignment()
+            classes = self.classes = defaultdict(list)
+            for w in t.wires:
+                classes[_fallon_class(t, w, assignment)].append(w)
         # The layout lists each variable's level-1 wires together, so a
         # variable's keeper is its first good wire in wire order.
         keepers: list[_Wire] = []
         surplus: list[_Wire] = []
-        for w in by_class["l1_good"]:
+        for w in _live(classes["l1_good"]):
             same_var = keepers and keepers[-1].source_var == w.source_var
             (surplus if same_var else keepers).append(w)
         self.l1_keepers = tuple(keepers)
-        self.l1_rest = tuple(by_class["l1_neutral"] + surplus)
-        self.l1_bad = tuple(by_class["l1_bad"])
+        self.l1_rest = _live(classes["l1_neutral"]) + tuple(surplus)
+        self.l1_bad = _live(classes["l1_bad"])
         self.l2_good, self.l2_empty, self.l2_danger = (
-            tuple(by_class[k]) for k in ("l2_good", "l2_empty", "l2_danger")
+            _live(classes[k]) for k in ("l2_good", "l2_empty", "l2_danger")
         )
-        self.open_clauses = tuple(k for k in t.clause_keys if t.clause_rope[k].alive)
+        self.open_clauses = tuple(rope for rope in t.clause_rope.values() if rope.alive)
 
     def _l1_bads(self):
         return self._disable_first(self.l1_bad)
@@ -672,7 +703,7 @@ class TrudyScript(_ScriptBase):
             and w.target != "empty"
             and not t.doomed(w.target)
         )
-        self.doomed_keys = tuple(filter(t.doomed, t.clause_keys))
+        self.doomed_ropes = tuple(t.clause_rope[k] for k in t.clause_keys if t.doomed(k))
 
     # -- candidate bookkeeping ------------------------------------------
     def _candidates(self) -> list[str]:
@@ -715,7 +746,7 @@ class TrudyScript(_ScriptBase):
         return self._disable_first(self.rivals)
 
     def _ropes(self):
-        return self._rope_cut(self.doomed_keys)
+        return self._rope_cut(self.doomed_ropes)
 
     stages = (
         (2, _wounds),
@@ -728,12 +759,40 @@ class TrudyScript(_ScriptBase):
 
 @dataclass
 class PlayoutRecord:
+    """One finished playout.  ``cuts[k]`` is the string cut at ply
+    k + 1 and ``phases[k]`` its mover's ``phase`` right after the cut;
+    ``labels`` are the board's.  P1 moves first and every Lava cut
+    passes the turn, so the odd plies are P1's and the even ones P2's.
+
+    ``lines`` formats the transcript from these on demand, one line per
+    ply: ``ply <k> <seat> cut <sid> # <label> phase=<phase>``, with
+    ``-`` for a string without a label (every string of a board read
+    from text).  ``transcript_text`` joins the lines."""
+
     winner: Player
     stuck: Player
-    plies: int
-    lines: list[str] = field(default_factory=list)
-    census: dict = field(default_factory=dict)
-    policy_names: tuple[str, str] = ("", "")
+    cuts: list[int]
+    phases: list[int | str]
+    labels: tuple[str | None, ...]
+    census: dict
+    policy_names: tuple[str, str]
+
+    @property
+    def plies(self) -> int:
+        return len(self.cuts)
+
+    @property
+    def lines(self) -> list[str]:
+        labels, cuts = self.labels, self.cuts
+        if labels:
+            shown = ["-" if labels[sid] is None else labels[sid] for sid in cuts]
+        else:
+            shown = ["-"] * len(cuts)
+        seats = (Player.P2.value, Player.P1.value)
+        return [
+            f"ply {k} {seats[k & 1]} cut {sid} # {label} phase={phase}"
+            for k, (sid, label, phase) in enumerate(zip(cuts, shown, self.phases), start=1)
+        ]
 
     def transcript_text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -765,37 +824,35 @@ def playout(
     choose_p1, observe_p1 = policy_p1.choose, policy_p1.observe
     choose_p2, observe_p2 = policy_p2.choose, policy_p2.observe
     cut, track = live.cut, tracker.observe
-    # A board read from text has no labels, and every ply of it prints '-'.
-    labels = artifact.graph.labels or (None,) * artifact.graph.string_count
-    p1, p1_text, p2_text = Player.P1, Player.P1.value, Player.P2.value
-    lines: list[str] = []
-    append = lines.append
-    ply = 0
+    p1 = Player.P1
+    cuts: list[int] = []
+    phases: list[int | str] = []
+    add_cut, add_phase = cuts.append, phases.append
     # A Lava board has a legal move exactly while legal_count is positive.
     while live.legal_count:
         p1_moved = live.mover is p1
         if p1_moved:
-            policy, seat, sid = policy_p1, p1_text, choose_p1()
+            policy, sid = policy_p1, choose_p1()
         else:
-            policy, seat, sid = policy_p2, p2_text, choose_p2()
+            policy, sid = policy_p2, choose_p2()
         try:
             cut(sid)
         except IllegalMove:
             raise StrategyError(
-                f"policy {policy.name} at seat {seat} chose illegal string {sid}"
+                f"policy {policy.name} at seat {live.mover.value} chose illegal string {sid}"
             ) from None
         track(sid)
-        ply += 1
-        label = labels[sid]
-        append(f"ply {ply} {seat} cut {sid} # {'-' if label is None else label} phase={policy.phase}")
+        add_cut(sid)
+        add_phase(policy.phase)
         observe_p1(sid, p1_moved)
         observe_p2(sid, not p1_moved)
     stuck = live.mover
     return PlayoutRecord(
         winner=stuck.other,
         stuck=stuck,
-        plies=ply,
-        lines=lines,
+        cuts=cuts,
+        phases=phases,
+        labels=artifact.graph.labels,
         census=tracker.census(),
         policy_names=(policy_p1.name, policy_p2.name),
     )

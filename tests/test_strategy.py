@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,22 +117,71 @@ def test_predicted_winner_wins_each_matchup(text, first, opponent):
 
 
 def test_transcript_format_and_phase_monotonicity():
+    """On 36 fixture playouts (both fixtures and first movers, the
+    winner's script against each opponent, seeds 0-2), the seats
+    alternate P1, P2, ... by ply and each seat's numeric phase never
+    falls."""
+    for text in ("x1 x2", MAJORITY):
+        for first in Mover:
+            art, side = hero_and_artifact(text, first)
+            for seed in range(3):
+                for opp in (UniformRandom(), GreedyDisabler(art, side), script_for(side.other, art)):
+                    p1, p2, _ = seat_policies(art, side, opp)
+                    record = playout(art, p1, p2, seed=seed)
+                    assert record.plies == len(record.lines) > 0
+                    last_phase = {"P1": 0, "P2": 0}
+                    for k, line in enumerate(record.lines, start=1):
+                        parts = line.split()
+                        assert parts[0] == "ply" and int(parts[1]) == k
+                        seat = parts[2]
+                        assert seat == ("P1" if k % 2 else "P2")
+                        assert parts[3] == "cut"
+                        phase_text = line.rsplit("phase=", 1)[1]
+                        if phase_text != "-":
+                            phase = int(phase_text)
+                            assert phase >= last_phase[seat]
+                            last_phase[seat] = phase
+                    assert record.transcript_text().endswith("phase=" + phase_text + "\n")
+
+
+def test_lines_are_the_transcript_text():
+    art, side = hero_and_artifact(MAJORITY, Mover.FALLON)
+    for opp in (UniformRandom(), GreedyDisabler(art, side), script_for(side.other, art)):
+        p1, p2, _ = seat_policies(art, side, opp)
+        record = playout(art, p1, p2, seed=4)
+        assert record.lines == record.transcript_text().splitlines()
+        assert record.plies == len(record.cuts) == len(record.phases) == len(record.lines)
+        assert [int(line.split()[4]) for line in record.lines] == record.cuts
+
+
+def test_a_board_read_from_text_prints_a_dash_on_every_ply():
+    """A board read from text has no labels: the scripts play the same
+    cuts on it, and every ply prints ``# -`` before its phase."""
     art, side = hero_and_artifact(MAJORITY, Mover.TRUDY)
-    p1, p2, hero = seat_policies(art, side, script_for(side.other, art))
-    record = playout(art, p1, p2, seed=0)
-    assert record.plies == len(record.lines)
-    last_phase = {"P1": 0, "P2": 0}
-    for k, line in enumerate(record.lines, start=1):
-        parts = line.split()
-        assert parts[0] == "ply" and int(parts[1]) == k
-        seat = parts[2]
-        assert parts[3] == "cut"
-        phase_text = line.rsplit("phase=", 1)[1]
-        if phase_text != "-":
-            phase = int(phase_text)
-            assert phase >= last_phase[seat]
-            last_phase[seat] = phase
-    assert record.transcript_text().endswith("phase=" + phase_text + "\n")
+    bare = replace(art, graph=parse_text(canonical_text(art.graph)))
+    assert bare.graph.labels == ()
+    records = []
+    for a in (art, bare):
+        p1, p2, _ = seat_policies(a, side, script_for(side.other, a))
+        records.append(playout(a, p1, p2, seed=0))
+    labelled, record = records
+    assert record.cuts == labelled.cuts and record.phases == labelled.phases
+    assert record.plies > 0
+    for line in record.lines:
+        assert re.fullmatch(r"ply \d+ P[12] cut \d+ # - phase=\d", line), line
+
+
+def test_a_policy_without_phases_prints_a_dash():
+    """Random and greedy play report no phase; the script's seat
+    reports a numeric one on every ply."""
+    art, side = hero_and_artifact("x1 x2", Mover.TRUDY)
+    for opp in (UniformRandom(), GreedyDisabler(art, side)):
+        p1, p2, _ = seat_policies(art, side, opp)
+        record = playout(art, p1, p2, seed=2)
+        theirs = art.player_for(side.other).value
+        for line in record.lines:
+            phase_text = line.rsplit(" phase=", 1)[1]
+            assert (phase_text == "-") is (line.split()[2] == theirs), line
 
 
 def test_transcript_prints_a_dash_for_no_label_only():
@@ -179,6 +230,13 @@ def test_playout_rejects_illegal_policy_moves():
     for pick in (lambda live: 5, lambda live: -1, wrapped, frozen):
         with pytest.raises(StrategyError, match="chose illegal string"):
             playout(art, Stubborn(pick), p2, seed=0)
+    # The message names the policy, its seat and the string, at either seat.
+    with pytest.raises(StrategyError) as err:
+        playout(art, Stubborn(lambda live: 5), p2, seed=0)
+    assert str(err.value) == "policy stubborn at seat P1 chose illegal string 5"
+    with pytest.raises(StrategyError) as err:
+        playout(art, UniformRandom(), Stubborn(lambda live: -1), seed=0)
+    assert str(err.value) == "policy stubborn at seat P2 chose illegal string -1"
 
 
 def test_script_sets_a_variable_whose_top_string_is_frozen():
@@ -396,23 +454,26 @@ def test_tracker_keeps_dooms_assignment_and_epoch(seed, text, first, side):
 
 
 def _settle_audited(script_class):
-    """``script_class`` with its settling rule checked: right after each
-    refresh the stage cursor is back at the first stage, and after every
-    cut by either player each stage before the cursor is called again
-    and still finds no move (``observe`` runs once the tracker has seen
-    the cut, so a cut that moves the epoch is skipped until the
-    refresh)."""
+    """``script_class`` with its settling rule checked: ``_sync`` runs
+    only once the epoch has moved, right after it the stage cursor is
+    back at the first stage, and after every cut by either player each
+    stage before the cursor is called again and still finds no move
+    (``observe`` runs once the tracker has seen the cut, so a cut that
+    moves the epoch is skipped until the refresh).  ``refreshes``
+    counts the refreshes the audit saw: a script that refreshed without
+    ``_sync`` would leave it at 0."""
 
     class Audited(script_class):
         def reset(self, tracker, seat, seed):
             super().reset(tracker, seat, seed)
             self.rechecked: dict[str, int] = {}
+            self.refreshes = 0
 
         def _sync(self):
-            moved = self.epoch != self.tracker.epoch
+            assert self.epoch != self.tracker.epoch, "_sync called with the epoch unmoved"
             super()._sync()
-            if moved:
-                assert self.stage_at == 0
+            assert self.stage_at == 0
+            self.refreshes += 1
 
         def observe(self, sid, mine):
             if self.epoch != self.tracker.epoch:
@@ -437,6 +498,40 @@ def test_dropped_stages_stay_settled_until_the_epoch_moves(N):
                     seats = {art.player_for(side): hero, art.player_for(side.other): opp}
                     playout(art, seats[Player.P1], seats[Player.P2], seed=1)
                     rechecked[side] |= set(hero.rechecked)
+                    # Every audited script saw its wire lists refreshed.
+                    assert hero.refreshes > 0
+                    assert getattr(opp, "refreshes", 1) > 0
     # Every stage was passed by the cursor and re-called somewhere.
     for side, script_class in ((Mover.TRUDY, TrudyScript), (Mover.FALLON, FallonScript)):
         assert rechecked[side] == {stage.__name__ for _, stage in script_class.stages}
+
+
+def _bare_live(n: int):
+    """A board stand-in of ``n`` strings, all alive and none frozen."""
+    return SimpleNamespace(board=SimpleNamespace(string_count=n), alive=[True] * n, frozen=[False] * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 1000])
+def test_uniform_random_draws_as_randrange(n):
+    """``UniformRandom`` picks the index ``randrange`` picks from the
+    same stream: on a pool of fixed size (1, powers of two, 2^k + 1 and
+    others), and on a pool that shrinks as its picks die and are
+    swap-removed when drawn again."""
+    live = _bare_live(n)
+    policy = UniformRandom()
+    policy.reset(SimpleNamespace(live=live), Player.P2, seed=n)
+    rng = random.Random(f"{n}/P2")
+    assert [policy.choose() for _ in range(50)] == [rng.randrange(n) for _ in range(50)]
+    pool = list(range(n))
+    for _ in range(n):
+        while True:
+            idx = rng.randrange(len(pool))
+            sid = pool[idx]
+            if live.alive[sid]:
+                break
+            pool[idx] = pool[-1]
+            pool.pop()
+        assert policy.choose() == sid
+        live.alive[sid] = False
+    with pytest.raises(StrategyError, match="no legal cut"):
+        policy.choose()
