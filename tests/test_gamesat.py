@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from coingames.errors import FormulaError, ParseError
 from coingames.gamesat import (
+    DEFAULT_VAR_BUDGET,
     DnfFormula,
     GameSatValue,
     Mover,
@@ -226,3 +228,82 @@ def test_solved_formula_is_freed_without_the_cycle_collector():
 def test_solve_refuses_an_assignment_of_the_wrong_length():
     with pytest.raises(FormulaError):
         solve_gamesat(parse_dnf(MAJORITY), Mover.TRUDY, assignment=(True, False))
+
+
+def _reference_pairs(f: DnfFormula, allow_skip: bool):
+    """The attractor equations as a memoized recursion over assignment
+    tuples: (value with Trudy to move, value with Fallon to move)."""
+    TW, FW, UN = GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS, GameSatValue.UNRESOLVED
+    memo = {}
+
+    def pair(a):
+        if a not in memo:
+            if None not in a:
+                v = TW if any(all(a[x] for x in clause) for clause in f.clauses) else FW
+                memo[a] = (v, v)
+            else:
+                kids = [pair(a[:v] + (b,) + a[v + 1 :]) for v in range(len(a)) if a[v] is None for b in (True, False)]
+                # After Trudy sets, Fallon moves (index 1), and vice versa.
+                ct, cf = [p[1] for p in kids], [p[0] for p in kids]
+                if allow_skip:
+                    t_tw, f_fw = TW in ct, FW in cf
+                    f_tw = t_tw and all(c is TW for c in cf)
+                    t_fw = f_fw and all(c is FW for c in ct)
+                    memo[a] = (TW if t_tw else FW if t_fw else UN, FW if f_fw else TW if f_tw else UN)
+                else:
+                    memo[a] = (TW if TW in ct else FW, FW if FW in cf else TW)
+        return memo[a]
+
+    return pair
+
+
+def test_table_matches_the_recursion_at_every_position():
+    """Every assignment of every formula of up to 4 variables and 3
+    clauses, under both skip rules and both movers, against the
+    recursion; and, with skips, ``winning_set_move`` against the first
+    winning set move in its documented order.  A won position has one
+    exactly when some variable is unset."""
+    movers = (
+        (0, Mover.TRUDY, GameSatValue.TRUDY_WINS, (True, False)),
+        (1, Mover.FALLON, GameSatValue.FALLON_WINS, (False, True)),
+    )
+    won_full = 0
+    for f in enumerate_small_formulas(4, 3):
+        positions = list(itertools.product((None, True, False), repeat=f.variable_count))
+        for allow_skip in (False, True):
+            pair = _reference_pairs(f, allow_skip)
+            for a in positions:
+                here = pair(a)
+                for side, mover, target, values in movers:
+                    assert solve_gamesat(f, mover, allow_skip, a) is here[side], (f, a, allow_skip, mover)
+                    if not allow_skip:
+                        continue
+                    winning = [
+                        (v, b)
+                        for v in range(len(a))
+                        if a[v] is None
+                        for b in values
+                        if pair(a[:v] + (b,) + a[v + 1 :])[1 - side] is target
+                    ]
+                    won = here[side] is target
+                    if None in a:
+                        assert won is bool(winning), (f, a, mover)
+                    elif won:
+                        won_full += 1
+                    assert winning_set_move(f, a, mover) == (winning[0] if winning else None), (f, a, mover)
+    assert won_full > 0
+
+
+def test_a_table_at_the_budget_is_small():
+    """At ``DEFAULT_VAR_BUDGET`` variables each bitset is 3^12 bits (66
+    KB); 8 MB leaves room for the sweeps' temporaries, not for a table
+    with an entry per assignment."""
+    f = DnfFormula(DEFAULT_VAR_BUDGET, tuple(frozenset(range(i, DEFAULT_VAR_BUDGET, 4)) for i in range(4)))
+    tracemalloc.start()
+    try:
+        value = solve_gamesat(f, Mover.TRUDY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value is GameSatValue.FALLON_WINS
+    assert peak < 8 * 2**20
