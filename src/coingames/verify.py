@@ -498,9 +498,10 @@ def sweep_structure(count: int, seed: int) -> CampaignReport:
 
 # Work that ``check_skip_dominance`` accepts, in the units of
 # ``_skip_dominance_work``: (7, 1) is 332,643 and (4, 5) 403,662, and
-# each runs in under 0.3 s on a 2-vCPU host (0.07 s and 0.26 s; the
-# (4, 5) campaign pays for its 5,070 formulas, not their tables).
-# (8, 1) is 2,005,698, and its loop takes 0.14 s without the cap.
+# each runs in under a second on a 2-vCPU host (0.07-0.15 s and
+# 0.26-0.65 s over runs; the (4, 5) campaign pays for its 5,070
+# formulas, not their tables).  (8, 1) is 2,005,698, and its loop
+# takes 0.14-0.33 s without the cap.
 SKIP_DOMINANCE_WORK_CAP = 500_000
 
 
