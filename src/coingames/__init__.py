@@ -14,7 +14,7 @@ from .errors import (
     ReductionError,
     StrategyError,
 )
-from .gamesat import DnfFormula, GameSatValue, Mover, evaluate, format_dnf, parse_dnf, solve_gamesat
+from .gamesat import DnfFormula, GameSatValue, Mover, format_dnf, parse_dnf, solve_gamesat
 from .multigraph import GROUND, GraphBuilder, Multigraph, StringEdge, canonical_text, parse_text
 from .reduce import (
     ReductionArtifact,
@@ -58,7 +58,6 @@ __all__ = [
     "apply_move",
     "canonical_text",
     "compile_gamesat_to_lava",
-    "evaluate",
     "find_loony_witnesses",
     "format_dnf",
     "full_pipeline",

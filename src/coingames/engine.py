@@ -70,10 +70,6 @@ class GameState:
     def score(self, p: Player) -> int:
         return self.scores[0] if p is Player.P1 else self.scores[1]
 
-    def alive_degree(self, coin: int) -> int:
-        """Alive strings at ``coin``; walks only that coin's strings."""
-        return len(self.alive.intersection(self.board.incidence[coin]))
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -213,11 +209,6 @@ class LiveBoard:
                 self.frozen[sid] = True
                 self.legal_count -= 1
 
-    def has_legal_move(self) -> bool:
-        if self._lava:
-            return self.legal_count > 0
-        return self.alive_count > 0
-
     def cut(self, sid: int) -> int:
         """Apply a cut for the current mover; returns coins freed (0 in
         Coins-are-Lava, where freeing cuts raise IllegalMove)."""
@@ -252,4 +243,5 @@ class LiveBoard:
         return freed
 
     def outcome(self) -> Outcome | None:
-        return None if self.has_legal_move() else _stuck(self.kind, self.mover, self.scores)
+        moves = self.legal_count if self._lava else self.alive_count
+        return None if moves else _stuck(self.kind, self.mover, self.scores)

@@ -98,14 +98,6 @@ class DnfFormula:
         return (_GsSolver(self, allow_skip=False), _GsSolver(self, allow_skip=True))
 
 
-def evaluate(f: DnfFormula, assignment: Sequence[Optional[bool]]) -> bool:
-    if len(assignment) != f.variable_count:
-        raise FormulaError("assignment length does not match variable count")
-    if any(v is None for v in assignment):
-        raise FormulaError("assignment has unset variables")
-    return any(all(assignment[v] for v in clause) for clause in f.clauses)
-
-
 class _GsSolver:
     """The value with each player to move at every assignment, as four
     bitsets over the 3^n assignments, computed in one sweep of the whole
@@ -261,19 +253,15 @@ def parse_dnf(text: str) -> DnfFormula:
     order: list[str] = []
     index: dict[str, int] = {}
     clauses: list[frozenset[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw in text.splitlines():
         vars_here = []
-        for tok in line.split():
+        for tok in raw.split("#", 1)[0].split():
             if tok not in index:
                 index[tok] = len(order)
                 order.append(tok)
             vars_here.append(index[tok])
-        if not vars_here:
-            raise ParseError(f"line {lineno}: empty clause")
-        clauses.append(frozenset(vars_here))
+        if vars_here:
+            clauses.append(frozenset(vars_here))
     if not clauses:
         raise ParseError("formula has no clauses")
     return DnfFormula(len(order), tuple(clauses), tuple(order))

@@ -34,10 +34,6 @@ MAX_COINS = 1_000_000
 MAX_STRINGS = 1_000_000
 
 
-def is_coin(endpoint: int) -> bool:
-    return endpoint >= 0
-
-
 class StringEdge(NamedTuple):
     """One string: its two endpoints, whose order means nothing in play.
     Its id is its index in ``Multigraph.strings``."""
@@ -68,19 +64,11 @@ class Multigraph:
     def has_self_loop(self) -> bool:
         return any(a == b and a >= 0 for a, b in self.strings)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.coin_count
-        for a, b in self.strings:
-            if a >= 0:
-                deg[a] += 1
-            if b >= 0:
-                deg[b] += 1
-        return deg
-
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """String ids incident to each coin, ascending, each listed once;
-        computed once per board."""
+        computed once per board.  On a board without a self-loop, the one
+        kind a game accepts, ``len(incidence[c])`` is coin c's degree."""
         inc: list[list[int]] = [[] for _ in range(self.coin_count)]
         for sid, (a, b) in enumerate(self.strings):
             if a >= 0:
@@ -144,26 +132,6 @@ class GraphBuilder:
         """Freeze the board, with ``labels == ()`` if no string has a label."""
         labelled = self._labels.count(None) < len(self._labels)
         return Multigraph(self.coin_count, tuple(self._strings), tuple(self._labels) if labelled else ())
-
-
-def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:
-    """Concatenate two boards; h's coins and strings are re-indexed after g's."""
-    b = GraphBuilder()
-    b.add_board(g)
-    b.add_board(h)
-    return b.build()
-
-
-def cycle_graph(n: int) -> Multigraph:
-    """A cycle on ``n`` coins.  n=2 is a double edge; n=1 is a self-loop
-    (representable, but game engines reject it)."""
-    if n < 1:
-        raise ValueError("cycle length must be >= 1")
-    b = GraphBuilder()
-    coins = b.add_coins(n)
-    for i in range(n):
-        b.add_string(coins[i], coins[(i + 1) % n])
-    return b.build()
 
 
 def canonical_text(g: Multigraph) -> str:

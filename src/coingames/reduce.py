@@ -189,20 +189,12 @@ class ReductionArtifact:
     predicted: dict = field(default_factory=dict)
 
     @property
-    def trudy_player(self) -> Player:
-        return Player.P1 if self.first is Mover.TRUDY else Player.P2
-
-    @property
-    def fallon_player(self) -> Player:
-        return self.trudy_player.other
-
-    @property
     def winner(self) -> Mover:
         """The side that wins the compiled Game SAT instance."""
         return Mover.TRUDY if self.predicted["gamesat_value"] == GameSatValue.TRUDY_WINS.value else Mover.FALLON
 
     def player_for(self, side: Mover) -> Player:
-        return self.trudy_player if side is Mover.TRUDY else self.fallon_player
+        return Player.P1 if side is self.first else Player.P2
 
 
 def _span(ids: list[int]) -> tuple[int, int]:

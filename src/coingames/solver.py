@@ -82,7 +82,7 @@ from operator import mul
 
 from .engine import GameKind, GameState, Player, Rules, bitmask
 from .errors import BudgetExceeded
-from .multigraph import is_coin, ropes
+from .multigraph import ropes
 
 DEFAULT_BUDGET = 24
 NAIVE_BUDGET = 14
@@ -337,16 +337,16 @@ def winner_of(state: GameState, kind: GameKind, result: SolveResult) -> Player |
 
 def find_loony_witnesses(state: GameState) -> list[LoonyWitness]:
     board = state.board
+    alive_inc = [[sid for sid in strings if sid in state.alive] for strings in board.incidence]
     out = []
-    for coin_b, strings in enumerate(board.incidence):
-        incident = [sid for sid in strings if sid in state.alive]
+    for coin_b, incident in enumerate(alive_inc):
         if len(incident) != 2:
             continue
         degree1_neighbors = set()
         for sid in incident:
             x, y = board.strings[sid]
             other = y if x == coin_b else x
-            if is_coin(other) and state.alive_degree(other) == 1:
+            if other >= 0 and len(alive_inc[other]) == 1:
                 degree1_neighbors.add(other)
         if len(degree1_neighbors) != 1:
             continue

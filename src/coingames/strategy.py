@@ -112,30 +112,21 @@ class _Wire:
     bottom: _Rope
     top: _Rope
 
-    @property
-    def hp(self) -> int:
-        return self.bottom.alive
-
-    @property
-    def disabled(self) -> bool:
-        return self.bottom.alive == 0
-
-    @property
-    def activated(self) -> bool:
-        return self.top.alive == 0
-
 
 class ArtifactTracker:
-    """Incremental per-gadget state over a live board: rope counters,
-    wire HP, clause dooms, and the induced variable assignment.  A
-    playout keeps one, observes each cut into it once, and hands it to
-    both policies.
+    """Incremental per-gadget state over a live board: rope counters
+    (a wire's HP is its ``bottom.alive``), clause dooms, and the induced
+    variable assignment.  A playout keeps one, observes each cut into it
+    once, and hands it to both policies.
 
     Dooms and the assignment change only when some rope's ``alive``
-    reaches 0, so ``observe`` updates them there and ``doomed`` and
-    ``assignment`` are plain reads.  ``epoch`` counts those events and
-    each rope's first cut: anything computed from which ropes are
-    empty and which are whole holds until it moves."""
+    reaches 0, so ``observe`` updates them there.  ``doomed`` is the set
+    of clause keys whose rope is empty or one of whose wires is
+    disabled, either of which lasts to the end of the game;
+    ``assignment`` is the induced assignment, a tuple of True, False or
+    None per variable.  ``epoch`` counts those events and each rope's
+    first cut: anything computed from which ropes are empty and which
+    are whole holds until it moves."""
 
     def __init__(self, artifact: ReductionArtifact, live: LiveBoard):
         self.artifact = artifact
@@ -180,8 +171,8 @@ class ArtifactTracker:
         self._var_ropes = set(self.var_bottom + self.var_top)
         # Every rope starts with at least one string: nothing is doomed yet.
         self.epoch = 0
-        self._doomed: set[str] = set()
-        self._assignment = self._induced_assignment()
+        self.doomed: set[str] = set()
+        self.assignment = self._induced_assignment()
 
     def _register(self, rope: _Rope) -> None:
         for sid in range(rope.start, rope.stop):
@@ -198,9 +189,9 @@ class ArtifactTracker:
             self.epoch += 1
             key = self._dooms.get(rope)
             if key is not None:
-                self._doomed.add(key)
+                self.doomed.add(key)
             elif rope in self._var_ropes:
-                self._assignment = self._induced_assignment()
+                self.assignment = self._induced_assignment()
 
     def census(self) -> dict:
         """Alive strings per gadget, keyed in plan order."""
@@ -224,9 +215,6 @@ class ArtifactTracker:
                 out.append(True)  # top cut
         return tuple(out)
 
-    def assignment(self) -> tuple[bool | None, ...]:
-        return self._assignment
-
     def satisfied(self, key: str, assignment: tuple[bool | None, ...]) -> bool:
         """Whether ``assignment`` sets every variable of clause ``key``
         true.  ``key`` names a real or a singleton clause; callers test
@@ -235,11 +223,6 @@ class ArtifactTracker:
         if kind == "real":
             return all(assignment[v] is True for v in self.artifact.formula.clauses[int(idx)])
         return assignment[int(idx)] is True
-
-    def doomed(self, key: str) -> bool:
-        """Whether the clause's rope is empty or one of its wires is
-        disabled; either lasts to the end of the game."""
-        return key in self._doomed
 
 
 def is_fallon_terminal(census: dict) -> bool:
@@ -308,7 +291,7 @@ def _trudy_threat(t: ArtifactTracker, w: _Wire, assignment) -> bool:
     into a satisfied clause that is not yet doomed.  An HP-greedy
     attacker on Trudy chews through these."""
     return w.level == 2 and (
-        w.target == "empty" or (t.satisfied(w.target, assignment) and not t.doomed(w.target))
+        w.target == "empty" or (t.satisfied(w.target, assignment) and w.target not in t.doomed)
     )
 
 
@@ -413,7 +396,7 @@ class GreedyDisabler(_TrackedPolicy):
     def _refresh(self):
         """Keep the target script's good wires that are not yet disabled."""
         t = self.tracker
-        assignment = t.assignment()
+        assignment = t.assignment
         if self.target_side is Mover.FALLON:
             goods = (w for w in t.wires if _fallon_class(t, w, assignment) in ("l1_good", "l2_good"))
         else:
@@ -459,11 +442,11 @@ class _ScriptBase(_TrackedPolicy):
     A stage that returns None keeps returning None until the epoch
     moves: its wire and rope tuples are fixed between refreshes, which
     wires are pumped or raced changes only with a top rope's first cut,
-    ``hp``, ``alive`` and ``top.alive`` only fall, ``frozen`` never
-    clears, and a wounded bottom rope never heals.  So the stages still
-    worth asking in this epoch are a suffix of ``stages``, from the
-    monotone cursor ``stage_at``: every refresh resets it to 0, and a
-    stage that returns None moves it past itself."""
+    every rope's ``alive`` only falls, ``frozen`` never clears, and a
+    wounded bottom rope never heals.  So the stages still worth asking
+    in this epoch are a suffix of ``stages``, from the monotone cursor
+    ``stage_at``: every refresh resets it to 0, and a stage that returns
+    None moves it past itself."""
 
     side: Mover
     stages: tuple = ()
@@ -475,7 +458,7 @@ class _ScriptBase(_TrackedPolicy):
     # -- phase 1 ------------------------------------------------------
     def _variable_move(self) -> int | None:
         t = self.tracker
-        assignment = t.assignment()
+        assignment = t.assignment
         if None not in assignment:
             return None
         move = winning_set_move(self.artifact.formula, assignment, self.side)
@@ -575,7 +558,7 @@ class FallonScript(_ScriptBase):
         if classes is None:
             # The variables are all set by now, so the assignment, and
             # with it every wire's class, is final.
-            assignment = t.assignment()
+            assignment = t.assignment
             classes = self.classes = defaultdict(list)
             for w in t.wires:
                 classes[_fallon_class(t, w, assignment)].append(w)
@@ -681,36 +664,36 @@ class TrudyScript(_ScriptBase):
         t = self.tracker
         # The assignment is final by now, so a candidate stops being one
         # only when it is doomed.
-        if self.c_prime is None or t.doomed(self.c_prime):
-            assignment = t.assignment()
+        if self.c_prime is None or self.c_prime in t.doomed:
+            assignment = t.assignment
             threats = tuple(u for u in _live(t.wires) if _trudy_threat(t, u, assignment))
             self.c_prime = max(
                 self._candidates(), key=lambda k: (self._margin(k, threats), k), default=None
             )
         mine = t.clause_wires[self.c_prime] if self.c_prime is not None else ()
         # Cleanup keeps the bottoms of the live wires of c' to the last.
-        self.protected = frozenset(w.bottom for w in mine if not w.disabled)
+        self.protected = frozenset(w.bottom for w in mine if w.bottom.alive)
         # c' is fully activated once no wire is left to pump.
-        self.to_pump = tuple(w for w in mine if w.hp > 0 and not w.activated)
+        self.to_pump = tuple(w for w in mine if w.bottom.alive and w.top.alive)
         # Live level-2 wires, not protected, into a non-empty clause that
         # is not yet doomed: each could still carry a rival survivor.
         self.rivals = tuple(
             w
             for w in t.wires
             if w.level == 2
-            and w.hp > 0
+            and w.bottom.alive
             and w.bottom not in self.protected
             and w.target != "empty"
-            and not t.doomed(w.target)
+            and w.target not in t.doomed
         )
-        self.doomed_ropes = tuple(t.clause_rope[k] for k in t.clause_keys if t.doomed(k))
+        self.doomed_ropes = tuple(t.clause_rope[k] for k in t.clause_keys if k in t.doomed)
 
     # -- candidate bookkeeping ------------------------------------------
     def _candidates(self) -> list[str]:
         t = self.tracker
-        assignment = t.assignment()
+        assignment = t.assignment
         return [
-            k for k in t.clause_keys if k != "empty" and not t.doomed(k) and t.satisfied(k, assignment)
+            k for k in t.clause_keys if k != "empty" and k not in t.doomed and t.satisfied(k, assignment)
         ]
 
     def _margin(self, key: str, threats: Sequence[_Wire]) -> int:
@@ -719,9 +702,9 @@ class TrudyScript(_ScriptBase):
         # a candidate is not doomed, so that wire is not disabled.
         w = next(u for u in t.clause_wires[key] if u.level == 2)
         distance = sum(
-            u.hp for u in threats if u is not w and (u.hp, u.index) < (w.hp, w.index)
+            u.bottom.alive for u in threats if u is not w and (u.bottom.alive, u.index) < (w.bottom.alive, w.index)
         )
-        work = sum(u.top.alive for u in t.clause_wires[key] if not u.disabled)
+        work = sum(u.top.alive for u in t.clause_wires[key] if u.bottom.alive)
         return distance - work
 
     def _wounds(self):

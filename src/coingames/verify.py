@@ -169,8 +169,7 @@ class RandomMultigraphs:
                 g = random_multigraph(rng, coins, strings, self.ground_prob)
                 if not self.no_isolated:
                     break
-                deg = g.degrees()
-                if all(deg[c] > 0 for c in range(g.coin_count)):
+                if all(g.incidence):
                     break
             yield g
 
@@ -328,8 +327,7 @@ class LoonyPlanter:
             coin_b = b.add_coin()
             coin_a = b.add_coin()
             a_sid = b.add_string(coin_a, coin_b)
-            deg = base.degrees()
-            anchors = [c for c in range(base.coin_count) if deg[c] >= 2]
+            anchors = [c for c, ids in enumerate(base.incidence) if len(ids) >= 2]
             if anchors and rng.random() < 0.5:
                 target = rng.choice(anchors)
             else:
@@ -386,7 +384,7 @@ def recount_structure(graph: Multigraph, N: int) -> dict:
         return width_buckets.get(width, [])
 
     singles = bucket(1)
-    deg = graph.degrees()
+    inc = graph.incidence
     # Variable gadgets: width-1 ground rope and width-1 coin rope
     # sharing a degree-2 middle coin.
     mids = set()
@@ -398,10 +396,10 @@ def recount_structure(graph: Multigraph, N: int) -> dict:
     variables = 0
     for cp in coin_singles:
         x, y = cp
-        if x in mids and deg[x] == 2:
+        if x in mids and len(inc[x]) == 2:
             variables += 1
             outs.append(y)
-        elif y in mids and deg[y] == 2:
+        elif y in mids and len(inc[y]) == 2:
             variables += 1
             outs.append(x)
     clause_ropes = [p for p in bucket(N**5) if GROUND in p]
@@ -413,7 +411,7 @@ def recount_structure(graph: Multigraph, N: int) -> dict:
     root_candidates = set()
     for pair in bucket(N**3):
         root_candidates = root_candidates & set(pair) if root_candidates else set(pair)
-    root_degree = deg[next(iter(root_candidates))] if len(root_candidates) == 1 else None
+    root_degree = len(inc[next(iter(root_candidates))]) if len(root_candidates) == 1 else None
     out_wire_counts = sorted(
         sum(1 for pair in bucket(N) if c in pair) for c in outs
     )
@@ -497,26 +495,28 @@ def sweep_structure(count: int, seed: int) -> CampaignReport:
 
 
 # Work that ``check_skip_dominance`` accepts, in the units of
-# ``_skip_dominance_work``: (7, 1) is 332,643 and (4, 5) 403,662, and
-# each runs in under a second on a 2-vCPU host (0.07-0.15 s and
-# 0.26-0.65 s over runs; the (4, 5) campaign pays for its 5,070
-# formulas, not their tables).  (8, 1) is 2,005,698, and its loop
-# takes 0.14-0.33 s without the cap.
-SKIP_DOMINANCE_WORK_CAP = 500_000
+# ``_skip_dominance_work``: about a second of loop on a 2-vCPU host,
+# where a unit takes 40-75 ns.  Loop times over three runs, without the
+# cap: (8, 1) 2,758,698 units, 0.21 s; (4, 5) 8,008,662, 0.42-0.44 s;
+# (9, 1) 13,583,211, 0.70-1.02 s, all accepted; (5, 4) 66,771,660,
+# 2.5-2.9 s; (10, 1) 75,524,838, 3.9-4.0 s; (6, 3) 102,726,138,
+# 4.2-4.3 s, all refused.
+SKIP_DOMINANCE_WORK_CAP = 25_000_000
 
 
 def _skip_dominance_work(max_n: int, max_m: int) -> int:
-    """Closed form of the sum of 3^n over the formulas that
+    """Closed form of the sum of 1,500 + 3^n over the formulas that
     ``enumerate_small_formulas(max_n, max_m)`` yields: each formula on n
-    variables is solved with a table of 3^n positions, and there are
-    C(2^n - 1, m) formulas of m clauses."""
+    variables costs a fixed 1,500 units (its two solver tables' set-up
+    and the campaign's own steps) plus one per position of its tables'
+    3^n, and there are C(2^n - 1, m) formulas of m clauses."""
     work = 0
     for n in range(1, max_n + 1):
         subsets = 2**n - 1
         formulas = 1
         for m in range(1, min(max_m, subsets) + 1):
             formulas = formulas * (subsets - m + 1) // m
-            work += formulas * 3**n
+            work += formulas * (1_500 + 3**n)
     return work
 
 

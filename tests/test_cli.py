@@ -385,28 +385,30 @@ def test_verify_skip_dominance_refuses_more_variables_than_game_sat_solves(monke
     assert capsys.readouterr() == ("", "error: max variables must be at most 12, got 13\n")
 
 
-@pytest.mark.parametrize("max_n", [8, 9])
-def test_verify_skip_dominance_refuses_a_campaign_of_too_much_work(max_n, monkeypatch, capsys):
-    """(8, 1) takes about half a minute and (9, 1) far longer; both are
-    refused in well under a second, before the first solve.  The work in
-    the message is the sum of 3^n over the formulas the campaign would
-    solve."""
+@pytest.mark.parametrize("max_n,max_m", [(10, 1), (5, 4)])
+def test_verify_skip_dominance_refuses_a_campaign_of_too_much_work(max_n, max_m, monkeypatch, capsys):
+    """(10, 1) and (5, 4) take seconds each; both are refused in well
+    under a second, before the first solve.  The work in the message is
+    the sum of 1,500 + 3^n over the formulas the campaign would solve."""
 
     def skip_dominance_check(*args):
         raise AssertionError("solved a formula before the work was checked")
 
     monkeypatch.setattr(verify_module, "skip_dominance_check", skip_dominance_check)
     start = time.perf_counter()
-    assert run(["verify", "skip-dominance", "--max-n", str(max_n), "--max-m", "1"]) == 2
+    assert run(["verify", "skip-dominance", "--max-n", str(max_n), "--max-m", str(max_m)]) == 2
     assert time.perf_counter() - start < 1
-    work = sum(3**f.variable_count for f in verify_module.enumerate_small_formulas(max_n, 1))
-    assert capsys.readouterr() == ("", f"error: skip-dominance work must be at most 500000, got {work}\n")
+    work = sum(1_500 + 3**f.variable_count for f in verify_module.enumerate_small_formulas(max_n, max_m))
+    assert capsys.readouterr() == ("", f"error: skip-dominance work must be at most 25000000, got {work}\n")
 
 
-@pytest.mark.parametrize("max_n,max_m,formulas", [(2, 2, 7), (3, 3, 71), (7, 1, 247), (4, 5, 5070)])
+@pytest.mark.parametrize(
+    "max_n,max_m,formulas", [(2, 2, 7), (3, 3, 71), (7, 1, 247), (4, 5, 5070), (8, 1, 502), (9, 1, 1013)]
+)
 def test_verify_skip_dominance_runs_every_campaign_below_the_work_cap(max_n, max_m, formulas, monkeypatch, capsys):
-    """The largest accepted sizes, (7, 1) and (4, 5), run every formula;
-    the check is stubbed so that the test does not spend their seconds."""
+    """The largest accepted sizes, (8, 1), (4, 5) and (9, 1), run every
+    formula; the check is stubbed so that the test does not spend their
+    second."""
     monkeypatch.setattr(verify_module, "skip_dominance_check", lambda f, first: True)
     assert run(["verify", "skip-dominance", "--max-n", str(max_n), "--max-m", str(max_m)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -937,17 +939,20 @@ def _replay_by_gamestate(board_text: str, kind: GameKind, first: str, sids: list
 
 @pytest.mark.parametrize("game", ["lava", "nimstring", "sac"])
 @pytest.mark.parametrize("first", ["P1", "P2"])
-@pytest.mark.parametrize("variant", ["played", "prefix", "completed"])
+@pytest.mark.parametrize("variant", ["played", "prefix", "completed", "commented"])
 def test_replay_matches_the_gamestate_rules(played, game, first, variant, tmp_path, capsys):
-    """The played game, its first seven plies, and the played game
-    followed by a cut of every remaining string in id order: a Lava game
-    ends there with an illegal cut, Nimstring and Strings-and-Coins ones
-    with a winner."""
+    """The played game, its first seven plies, the played game followed
+    by a cut of every remaining string in id order (a Lava game ends
+    there with an illegal cut, Nimstring and Strings-and-Coins ones with
+    a winner), and the played game with a blank and a comment line after
+    every ply, which replay skips."""
     board_text, transcript_text = played
     lines = transcript_text.splitlines()
     sids = [int(line.split()[4]) for line in lines]
     if variant == "prefix":
         lines, sids = lines[:7], sids[:7]
+    elif variant == "commented":
+        lines = [x for line in lines for x in (line, "", " # a note")]
     elif variant == "completed":
         rest = sorted(set(range(parse_text(board_text).string_count)) - set(sids))
         lines += [f"cut {sid}" for sid in rest]

@@ -16,7 +16,7 @@ from coingames.engine import (
     legal_moves,
 )
 from coingames.errors import DegenerateInput, IllegalMove
-from coingames.multigraph import GROUND, GraphBuilder, cycle_graph
+from coingames.multigraph import GROUND, GraphBuilder
 from coingames.verify import random_multigraph
 
 
@@ -176,8 +176,10 @@ def test_lava_stuck_on_empty_board_loses():
 
 
 def test_apply_move_rejects_dead_string():
-    g = cycle_graph(3)
-    s = apply_move(initial_state(g), GameKind.NIMSTRING, 0)
+    b = GraphBuilder(coin_count=3)
+    for c in range(3):
+        b.add_string(c, (c + 1) % 3)
+    s = apply_move(initial_state(b.build()), GameKind.NIMSTRING, 0)
     with pytest.raises(IllegalMove):
         apply_move(s, GameKind.NIMSTRING, 0)
 
@@ -197,7 +199,7 @@ def test_live_board_matches_functional_engine(seed: int, kind: GameKind):
     while True:
         legal = legal_moves(state, kind)
         assert sorted(legal) == _legal(live)
-        assert live.has_legal_move() == bool(legal)
+        assert (live.legal_count if kind is GameKind.COINS_ARE_LAVA else live.alive_count) == len(legal)
         slow_out = is_terminal(state, kind)
         fast_out = live.outcome()
         if slow_out is None:
@@ -224,7 +226,7 @@ def test_lava_illegality_is_monotone(seed: int):
     g = random_multigraph(rng, rng.randint(1, 4), rng.randint(0, 8), 0.3)
     live = LiveBoard(g, GameKind.COINS_ARE_LAVA)
     ever_illegal: set[int] = set()
-    while live.has_legal_move():
+    while live.legal_count:
         for sid in range(g.string_count):
             if live.alive[sid] and live.frozen[sid]:
                 ever_illegal.add(sid)
@@ -240,7 +242,7 @@ def test_cut_frees_pendant_endpoints(seed: int):
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(1, 4), rng.randint(0, 8), 0.3)
     live = LiveBoard(g, GameKind.STRINGS_AND_COINS)
-    while live.has_legal_move():
+    while live.alive_count:
         sid = rng.choice(_legal(live))
         expect = sum(
             1

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from coingames import reduce as reduce_module
 from coingames.engine import GameKind, Player, initial_state
 from coingames.errors import FormulaError, ParseError, ReductionError
-from coingames.gamesat import GameSatValue, Mover, parse_dnf
-from coingames.multigraph import GROUND, GraphBuilder, canonical_text, cycle_graph, disjoint_union, parse_text
+from coingames.gamesat import DnfFormula, GameSatValue, Mover, parse_dnf
+from coingames.multigraph import GROUND, GraphBuilder, canonical_text, parse_text
 from coingames.reduce import (
     DEFAULT_CHAIN_LEN,
     ReductionArtifact,
@@ -44,8 +44,15 @@ MAJORITY = "x1 x2\nx1 x3\nx2 x3"
 CHAIN12 = "".join(f"x{i} x{i + 1}\n" for i in range(1, 12))
 
 
+def cycle(n: int):
+    b = GraphBuilder(coin_count=n)
+    for c in range(n):
+        b.add_string(c, (c + 1) % n)
+    return b.build()
+
+
 def test_winner_cycle_size():
-    g = cycle_graph(3)
+    g = cycle(3)
     h = reduce_nimstring_to_sac(g)
     # Fresh cycle on coin_count + 1 = 4 coins.
     assert h.coin_count == 7
@@ -64,7 +71,7 @@ def test_winner_cycle_avoids_self_loop_on_empty_board():
 
 
 def test_nimstring_to_sac_preserves_the_winner():
-    for g in (cycle_graph(3), cycle_graph(4)):
+    for g in (cycle(3), cycle(4)):
         state = initial_state(g)
         nim = solve(state, GameKind.NIMSTRING)
         reduced = initial_state(reduce_nimstring_to_sac(g))
@@ -89,19 +96,18 @@ def test_anchor_chains_shape():
     assert (h.strings[1].a, h.strings[1].b) == (g.strings[1].a, g.strings[1].b)
     # Every fresh coin has degree 2 (chain interior) and each chain ends
     # at ground.
-    deg = h.degrees()
-    assert all(deg[c] == 2 for c in range(2, h.coin_count))
+    assert all(len(h.incidence[c]) == 2 for c in range(2, h.coin_count))
 
 
 def test_anchor_chain_length_floor():
     with pytest.raises(ReductionError):
-        reduce_lava_to_nimstring(cycle_graph(3), chain_len=4)
+        reduce_lava_to_nimstring(cycle(3), chain_len=4)
     assert DEFAULT_CHAIN_LEN == 5
 
 
 def test_lava_to_nimstring_preserves_the_winner_on_fixed_boards():
     # Values verified by the exhaustive solver on both sides.
-    for g in (cycle_graph(3), cycle_graph(4)):
+    for g in (cycle(3), cycle(4)):
         lava = solve(initial_state(g), GameKind.COINS_ARE_LAVA)
         h = reduce_lava_to_nimstring(g)
         nim = solve(initial_state(h), GameKind.NIMSTRING)
@@ -128,9 +134,12 @@ def test_check_formula_rejects_small_clauses():
         check_formula(parse_dnf("x1\nx1 x2"))
 
 
-def test_check_formula_rejects_unused_variables():
-    from coingames.gamesat import DnfFormula
+def test_the_compiler_refuses_a_formula_without_clauses():
+    with pytest.raises(FormulaError, match="^formula has no clauses$"):
+        compile_gamesat_to_lava(DnfFormula(2, ()), 2, Mover.TRUDY)
 
+
+def test_check_formula_rejects_unused_variables():
     f = DnfFormula(3, (frozenset({0, 1}),))
     with pytest.raises(FormulaError):
         check_formula(f)
@@ -234,19 +243,17 @@ def test_parity_places_the_stuck_seat_on_trudy():
             art = compile_gamesat_to_lava(parse_dnf(text), 2, first)
             cuts = art.predicted["fallon_terminal_cuts"]
             stuck = Player.P1 if cuts % 2 == 0 else Player.P2
-            assert stuck is art.trudy_player
+            assert stuck is art.player_for(Mover.TRUDY)
 
 
 def test_player_mapping_follows_first_mover():
     f = parse_dnf(MAJORITY)
     art = compile_gamesat_to_lava(f, 2, Mover.TRUDY)
-    assert art.trudy_player is Player.P1
-    assert art.fallon_player is Player.P2
     assert art.player_for(Mover.FALLON) is Player.P2
     assert art.predicted["gamesat_value"] == GameSatValue.TRUDY_WINS.value
     assert art.player_for(Mover.TRUDY) is Player.P1
     art2 = compile_gamesat_to_lava(f, 2, Mover.FALLON)
-    assert art2.trudy_player is Player.P2
+    assert art2.player_for(Mover.TRUDY) is Player.P2
     assert art2.predicted["gamesat_value"] == GameSatValue.FALLON_WINS.value
     assert art2.player_for(Mover.FALLON) is Player.P1
 
@@ -467,9 +474,16 @@ def test_labels_are_empty_or_one_slot_per_string():
     assert plain.labels == ()
     compiled = compile_gamesat_to_lava(parse_dnf("x1 x2"), 2, Mover.TRUDY).graph
     assert None not in _label_slots(compiled)
-    assert _label_slots(disjoint_union(compiled, plain)) == compiled.labels + (None, None)
-    assert _label_slots(disjoint_union(plain, compiled)) == (None, None) + compiled.labels
-    assert disjoint_union(plain, bare).labels == ()
+
+    def union(*boards):
+        b = GraphBuilder()
+        for g in boards:
+            b.add_board(g)
+        return b.build()
+
+    assert _label_slots(union(compiled, plain)) == compiled.labels + (None, None)
+    assert _label_slots(union(plain, compiled)) == (None, None) + compiled.labels
+    assert union(plain, bare).labels == ()
     for g in (plain, compiled):
         nim = reduce_lava_to_nimstring(g)
         sac = reduce_nimstring_to_sac(g)

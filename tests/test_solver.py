@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from coingames.engine import GameKind, GameState, Player, apply_move, initial_state, legal_moves
 from coingames.errors import BudgetExceeded, DegenerateInput
-from coingames.multigraph import GROUND, GraphBuilder, cycle_graph, ropes
+from coingames.multigraph import GROUND, GraphBuilder, ropes
 from coingames.reduce import reduce_lava_to_nimstring, reduce_nimstring_to_sac
 from coingames.solver import (
     DEFAULT_BUDGET,
@@ -30,6 +30,13 @@ from coingames.solver import (
     winner_of,
 )
 from coingames.verify import RandomMultigraphs, random_multigraph
+
+
+def cycle(n: int):
+    b = GraphBuilder(coin_count=n)
+    for c in range(n):
+        b.add_string(c, (c + 1) % n)
+    return b.build()
 
 
 def open_chain(k: int):
@@ -102,7 +109,7 @@ def test_open_chain_lava_values(k: int, mover_wins: bool, move, states: int):
 )
 def test_cycle_values(n: int, sac, nim, lava):
     """Each rule set's (value, principal move, states visited)."""
-    state = initial_state(cycle_graph(n))
+    state = initial_state(cycle(n))
     net, move, states = sac
     assert solve(state, SAC) == SolveResult(SAC, net_for_mover=net, principal_move=move, states_visited=states)
     for kind, (win, move, states) in ((NIM, nim), (LAVA, lava)):
@@ -151,11 +158,11 @@ def test_winner_of_reports_draws():
 
 
 def test_budget_is_enforced():
-    g = cycle_graph(4)
+    g = cycle(4)
     with pytest.raises(BudgetExceeded):
         solve(initial_state(g), GameKind.NIMSTRING, budget=3)
     with pytest.raises(BudgetExceeded):
-        naive_solve(initial_state(cycle_graph(NAIVE_BUDGET + 1)), GameKind.NIMSTRING)
+        naive_solve(initial_state(cycle(NAIVE_BUDGET + 1)), GameKind.NIMSTRING)
     assert NAIVE_BUDGET < DEFAULT_BUDGET
 
 
@@ -172,7 +179,7 @@ def test_principal_move_is_optimal():
 
 
 def test_solve_result_is_frozen():
-    r = solve(initial_state(cycle_graph(3)), GameKind.NIMSTRING)
+    r = solve(initial_state(cycle(3)), GameKind.NIMSTRING)
     with pytest.raises(AttributeError):
         r.winner_for_mover = False
 
@@ -193,7 +200,7 @@ def test_loony_witness_on_minimal_pattern():
 
 
 def test_no_loony_witness_on_plain_cycle():
-    state = initial_state(cycle_graph(4))
+    state = initial_state(cycle(4))
     assert find_loony_witnesses(state) == []
 
 
@@ -490,7 +497,7 @@ def test_win_loss_solves_on_many_ropes_are_pinned():
     for i in range(100):
         while True:
             g = random_multigraph(rng, 3, rng.randint(3, 7), 0.3)
-            if all(g.degrees()[:3]):
+            if all(g.incidence[:3]):
                 break
         h = reduce_lava_to_nimstring(g)
         alive = frozenset(range(h.string_count))

@@ -433,7 +433,7 @@ class _AuditedRandom(UniformRandom):
 
     def observe(self, sid, mine):
         t = self.tracker
-        stored = ({k for k in t.clause_keys if t.doomed(k)}, t.assignment(), t.epoch)
+        stored = (t.doomed, t.assignment, t.epoch)
         assert stored == _recount(t)
         self.plies += 1
 

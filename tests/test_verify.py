@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 from coingames import verify as verify_module
 from coingames.cli import run
 from coingames.engine import GameKind, Player, initial_state
+from coingames.errors import BudgetExceeded
 from coingames.gamesat import Mover, parse_dnf
 from coingames.multigraph import GraphBuilder, canonical_text
 from coingames.reduce import reduce_lava_to_nimstring
-from coingames.solver import NAIVE_BUDGET, solve
+from coingames.solver import NAIVE_BUDGET, SolveResult, solve
 from coingames.strategy import TrudyScript
 from coingames.verify import (
     CampaignReport,
@@ -107,7 +109,7 @@ def test_no_isolated_generator_anchors_every_coin(seed: int):
         max_coins=3, max_strings=5, ground_prob=0.3, seed=seed, no_isolated=True
     )
     for g in gen.instances(3):
-        assert all(d > 0 for d in g.degrees())
+        assert all(g.incidence)
 
 
 def test_small_bias_shrinks_instances():
@@ -338,6 +340,71 @@ def test_a_failing_parity_campaign_stops_at_its_minimum(monkeypatch):
     assert rep.details["playouts"] == rep.count == 3
     assert rep.ok is False
     assert len(rep.counterexamples) <= 4
+
+
+def test_an_oracle_mismatch_lists_each_disagreeing_kind(monkeypatch):
+    monkeypatch.setattr(verify_module, "naive_solve", lambda state, kind: SolveResult(kind, net_for_mover=99))
+    rep = check_oracle(RandomMultigraphs(2, 3, 0.3, 1), 3)
+    assert (rep.count, rep.passes, rep.fails, rep.ok) == (3, 0, 3, False)
+    for example in rep.counterexamples:
+        assert set(example) == {"instance", "mismatches"}
+        assert set(example["mismatches"]) == {"sac", "nimstring", "lava"}
+        assert example["mismatches"]["sac"]["naive"] == 99
+
+
+def test_a_drawn_point_side_fails_and_counts_the_lemma1_instance(monkeypatch):
+    monkeypatch.setattr(verify_module, "solve", lambda state, kind: SolveResult(kind, True, 0))
+    rep = check_lemma1(RandomMultigraphs(2, 3, 0.3, 1), 3)
+    assert (rep.count, rep.passes, rep.fails, rep.details["draws"], rep.ok) == (3, 0, 3, 3, False)
+    assert [set(ex) for ex in rep.counterexamples] == [{"instance", "nim_winner", "sac_winner"}] * 3
+    assert {ex["sac_winner"] for ex in rep.counterexamples} == {"Draw"}
+
+
+def test_a_naive_recheck_that_disagrees_fails_the_instance(monkeypatch):
+    """Instances 0 and 10 are re-solved by the oracle; there a flipped
+    oracle fails them although both exact solves agree."""
+    monkeypatch.setattr(
+        verify_module, "naive_solve", lambda state, kind: SolveResult(kind, not solve(state, kind).winner_for_mover)
+    )
+    rep = check_lemma3(RandomMultigraphs(2, 4, 0.3, 13, no_isolated=True), 11)
+    assert (rep.count, rep.passes, rep.fails, rep.details["crosschecked"], rep.ok) == (11, 9, 2, 2, False)
+    assert [set(ex) for ex in rep.counterexamples] == [{"instance", "lava_winner", "nim_winner"}] * 2
+
+
+def test_a_solve_over_budget_skips_the_instance(monkeypatch):
+    def over_budget(state, kind):
+        raise BudgetExceeded("over budget")
+
+    monkeypatch.setattr(verify_module, "solve", over_budget)
+    reports = [check_lemma1(RandomMultigraphs(2, 3, 0.3, 1), 3), check_loony(LoonyPlanter(1), 3)]
+    assert [(r.count, r.skipped, r.passes, r.fails, r.ok, r.counterexamples) for r in reports] == [
+        (3, 3, 0, 0, False, [])
+    ] * 2
+
+
+def test_parity_failures_name_their_problem(monkeypatch):
+    """A canonical terminal that the Fallon seat lost is reported with
+    the stuck seat; a non-canonical one with its problem, and then the
+    shortfall of canonical terminals too."""
+    real_playout = verify_module.playout
+
+    def lost(*args, **kw):
+        record = real_playout(*args, **kw)
+        return replace(record, winner=record.stuck)
+
+    def not_canonical(*args, **kw):
+        record = real_playout(*args, **kw)
+        return replace(record, census={**record.census, "clauses": dict.fromkeys(record.census["clauses"], 1)})
+
+    keys = {"formula", "first", "N", "census"}
+    monkeypatch.setattr(verify_module, "playout", lost)
+    rep = parity_campaign((2,), 3, 2, minimum=3)
+    assert (rep.count, rep.fails, rep.details["canonical_terminals"], rep.ok) == (3, 3, 3, False)
+    assert [set(ex) for ex in rep.counterexamples] == [keys | {"stuck"}] * 3
+    monkeypatch.setattr(verify_module, "playout", not_canonical)
+    rep = parity_campaign((2,), 3, 2, minimum=3)
+    assert (rep.count, rep.fails, rep.details["non_canonical"], rep.details["canonical_terminals"]) == (3, 4, 3, 0)
+    assert [set(ex) for ex in rep.counterexamples] == [keys | {"problem"}] * 3 + [{"problem", "seen"}]
 
 
 def test_planted_loony_instances_are_pinned():
