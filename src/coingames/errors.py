@@ -41,8 +41,8 @@ class FormulaError(CoinGameError):
 
 
 class ReductionError(CoinGameError):
-    """A reduction cannot be built: bad parameters (chain too short,
-    string cap exceeded) or an input whose game value is Unresolved."""
+    """A reduction cannot be built from its parameters: a chain too
+    short, N below 2, or a board above the string cap."""
 
 
 class StrategyError(CoinGameError):

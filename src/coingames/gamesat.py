@@ -5,19 +5,66 @@ still-unset variable to true or false, or skips.  The game ends when
 every variable is set.  Trudy wins if the formula (an or of ands over
 plain variables, no negations) is then true; Fallon wins if it is
 false.  Wrong-value moves (Trudy setting false, Fallon setting true)
-are legal.
+are legal.  Without the skip this is Schaefer's G_pos(POS DNF) (T. J.
+Schaefer, "On the complexity of some two-person perfect-information
+games", JCSS 16, 1978).
 
-Skips create two-state cycles inside each layer of the game graph
-(layer = number of set variables), so plain backward induction does not
-apply.  ``solve_gamesat`` computes forced-win attractors layer by
-layer: a player wins a state only by forcing the game into a winning
-terminal in finitely many moves; states in neither attractor, where
-best play is endless mutual skipping, are reported Unresolved rather
-than mapped to a winner.  The attractors of all 3^n assignments are
-held as four Python ints used as bitsets, one bit per assignment, and
-each layer is one sweep of shifts and masks over the whole table: at
-the 12-variable budget a bitset is 66 KB, and both skip rules' tables
-take 40-60 ms on a 2-vCPU host.
+Skips make two-state cycles inside each layer of the game graph (layer
+= number of set variables), so a state is a player's win only if they
+can force a winning terminal in finitely many moves: (P, Trudy to move)
+is a Trudy win if some move, set or skip, reaches one, and (P, Fallon
+to move) if every move does; likewise for Fallon.  The skips change
+nothing, so ``solve_gamesat`` solves the finite game without them.
+
+Theorem.  In the set-or-skip game every state has a forced winner, and
+it is the winner of the same state in the game without skips.
+
+Proof.  "Wins" below is in the game without skips, which is finite, so
+every state there has a winner.
+
+1. Monotonicity (strategy stealing).  If Trudy wins (P, m), with m to
+   move, and x is unset in P, she wins (P + x=true, m).  She plays her
+   strategy for (P, m) on an imagined board on which x, the phantom, is
+   still unset.  Fallon's moves are legal on both boards.  When the
+   strategy sets a variable other than the phantom, she sets it on the
+   real board; when it sets the phantom, she sets some unset variable
+   true on the real board, and that variable becomes the phantom.  Each
+   real move pairs with one imagined move, so the same player moves on
+   both boards; the real board's unset variables are the imagined
+   one's less the phantom, which is true on the real board; and every
+   variable true on the imagined board is true on the real one.  When
+   the real board is full, only the phantom is unset on the imagined
+   board, and as the strategy wins, one of its two completions
+   satisfies the formula.  Every variable true there is true on the
+   real board, and a positive DNF is monotone, so the real board
+   satisfies it too.  Symmetrically, Fallon keeps a win when x is set
+   false.
+2. The move never hurts.  If Trudy wins (P, Fallon) and P has an unset
+   variable, she wins (P, Trudy): she sets any unset variable true, and
+   step 1 applies.  Equivalently, if Fallon wins (P, Trudy), Fallon
+   wins (P, Fallon).
+3. Induction over the layers.  A full assignment has the same winner in
+   both games.  Let P have an unset variable, and let every state with
+   more variables set have its no-skip winner as its forced winner.
+   Then every set move from P reaches a state with a forced winner.  If
+   Trudy wins (P, Trudy), some set move forces her win there; (P,
+   Fallon) is then a forced Trudy win exactly when every set move from
+   it reaches one (its skip reaches (P, Trudy)), which is the no-skip
+   rule, and otherwise some set move forces Fallon's win.  If Fallon
+   wins (P, Trudy), step 2 gives a set move that forces Fallon's win
+   from (P, Fallon), and every move from (P, Trudy), the skip included,
+   then reaches a forced Fallon win.  Either way both states of P get
+   their no-skip winners.  QED
+
+So one table answers both games, and a won state with an unset
+variable always has a winning set move.  ``verify skip-dominance``
+checks the theorem against an explicit solve of the set-or-skip game.
+
+The table holds Trudy's wins with each player to move as two Python
+ints used as bitsets, one bit per assignment of the 3^n, and each layer
+is one sweep of shifts and masks over the whole table: at the
+12-variable budget a bitset is 66 KB, and the table takes 12-14 ms on a
+2-vCPU host.
 """
 
 from __future__ import annotations
@@ -44,7 +91,6 @@ class Mover(Enum):
 class GameSatValue(Enum):
     TRUDY_WINS = "TrudyWins"
     FALLON_WINS = "FallonWins"
-    UNRESOLVED = "Unresolved"
 
 
 Assignment = tuple[Optional[bool], ...]
@@ -88,18 +134,18 @@ class DnfFormula:
         return (None,) * self.variable_count
 
     @cached_property
-    def _attractors(self) -> tuple["_GsSolver", "_GsSolver"]:
-        """Attractor tables indexed by ``allow_skip``: both built whole
-        on first use and shared by every solve and move query on this
-        formula.  Refuses a formula above ``DEFAULT_VAR_BUDGET``
-        variables, as a table has 3^n assignments."""
+    def _table(self) -> "_GsSolver":
+        """The value table, built whole on first use and shared by every
+        solve and move query on this formula.  Refuses a formula above
+        ``DEFAULT_VAR_BUDGET`` variables, as the table has 3^n
+        assignments."""
         if self.variable_count > DEFAULT_VAR_BUDGET:
             raise BudgetExceeded(f"{self.variable_count} variables exceed budget {DEFAULT_VAR_BUDGET}")
-        return (_GsSolver(self, allow_skip=False), _GsSolver(self, allow_skip=True))
+        return _GsSolver(self)
 
 
 class _GsSolver:
-    """The value with each player to move at every assignment, as four
+    """Trudy's wins with each player to move at every assignment, as two
     bitsets over the 3^n assignments, computed in one sweep of the whole
     table per layer.
 
@@ -109,24 +155,20 @@ class _GsSolver:
     U_v``, where U_v marks the positions with v unset, marks the
     positions that reach X by setting v.
 
-    With skips, the two states of a layer pair form a 2-cycle.  Taking
-    the least fixed point of the attractor equations over that cycle:
-
-        Trudy-to-move wins  iff some set move reaches a Trudy win;
-        Fallon-to-move is a Trudy win iff all its set moves reach Trudy
-        wins and the paired Trudy state is itself a Trudy win
-
-    and symmetrically for Fallon.  Mutual skipping forever resolves to
-    neither attractor: Unresolved.  The terminal positions start at
-    their value and the others in neither attractor, and each sweep
-    applies the equations to every position; a position's children have
-    one more variable set, so after n sweeps every layer holds its value.
+    A satisfying terminal is a Trudy win with either player to move;
+    otherwise, with Trudy to move, a state is a Trudy win iff some set
+    move reaches a Trudy win with Fallon to move, and with Fallon to
+    move iff every set move reaches a Trudy win with Trudy to move.
+    Every other state is a Fallon win.  The bitsets start at the
+    satisfying terminals, and each sweep applies the rules to every
+    position; a position's children have one more variable set, so
+    after n sweeps every layer holds its value.
     """
 
-    def __init__(self, f: DnfFormula, allow_skip: bool):
-        # Nothing of ``f``: ``f`` caches this solver, and a reference back
-        # would leave both, tables included, to the cycle collector.
-        n = f.variable_count
+    def __init__(self, formula: DnfFormula):
+        # Nothing of ``formula``: it caches this solver, and a reference
+        # back would leave both, table included, to the cycle collector.
+        n = formula.variable_count
         self.variable_count = n
         self.steps = steps = [3**v for v in range(n)]
         # zeros: the positions whose digits 0..v are all 0, that is the
@@ -143,12 +185,11 @@ class _GsSolver:
             open_ |= u
         terminal = full ^ open_
         won = 0
-        for clause in f.clauses:
+        for clause in formula.clauses:
             sat = terminal
             for v in clause:
                 sat &= unset[v] << steps[v]
             won |= sat
-        lost = terminal ^ won
 
         def some_child(x: int) -> int:
             out = 0
@@ -156,28 +197,14 @@ class _GsSolver:
                 out |= (x >> s | x >> 2 * s) & u
             return out
 
-        # t_* with Trudy to move, f_* with Fallon to move; *_tw and *_fw
-        # are the Trudy and Fallon wins.  After Trudy sets, Fallon moves,
-        # and vice versa.
-        t_tw = f_tw = won
-        t_fw = f_fw = lost
+        # t with Trudy to move, f with Fallon to move.  After Trudy
+        # sets, Fallon moves, and vice versa.
+        t = f = won
         for _ in range(n):
-            t_reach = some_child(f_tw)
-            f_reach = some_child(t_fw)
-            if allow_skip:
-                f_stay = t_reach & ~some_child(full ^ t_tw)
-                t_stay = f_reach & ~some_child(full ^ f_fw)
-                t_tw, t_fw = won | t_reach, lost | t_stay & ~t_reach
-                f_tw, f_fw = won | f_stay & ~f_reach, lost | f_reach
-            else:
-                t_tw, t_fw = won | t_reach, lost | open_ ^ t_reach
-                f_tw, f_fw = won | open_ ^ f_reach, lost | f_reach
+            t, f = won | some_child(f), won | open_ & ~some_child(full ^ t)
         # As bytes, so that reading one bit does not copy the table.
         width = (3**n + 7) // 8
-        self.tables = {
-            mover: (tw.to_bytes(width, "little"), fw.to_bytes(width, "little"))
-            for mover, tw, fw in ((Mover.TRUDY, t_tw, t_fw), (Mover.FALLON, f_tw, f_fw))
-        }
+        self.trudy_wins = {Mover.TRUDY: t.to_bytes(width, "little"), Mover.FALLON: f.to_bytes(width, "little")}
 
     def index(self, assignment: Sequence[Optional[bool]]) -> int:
         if len(assignment) != self.variable_count:
@@ -188,60 +215,40 @@ class _GsSolver:
                 i += s if cur else 2 * s
         return i
 
-    def value(self, i: int, mover: Mover) -> GameSatValue:
-        tw, fw = self.tables[mover]
-        if _bit(tw, i):
-            return GameSatValue.TRUDY_WINS
-        if _bit(fw, i):
-            return GameSatValue.FALLON_WINS
-        return GameSatValue.UNRESOLVED
-
 
 def _bit(bits: bytes, i: int) -> int:
     return bits[i >> 3] >> (i & 7) & 1
 
 
-def solve_gamesat(
-    f: DnfFormula,
-    first: Mover,
-    allow_skip: bool = True,
-    assignment: Assignment | None = None,
-) -> GameSatValue:
+def solve_gamesat(f: DnfFormula, first: Mover, assignment: Assignment | None = None) -> GameSatValue:
     """Exact value with ``first`` to move from ``assignment`` (default:
-    all unset)."""
+    all unset), with or without skips (see the theorem above)."""
     if assignment is None:
         assignment = f.unset_assignment()
-    solver = f._attractors[allow_skip]
-    return solver.value(solver.index(assignment), first)
-
-
-def skip_dominance_check(f: DnfFormula, first: Mover) -> bool:
-    """True iff allowing skips neither changes the value nor leaves it
-    Unresolved: skipping and wrong-value moves are dominated."""
-    with_skip = solve_gamesat(f, first, allow_skip=True)
-    without = solve_gamesat(f, first, allow_skip=False)
-    return with_skip is without and with_skip is not GameSatValue.UNRESOLVED
+    table = f._table
+    if _bit(table.trudy_wins[first], table.index(assignment)):
+        return GameSatValue.TRUDY_WINS
+    return GameSatValue.FALLON_WINS
 
 
 def winning_set_move(f: DnfFormula, assignment: Assignment, mover: Mover) -> tuple[int, bool] | None:
-    """A set move for ``mover`` that preserves their forced win, or None
-    if the position is not a win for ``mover`` or has no unset variable
-    (a fully set winning assignment has no move).  A won position with
-    an unset variable always has one: the attractor equations show the
-    player to move can only win through some set edge.  Deterministic:
-    lowest variable first, preferred value (Trudy true, Fallon false)
-    first."""
-    solver = f._attractors[True]
-    i = solver.index(assignment)
-    side = 0 if mover is Mover.TRUDY else 1
-    if not _bit(solver.tables[mover][side], i):
+    """A set move for ``mover`` that keeps their win, or None if the
+    position is not a win for ``mover`` or has no unset variable (a
+    fully set winning assignment has no move).  A won position with an
+    unset variable always has one, by the theorem above: skipping never
+    wins what no set move wins.  Deterministic: lowest variable first,
+    preferred value (Trudy true, Fallon false) first."""
+    table = f._table
+    i = table.index(assignment)
+    trudy = mover is Mover.TRUDY
+    if _bit(table.trudy_wins[mover], i) != trudy:
         return None
-    won_after = solver.tables[mover.other][side]
-    values = (True, False) if mover is Mover.TRUDY else (False, True)
-    for v, (s, cur) in enumerate(zip(solver.steps, assignment)):
+    after = table.trudy_wins[mover.other]
+    values = (True, False) if trudy else (False, True)
+    for v, (s, cur) in enumerate(zip(table.steps, assignment)):
         if cur is None:
             for value in values:
-                if _bit(won_after, i + (s if value else 2 * s)):
+                if _bit(after, i + (s if value else 2 * s)) == trudy:
                     return (v, value)
     return None
 

@@ -212,8 +212,7 @@ def compile_gamesat_to_lava(
 
     Requires N >= 2.  The asymptotic sufficiency bound N >> m^2 n^2 is
     recorded as an advisory flag, not enforced: small N is exactly what
-    desk-scale experiments explore.  Refuses formulas whose Game SAT
-    value is Unresolved, since no winner prediction would be meaningful.
+    desk-scale experiments explore.
 
     The board is built in one pass over ``gadget_layout(f)``, with the
     parity pad decided up front from the closed forms.  In the canonical
@@ -234,9 +233,7 @@ def compile_gamesat_to_lava(
     if t0 + 1 > cap:
         raise ReductionError(f"instance needs {t0} strings, above cap {cap}")
     # Last, as it takes time exponential in the variable count.
-    value = solve_gamesat(f, first, allow_skip=True)
-    if value is GameSatValue.UNRESOLVED:
-        raise ReductionError("Game SAT value is Unresolved; refusing to compile")
+    value = solve_gamesat(f, first)
     n = f.variable_count
     m = f.clause_count
     counts = closed_form_counts(f)

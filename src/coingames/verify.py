@@ -28,8 +28,8 @@ from .gamesat import (
     GameSatValue,
     Mover,
     format_dnf,
-    skip_dominance_check,
     solve_gamesat,
+    winning_set_move,
 )
 from .multigraph import GROUND, MAX_COINS, MAX_STRINGS, GraphBuilder, Multigraph, canonical_text, ropes
 from .reduce import (
@@ -496,52 +496,121 @@ def sweep_structure(count: int, seed: int) -> CampaignReport:
 
 # Work that ``check_skip_dominance`` accepts, in the units of
 # ``_skip_dominance_work``: about a second of loop on a 2-vCPU host,
-# where a unit takes 40-75 ns.  Loop times over three runs, without the
-# cap: (8, 1) 2,758,698 units, 0.21 s; (4, 5) 8,008,662, 0.42-0.44 s;
-# (9, 1) 13,583,211, 0.70-1.02 s, all accepted; (5, 4) 66,771,660,
-# 2.5-2.9 s; (10, 1) 75,524,838, 3.9-4.0 s; (6, 3) 102,726,138,
-# 4.2-4.3 s, all refused.
-SKIP_DOMINANCE_WORK_CAP = 25_000_000
+# where a unit takes 3.5-5 us.  Loop times over three runs, without the
+# cap: (4, 3) 103,144 units, 0.40-0.54 s; (6, 1) 110,988, 0.51-0.53 s,
+# both accepted; (5, 2) 268,632, 1.15-1.51 s; (4, 4) 340,164,
+# 1.31-1.38 s; (7, 1) 667,756, 3.4-5.2 s; (4, 5) 858,024, 3.3-3.5 s,
+# all refused.
+SKIP_DOMINANCE_WORK_CAP = 200_000
 
 
 def _skip_dominance_work(max_n: int, max_m: int) -> int:
-    """Closed form of the sum of 1,500 + 3^n over the formulas that
+    """Closed form of the sum of 10 + 2 * 3^n over the formulas that
     ``enumerate_small_formulas(max_n, max_m)`` yields: each formula on n
-    variables costs a fixed 1,500 units (its two solver tables' set-up
-    and the campaign's own steps) plus one per position of its tables'
-    3^n, and there are C(2^n - 1, m) formulas of m clauses."""
+    variables costs a fixed 10 units (its table's set-up and the
+    campaign's own steps) plus one per state of its explicit game, 3^n
+    assignments for each of two movers, and there are C(2^n - 1, m)
+    formulas of m clauses."""
     work = 0
     for n in range(1, max_n + 1):
         subsets = 2**n - 1
         formulas = 1
         for m in range(1, min(max_m, subsets) + 1):
             formulas = formulas * (subsets - m + 1) // m
-            work += formulas * (1_500 + 3**n)
+            work += formulas * (10 + 2 * 3**n)
     return work
 
 
+def _set_or_skip_values(f: DnfFormula) -> dict[tuple, tuple[GameSatValue | None, GameSatValue | None]]:
+    """The value of the set-or-skip game at every assignment, with Trudy
+    and with Fallon to move, by a retrograde attractor solve of the
+    explicit graph: set moves, and one skip to the other mover per
+    unfinished state.  None where neither player can force a win.
+    It shares no code with the ``gamesat`` table, which it checks."""
+    positions = list(itertools.product((None, True, False), repeat=f.variable_count))
+    index = {a: i for i, a in enumerate(positions)}
+    # State 2i + m is positions[i] with Trudy (m = 0) or Fallon (m = 1)
+    # to move; winners are 0 (Trudy) and 1 (Fallon).  ``unrefuted``
+    # counts, per unfinished state, the moves not yet known to reach a
+    # win for the player not to move.
+    states = 2 * len(positions)
+    parents: list[list[int]] = [[] for _ in range(states)]
+    unrefuted = [0] * states
+    winner: list[int | None] = [None] * states
+    queue = []
+    for i, a in enumerate(positions):
+        if None not in a:
+            winner[2 * i] = winner[2 * i + 1] = 0 if any(all(a[v] for v in c) for c in f.clauses) else 1
+            queue += (2 * i, 2 * i + 1)
+            continue
+        moves = [index[a[:v] + (b,) + a[v + 1 :]] for v, cur in enumerate(a) if cur is None for b in (True, False)]
+        moves.append(i)
+        for m in (0, 1):
+            unrefuted[2 * i + m] = len(moves)
+            for k in moves:
+                parents[2 * k + 1 - m].append(2 * i + m)
+    for state in queue:
+        w = winner[state]
+        for parent in parents[state]:
+            if winner[parent] is not None:
+                continue
+            if parent & 1 != w:
+                unrefuted[parent] -= 1
+                if unrefuted[parent]:
+                    continue
+            winner[parent] = w
+            queue.append(parent)
+    values = (GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS, None)
+    return {a: (values[winner[2 * i]], values[winner[2 * i + 1]]) for i, a in enumerate(positions)}
+
+
+def _skip_dominance_disagreement(f: DnfFormula, solved: dict, mover: Mover) -> dict | None:
+    """The first assignment, in ``itertools.product`` order, where with
+    ``mover`` to move ``solve_gamesat`` differs from the explicit solve
+    ``solved``, or where ``winning_set_move`` from a won unfinished
+    state does not reach a state that ``solved`` scores as won; None if
+    there is none."""
+    side = 0 if mover is Mover.TRUDY else 1
+    won = (GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS)[side]
+    for a, pair in solved.items():
+        explicit = pair[side]
+        value = solve_gamesat(f, mover, a)
+        agree = value is explicit
+        move = None
+        if agree and value is won and None in a:
+            move = winning_set_move(f, a, mover)
+            agree = move is not None and solved[a[: move[0]] + (move[1],) + a[move[0] + 1 :]][1 - side] is won
+        if not agree:
+            return {
+                "assignment": list(a),
+                "table": value.value,
+                "explicit": explicit and explicit.value,
+                "move": move and list(move),
+            }
+    return None
+
+
 def check_skip_dominance(max_n: int = 3, max_m: int = 3) -> CampaignReport:
-    """Exhaustive: for every small positive DNF and both first movers,
-    the value with skips equals the value without, and is never
-    Unresolved.  ``max_n`` above the Game SAT budget, or a campaign whose
-    work is above ``SKIP_DOMINANCE_WORK_CAP``, is refused with ParseError
-    before any formula is solved."""
+    """Exhaustive check of the ``gamesat`` theorem: for every small
+    positive DNF and both movers, the table's value at every assignment
+    equals the forced winner of the set-or-skip game from an explicit
+    solve (``_set_or_skip_values``), and ``winning_set_move`` from
+    every won unfinished state reaches a state that the explicit solve
+    scores as won.  A counterexample names the formula, the mover and
+    the first assignment where the two disagree.  ``max_n`` above the
+    Game SAT budget, or a campaign whose work is above
+    ``SKIP_DOMINANCE_WORK_CAP``, is refused with ParseError before any
+    formula is solved."""
     _at_most("max variables", max_n, DEFAULT_VAR_BUDGET)
     _at_most("skip-dominance work", _skip_dominance_work(max_n, max_m), SKIP_DOMINANCE_WORK_CAP)
     report = CampaignReport("skip-dominance", details={"formulas": 0})
     for f in enumerate_small_formulas(max_n, max_m):
         report.details["formulas"] += 1
-        for first in (Mover.TRUDY, Mover.FALLON):
+        solved = _set_or_skip_values(f)
+        for mover in Mover:
             report.count += 1
-            report.tally(
-                skip_dominance_check(f, first),
-                lambda: {
-                    "formula": format_dnf(f),
-                    "first": first.value,
-                    "with_skip": solve_gamesat(f, first, True).value,
-                    "without_skip": solve_gamesat(f, first, False).value,
-                },
-            )
+            bad = _skip_dominance_disagreement(f, solved, mover)
+            report.tally(bad is None, lambda: {"formula": format_dnf(f), "mover": mover.value, **bad})
     return report
 
 
@@ -635,7 +704,7 @@ def fallon_win_combos(max_n: int = 3, max_m: int = 3):
         if any(len(c) < 2 for c in f.clauses) or 0 in f.occurrences():
             continue
         for first in (Mover.TRUDY, Mover.FALLON):
-            if solve_gamesat(f, first, allow_skip=True) is GameSatValue.FALLON_WINS:
+            if solve_gamesat(f, first) is GameSatValue.FALLON_WINS:
                 yield f, first
 
 

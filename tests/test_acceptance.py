@@ -110,8 +110,10 @@ def test_criterion_6_fallon_terminals_strand_the_trudy_mapped_player():
 
 
 def test_criterion_7_skips_never_change_the_gamesat_value():
-    # Exhaustive over positive DNFs with n <= 3, m <= 3, both first
-    # movers: value with skips equals value without, never Unresolved.
+    # Exhaustive over positive DNFs with n <= 3, m <= 3, both movers:
+    # the one Game SAT table, which ignores skips, equals an explicit
+    # solve of the set-or-skip game at every state, and every winning
+    # set move it gives keeps the win.
     report = check_skip_dominance(3, 3)
     assert report.ok, report.counterexamples[:3]
     assert report.details["formulas"] == 71

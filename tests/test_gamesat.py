@@ -17,11 +17,10 @@ from coingames.gamesat import (
     Mover,
     format_dnf,
     parse_dnf,
-    skip_dominance_check,
     solve_gamesat,
     winning_set_move,
 )
-from coingames.verify import enumerate_small_formulas, random_formula
+from coingames.verify import check_skip_dominance, enumerate_small_formulas, random_formula
 
 
 MAJORITY = "x1 x2\nx1 x3\nx2 x3"
@@ -58,8 +57,7 @@ def test_mover_other():
     assert Mover.FALLON.other is Mover.TRUDY
 
 
-# Values frozen from the attractor solver across both movers, with and
-# without skips.
+# Values frozen from the solver, for both first movers.
 @pytest.mark.parametrize(
     "text,first,value",
     [
@@ -76,21 +74,17 @@ def test_mover_other():
     ],
 )
 def test_solved_values(text, first, value):
-    assert solve_gamesat(parse_dnf(text), first, allow_skip=True) is value
-
-
-def test_skips_never_change_small_values():
-    for f in enumerate_small_formulas(3, 2):
-        for first in Mover:
-            with_skip = solve_gamesat(f, first, allow_skip=True)
-            without = solve_gamesat(f, first, allow_skip=False)
-            assert with_skip is without
+    assert solve_gamesat(parse_dnf(text), first) is value
 
 
 def test_skip_dominance_check_accepts_small_formulas():
-    f = parse_dnf(MAJORITY)
-    assert skip_dominance_check(f, Mover.TRUDY)
-    assert skip_dominance_check(f, Mover.FALLON)
+    """The module's theorem against an explicit solve of the set-or-skip
+    game, at every state of every formula of up to 4 variables and 3
+    clauses."""
+    report = check_skip_dominance(4, 3)
+    assert report.ok, report.counterexamples[:1]
+    assert report.details["formulas"] == 646
+    assert report.count == report.passes == 1292
 
 
 def test_winning_set_move_preserves_the_win():
@@ -111,20 +105,17 @@ def test_winning_set_move_returns_none_for_the_loser():
     assert winning_set_move(f, f.unset_assignment(), Mover.TRUDY) is None
 
 
-def test_cached_tables_keep_the_skip_rules_apart():
-    # Both tables live on the formula; filling the no-skip table first
-    # must not leak into the with-skip answers, or the reverse.
+def test_a_cached_table_answers_as_a_fresh_one():
+    # The table lives on the formula; a solve for one mover must not
+    # leave it answering differently from a fresh formula's table.
     for f in enumerate_small_formulas(3, 2):
-        for allow_skip in (False, True):
-            for first in Mover:
-                solve_gamesat(f, first, allow_skip=allow_skip)
+        for first in Mover:
+            solve_gamesat(f, first)
         for a in itertools.product((None, True, False), repeat=f.variable_count):
-            for allow_skip in (False, True):
-                for first in Mover:
-                    fresh = DnfFormula(f.variable_count, f.clauses)
-                    assert fresh == f
-                    got = solve_gamesat(f, first, allow_skip=allow_skip, assignment=a)
-                    assert got is solve_gamesat(fresh, first, allow_skip=allow_skip, assignment=a)
+            for first in Mover:
+                fresh = DnfFormula(f.variable_count, f.clauses)
+                assert fresh == f
+                assert solve_gamesat(f, first, assignment=a) is solve_gamesat(fresh, first, assignment=a)
 
 
 def test_formula_validation():
@@ -179,28 +170,14 @@ def test_adding_a_clause_never_hurts_trudy(seed: int):
         g = f
     else:
         g = DnfFormula(f.variable_count, f.clauses + (extra,))
-    rank = {
-        GameSatValue.FALLON_WINS: 0,
-        GameSatValue.UNRESOLVED: 1,
-        GameSatValue.TRUDY_WINS: 2,
-    }
+    rank = {GameSatValue.FALLON_WINS: 0, GameSatValue.TRUDY_WINS: 1}
     for first in Mover:
         assert rank[solve_gamesat(g, first)] >= rank[solve_gamesat(f, first)]
 
 
-@given(seed=st.integers(min_value=0, max_value=4000))
-@settings(max_examples=50, deadline=None)
-def test_someone_wins_without_skips(seed: int):
-    """Property: with skips disallowed the game is finite and decided."""
-    f = random_formula(random.Random(seed), max_n=3, max_m=3)
-    for first in Mover:
-        v = solve_gamesat(f, first, allow_skip=False)
-        assert v in (GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS)
-
-
 def test_solved_formula_is_freed_without_the_cycle_collector():
-    """A formula's cached solvers hold its clauses, not the formula, so
-    dropping a solved formula frees it and its tables at once."""
+    """A formula's cached table keeps no reference to the formula, so
+    dropping a solved formula frees it and its table at once."""
     f = parse_dnf(MAJORITY)
     gone = weakref.ref(f)
     gc.disable()
@@ -218,10 +195,16 @@ def test_solve_refuses_an_assignment_of_the_wrong_length():
         solve_gamesat(parse_dnf(MAJORITY), Mover.TRUDY, assignment=(True, False))
 
 
+# Neither player can force a win: a third value that the recursion with
+# skips may give and the table has no way to say.
+UNRESOLVED = "Unresolved"
+
+
 def _reference_pairs(f: DnfFormula, allow_skip: bool):
-    """The attractor equations as a memoized recursion over assignment
-    tuples: (value with Trudy to move, value with Fallon to move)."""
-    TW, FW, UN = GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS, GameSatValue.UNRESOLVED
+    """The forced-win equations, with or without skips, as a memoized
+    recursion over assignment tuples: (value with Trudy to move, value
+    with Fallon to move)."""
+    TW, FW, UN = GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS, UNRESOLVED
     memo = {}
 
     def pair(a):
@@ -247,38 +230,36 @@ def _reference_pairs(f: DnfFormula, allow_skip: bool):
 
 def test_table_matches_the_recursion_at_every_position():
     """Every assignment of every formula of up to 4 variables and 3
-    clauses, under both skip rules and both movers, against the
-    recursion; and, with skips, ``winning_set_move`` against the first
-    winning set move in its documented order.  A won position has one
-    exactly when some variable is unset."""
+    clauses, for both movers: the one table against the recursion with
+    skips and against the one without, which checks the module's theorem
+    at 96,684 states; and ``winning_set_move`` against the first winning
+    set move in its documented order.  A won position has one exactly
+    when some variable is unset."""
     movers = (
         (0, Mover.TRUDY, GameSatValue.TRUDY_WINS, (True, False)),
         (1, Mover.FALLON, GameSatValue.FALLON_WINS, (False, True)),
     )
     won_full = 0
     for f in enumerate_small_formulas(4, 3):
-        positions = list(itertools.product((None, True, False), repeat=f.variable_count))
-        for allow_skip in (False, True):
-            pair = _reference_pairs(f, allow_skip)
-            for a in positions:
-                here = pair(a)
-                for side, mover, target, values in movers:
-                    assert solve_gamesat(f, mover, allow_skip, a) is here[side], (f, a, allow_skip, mover)
-                    if not allow_skip:
-                        continue
-                    winning = [
-                        (v, b)
-                        for v in range(len(a))
-                        if a[v] is None
-                        for b in values
-                        if pair(a[:v] + (b,) + a[v + 1 :])[1 - side] is target
-                    ]
-                    won = here[side] is target
-                    if None in a:
-                        assert won is bool(winning), (f, a, mover)
-                    elif won:
-                        won_full += 1
-                    assert winning_set_move(f, a, mover) == (winning[0] if winning else None), (f, a, mover)
+        with_skip, without = _reference_pairs(f, True), _reference_pairs(f, False)
+        for a in itertools.product((None, True, False), repeat=f.variable_count):
+            here = with_skip(a)
+            for side, mover, target, values in movers:
+                got = solve_gamesat(f, mover, a)
+                assert got is here[side] is without(a)[side], (f, a, mover)
+                winning = [
+                    (v, b)
+                    for v in range(len(a))
+                    if a[v] is None
+                    for b in values
+                    if with_skip(a[:v] + (b,) + a[v + 1 :])[1 - side] is target
+                ]
+                won = here[side] is target
+                if None in a:
+                    assert won is bool(winning), (f, a, mover)
+                elif won:
+                    won_full += 1
+                assert winning_set_move(f, a, mover) == (winning[0] if winning else None), (f, a, mover)
     assert won_full > 0
 
 

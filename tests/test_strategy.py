@@ -9,12 +9,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coingames.engine import Player
+from coingames.engine import GameKind, LiveBoard, Player
 from coingames.errors import StrategyError
 from coingames.gamesat import Mover, parse_dnf
 from coingames.multigraph import Multigraph, canonical_text, parse_text
 from coingames.reduce import compile_gamesat_to_lava
 from coingames.strategy import (
+    ArtifactTracker,
     FallonScript,
     GreedyDisabler,
     Policy,
@@ -504,6 +505,29 @@ def test_dropped_stages_stay_settled_until_the_epoch_moves(N):
     # Every stage was passed by the cursor and re-called somewhere.
     for side, script_class in ((Mover.TRUDY, TrudyScript), (Mover.FALLON, FallonScript)):
         assert rechecked[side] == {stage.__name__ for _, stage in script_class.stages}
+
+
+def _tracker(art) -> ArtifactTracker:
+    return ArtifactTracker(art, LiveBoard(art.graph, GameKind.COINS_ARE_LAVA))
+
+
+def test_the_tracker_refuses_a_string_it_has_already_seen():
+    art = compiled(MAJORITY, Mover.TRUDY)
+    tracker = _tracker(art)
+    sid = next(p.top[0] for p in art.plan if p.kind == "variable")
+    tracker.observe(sid)
+    with pytest.raises(StrategyError, match=f"^tracker out of sync at string {sid}$"):
+        tracker.observe(sid)
+
+
+def test_cleanup_with_every_string_cut_has_no_move():
+    art = compiled(MAJORITY, Mover.TRUDY)
+    tracker = _tracker(art)
+    tracker.live.alive[:] = [False] * art.graph.string_count
+    policy = GreedyDisabler(art, Mover.TRUDY)
+    policy.reset(tracker, Player.P1, seed=0)
+    with pytest.raises(StrategyError, match="^asked to move with no legal cut available$"):
+        policy._cleanup_move()
 
 
 def _bare_live(n: int):

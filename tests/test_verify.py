@@ -10,12 +10,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coingames import verify as verify_module
+from coingames import gamesat as gamesat_module, verify as verify_module
 from coingames.cli import run
 from coingames.engine import GameKind, Player, initial_state
 from coingames.errors import BudgetExceeded
 from coingames.gamesat import Mover, parse_dnf
-from coingames.multigraph import GraphBuilder, canonical_text
+from coingames.multigraph import GROUND, GraphBuilder, canonical_text
 from coingames.reduce import reduce_lava_to_nimstring
 from coingames.solver import NAIVE_BUDGET, SolveResult, solve
 from coingames.strategy import TrudyScript
@@ -261,11 +261,90 @@ def test_recount_flags_a_tampered_board():
     assert full["all_strings_counted"]
 
 
+def test_a_structure_audit_lists_each_count_off_its_closed_form(monkeypatch):
+    real = verify_module.closed_form_counts
+
+    def wrong_w1(f):
+        return {**real(f), "W1": real(f)["W1"] + 1}
+
+    monkeypatch.setattr(verify_module, "closed_form_counts", wrong_w1)
+    rep = check_structure(parse_dnf(MAJORITY), 2, Mover.TRUDY)
+    assert not rep.ok and (rep.count, rep.passes, rep.fails) == (12, 10, 2)
+    (counterexample,) = rep.counterexamples
+    assert counterexample["formula"] == "x1 x2\nx1 x3\nx2 x3\n"
+    assert (counterexample["N"], counterexample["first"]) == (2, "trudy")
+    w1 = real(parse_dnf(MAJORITY))["W1"]
+    assert counterexample["mismatches"] == {
+        key: {"expected": w1 + 1, "observed": w1} for key in ("W1_bottom", "W1_top")
+    }
+
+
+@pytest.mark.parametrize("output_first", [False, True])
+def test_recount_finds_a_variable_gadget_whichever_coin_comes_first(output_first):
+    """A variable gadget's top rope joins its middle coin to its output
+    coin; the recount finds it whether the output coin has the lower id
+    or the higher."""
+    b = GraphBuilder()
+    out, mid = b.add_coins(2) if output_first else b.add_coins(2)[::-1]
+    b.add_rope(mid, GROUND, 1)
+    b.add_rope(mid, out, 1)
+    counts = recount_structure(b.build(), 2)
+    assert (counts["variables"], counts["out_wire_counts"]) == (1, [0])
+    assert counts["all_strings_counted"]
+
+
 def test_skip_dominance_exhaustive_small():
     rep = check_skip_dominance(2, 2)
     assert rep.ok
     assert rep.details["formulas"] == 7
     assert rep.count == 14
+
+
+def test_skip_dominance_names_the_first_state_the_table_gets_wrong(monkeypatch):
+    """One flipped bit of the table (x1, nothing set, Fallon to move)
+    fails Fallon's check there and leaves Trudy's alone."""
+    build = gamesat_module._GsSolver.__init__
+
+    def flipped(self, formula):
+        build(self, formula)
+        bits = bytearray(self.trudy_wins[Mover.FALLON])
+        bits[0] ^= 1
+        self.trudy_wins[Mover.FALLON] = bytes(bits)
+
+    monkeypatch.setattr(gamesat_module._GsSolver, "__init__", flipped)
+    rep = check_skip_dominance(1, 1)
+    assert not rep.ok and (rep.count, rep.passes, rep.fails) == (2, 1, 1)
+    assert rep.counterexamples == [
+        {
+            "formula": "x1\n",
+            "mover": "fallon",
+            "assignment": [None],
+            "table": "TrudyWins",
+            "explicit": "FallonWins",
+            "move": None,
+        }
+    ]
+
+
+def test_skip_dominance_checks_where_each_winning_move_leads(monkeypatch):
+    """A move query that answers the lowest unset variable at the wrong
+    value is caught at the first won state of each mover."""
+    monkeypatch.setattr(
+        verify_module, "winning_set_move", lambda f, a, mover: (a.index(None), mover is Mover.FALLON)
+    )
+    rep = check_skip_dominance(1, 1)
+    assert not rep.ok and (rep.count, rep.fails) == (2, 2)
+    assert rep.counterexamples == [
+        {
+            "formula": "x1\n",
+            "mover": mover,
+            "assignment": [None],
+            "table": value,
+            "explicit": value,
+            "move": [0, mover == "fallon"],
+        }
+        for mover, value in (("trudy", "TrudyWins"), ("fallon", "FallonWins"))
+    ]
 
 
 def test_fallon_win_combos_are_fallon_wins():
