@@ -263,6 +263,29 @@ def test_table_matches_the_recursion_at_every_position():
     assert won_full > 0
 
 
+def test_skips_never_change_small_values():
+    """At the start of every formula of up to 3 variables and 2 clauses,
+    the recursion with skips and the one without agree with the table."""
+    start = {Mover.TRUDY: 0, Mover.FALLON: 1}
+    for f in enumerate_small_formulas(3, 2):
+        a = f.unset_assignment()
+        with_skip, without = _reference_pairs(f, True)(a), _reference_pairs(f, False)(a)
+        for first in Mover:
+            assert with_skip[start[first]] is without[start[first]] is solve_gamesat(f, first), (f, first)
+
+
+@given(seed=st.integers(min_value=0, max_value=4000))
+@settings(max_examples=50, deadline=None)
+def test_someone_wins_without_skips(seed: int):
+    """Property: with skips disallowed the game is finite and decided,
+    and the table gives the same winner."""
+    f = random_formula(random.Random(seed), max_n=3, max_m=3)
+    without = _reference_pairs(f, False)(f.unset_assignment())
+    for side, first in enumerate((Mover.TRUDY, Mover.FALLON)):
+        assert without[side] in (GameSatValue.TRUDY_WINS, GameSatValue.FALLON_WINS)
+        assert solve_gamesat(f, first) is without[side]
+
+
 def test_a_table_at_the_budget_is_small():
     """At ``DEFAULT_VAR_BUDGET`` variables each bitset is 3^12 bits (66
     KB); 8 MB leaves room for the sweeps' temporaries, not for a table
