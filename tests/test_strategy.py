@@ -266,52 +266,54 @@ def test_script_sets_a_variable_whose_top_string_is_frozen():
     assert record.winner is record.stuck.other
 
 
-# sha256 of transcript_text() (first 16 hex digits) at N=3, keyed by
-# (formula, first mover, script, opponent, seed).  Any change to a
-# policy, the tracker or LiveBoard that alters one cut, seat, label or
-# phase shows here.
+# The winning seat, the ply count and the sha256 of transcript_text()
+# (first 16 hex digits) at N=3, keyed by (formula, first mover, script,
+# opponent, seed).  Any change to a policy, the tracker or LiveBoard
+# that alters one cut, seat, label or phase shows in the digest; the
+# outcome columns, checked first, show whether the game's result moved
+# with it.
 GOLDEN_FORMULAS = {"majority": MAJORITY, "x1x2": "x1 x2"}
 GOLDEN_TRANSCRIPTS = {
-    ("majority", "trudy", "trudy-script", "random", 1): "d238e1faa49c2586",
-    ("majority", "trudy", "trudy-script", "random", 2): "34cf8b57e366eaa2",
-    ("majority", "trudy", "trudy-script", "greedy", 1): "a93a3d663b890341",
-    ("majority", "trudy", "trudy-script", "greedy", 2): "a93a3d663b890341",
-    ("majority", "trudy", "trudy-script", "fallon-script", 1): "d7b6c03b69d07d3e",
-    ("majority", "trudy", "trudy-script", "fallon-script", 2): "d7b6c03b69d07d3e",
-    ("majority", "trudy", "fallon-script", "random", 1): "b6336d7338fd2447",
-    ("majority", "trudy", "fallon-script", "random", 2): "d7c347424d8c3a05",
-    ("majority", "trudy", "fallon-script", "greedy", 1): "f62b3a39afcde41d",
-    ("majority", "trudy", "fallon-script", "greedy", 2): "f62b3a39afcde41d",
-    ("majority", "fallon", "fallon-script", "random", 1): "39b743d204baf70e",
-    ("majority", "fallon", "fallon-script", "random", 2): "ce643e3b18fa71c0",
-    ("majority", "fallon", "fallon-script", "greedy", 1): "858b11e86e94e0bb",
-    ("majority", "fallon", "fallon-script", "greedy", 2): "858b11e86e94e0bb",
-    ("majority", "fallon", "trudy-script", "fallon-script", 1): "3c0753e1470f22b5",
-    ("majority", "fallon", "trudy-script", "fallon-script", 2): "3c0753e1470f22b5",
-    ("majority", "fallon", "trudy-script", "random", 1): "952e65823c1e1e68",
-    ("majority", "fallon", "trudy-script", "random", 2): "64c4f2be7bd15097",
-    ("majority", "fallon", "trudy-script", "greedy", 1): "00f7776de18f56b5",
-    ("majority", "fallon", "trudy-script", "greedy", 2): "00f7776de18f56b5",
-    ("x1x2", "trudy", "fallon-script", "random", 1): "962801a69cf262bb",
-    ("x1x2", "trudy", "fallon-script", "random", 2): "df989f7f1a7fcccd",
-    ("x1x2", "trudy", "fallon-script", "greedy", 1): "39f498bb7172e4fe",
-    ("x1x2", "trudy", "fallon-script", "greedy", 2): "39f498bb7172e4fe",
-    ("x1x2", "trudy", "trudy-script", "fallon-script", 1): "16b9458ce5f6ce50",
-    ("x1x2", "trudy", "trudy-script", "fallon-script", 2): "16b9458ce5f6ce50",
-    ("x1x2", "trudy", "trudy-script", "random", 1): "80c082416637000a",
-    ("x1x2", "trudy", "trudy-script", "random", 2): "b05605af93600b57",
-    ("x1x2", "trudy", "trudy-script", "greedy", 1): "ee1b4553f45be040",
-    ("x1x2", "trudy", "trudy-script", "greedy", 2): "ee1b4553f45be040",
-    ("x1x2", "fallon", "fallon-script", "random", 1): "1bb8f881a4f2b6df",
-    ("x1x2", "fallon", "fallon-script", "random", 2): "0469e31e6e64931e",
-    ("x1x2", "fallon", "fallon-script", "greedy", 1): "85e3e4d2aa4c0d66",
-    ("x1x2", "fallon", "fallon-script", "greedy", 2): "85e3e4d2aa4c0d66",
-    ("x1x2", "fallon", "trudy-script", "fallon-script", 1): "e589edad1edad66c",
-    ("x1x2", "fallon", "trudy-script", "fallon-script", 2): "e589edad1edad66c",
-    ("x1x2", "fallon", "trudy-script", "random", 1): "a9deba04b78af3b2",
-    ("x1x2", "fallon", "trudy-script", "random", 2): "48122e62376e33d4",
-    ("x1x2", "fallon", "trudy-script", "greedy", 1): "d5b40b60d9f135d2",
-    ("x1x2", "fallon", "trudy-script", "greedy", 2): "d5b40b60d9f135d2",
+    ("majority", "trudy", "trudy-script", "random", 1): ("P1", 2979, "d238e1faa49c2586"),
+    ("majority", "trudy", "trudy-script", "random", 2): ("P1", 2979, "34cf8b57e366eaa2"),
+    ("majority", "trudy", "trudy-script", "greedy", 1): ("P1", 2979, "a93a3d663b890341"),
+    ("majority", "trudy", "trudy-script", "greedy", 2): ("P1", 2979, "a93a3d663b890341"),
+    ("majority", "trudy", "trudy-script", "fallon-script", 1): ("P1", 2979, "d7b6c03b69d07d3e"),
+    ("majority", "trudy", "trudy-script", "fallon-script", 2): ("P1", 2979, "d7b6c03b69d07d3e"),
+    ("majority", "trudy", "fallon-script", "random", 1): ("P2", 2980, "b6336d7338fd2447"),
+    ("majority", "trudy", "fallon-script", "random", 2): ("P2", 2980, "d7c347424d8c3a05"),
+    ("majority", "trudy", "fallon-script", "greedy", 1): ("P2", 2980, "f62b3a39afcde41d"),
+    ("majority", "trudy", "fallon-script", "greedy", 2): ("P2", 2980, "f62b3a39afcde41d"),
+    ("majority", "fallon", "fallon-script", "random", 1): ("P1", 2981, "39b743d204baf70e"),
+    ("majority", "fallon", "fallon-script", "random", 2): ("P1", 2981, "ce643e3b18fa71c0"),
+    ("majority", "fallon", "fallon-script", "greedy", 1): ("P1", 2981, "858b11e86e94e0bb"),
+    ("majority", "fallon", "fallon-script", "greedy", 2): ("P1", 2981, "858b11e86e94e0bb"),
+    ("majority", "fallon", "trudy-script", "fallon-script", 1): ("P1", 2981, "3c0753e1470f22b5"),
+    ("majority", "fallon", "trudy-script", "fallon-script", 2): ("P1", 2981, "3c0753e1470f22b5"),
+    ("majority", "fallon", "trudy-script", "random", 1): ("P2", 2980, "952e65823c1e1e68"),
+    ("majority", "fallon", "trudy-script", "random", 2): ("P2", 2980, "64c4f2be7bd15097"),
+    ("majority", "fallon", "trudy-script", "greedy", 1): ("P2", 2980, "00f7776de18f56b5"),
+    ("majority", "fallon", "trudy-script", "greedy", 2): ("P2", 2980, "00f7776de18f56b5"),
+    ("x1x2", "trudy", "fallon-script", "random", 1): ("P2", 1532, "962801a69cf262bb"),
+    ("x1x2", "trudy", "fallon-script", "random", 2): ("P2", 1532, "df989f7f1a7fcccd"),
+    ("x1x2", "trudy", "fallon-script", "greedy", 1): ("P2", 1532, "39f498bb7172e4fe"),
+    ("x1x2", "trudy", "fallon-script", "greedy", 2): ("P2", 1532, "39f498bb7172e4fe"),
+    ("x1x2", "trudy", "trudy-script", "fallon-script", 1): ("P2", 1532, "16b9458ce5f6ce50"),
+    ("x1x2", "trudy", "trudy-script", "fallon-script", 2): ("P2", 1532, "16b9458ce5f6ce50"),
+    ("x1x2", "trudy", "trudy-script", "random", 1): ("P1", 1531, "80c082416637000a"),
+    ("x1x2", "trudy", "trudy-script", "random", 2): ("P1", 1531, "b05605af93600b57"),
+    ("x1x2", "trudy", "trudy-script", "greedy", 1): ("P1", 1531, "ee1b4553f45be040"),
+    ("x1x2", "trudy", "trudy-script", "greedy", 2): ("P1", 1531, "ee1b4553f45be040"),
+    ("x1x2", "fallon", "fallon-script", "random", 1): ("P1", 1531, "1bb8f881a4f2b6df"),
+    ("x1x2", "fallon", "fallon-script", "random", 2): ("P1", 1531, "0469e31e6e64931e"),
+    ("x1x2", "fallon", "fallon-script", "greedy", 1): ("P1", 1531, "85e3e4d2aa4c0d66"),
+    ("x1x2", "fallon", "fallon-script", "greedy", 2): ("P1", 1531, "85e3e4d2aa4c0d66"),
+    ("x1x2", "fallon", "trudy-script", "fallon-script", 1): ("P1", 1531, "e589edad1edad66c"),
+    ("x1x2", "fallon", "trudy-script", "fallon-script", 2): ("P1", 1531, "e589edad1edad66c"),
+    ("x1x2", "fallon", "trudy-script", "random", 1): ("P2", 1530, "a9deba04b78af3b2"),
+    ("x1x2", "fallon", "trudy-script", "random", 2): ("P2", 1530, "48122e62376e33d4"),
+    ("x1x2", "fallon", "trudy-script", "greedy", 1): ("P2", 1530, "d5b40b60d9f135d2"),
+    ("x1x2", "fallon", "trudy-script", "greedy", 2): ("P2", 1530, "d5b40b60d9f135d2"),
 }
 
 
@@ -330,8 +332,9 @@ def test_golden_transcripts(key):
         opp = script_for(side.other, art)
     p1, p2, _ = seat_policies(art, side, opp)
     record = playout(art, p1, p2, seed=seed)
-    digest = hashlib.sha256(record.transcript_text().encode()).hexdigest()[:16]
-    assert digest == GOLDEN_TRANSCRIPTS[key]
+    winner, plies, golden = GOLDEN_TRANSCRIPTS[key]
+    assert (record.winner.value, record.plies) == (winner, plies)
+    assert hashlib.sha256(record.transcript_text().encode()).hexdigest()[:16] == golden
 
 
 # sha256 of every transcript of a seeded sweep over random formulas at
