@@ -2,19 +2,21 @@
 
 The two scripts realize the winning plays behind the Game SAT
 reduction.  Intended gameplay has four phases: (1) set all variable
-gadgets, steered by a Game SAT oracle; (2) fight over level-1 wires,
-disabling the wrong ones and activating one survivor per relevant
-variable; (3) the same fight one level up, over the level-2 wires out
-of the root coin; (4) empty clause ropes and whittle every remaining
-rope to its floor.  Progress is monotone (strings only die), so each
-script is a priority waterfall: the first stage with work remaining
-supplies the move, and a lowest-id cleanup cut is the final fallback.
-A stage that finds no work stays dry until some rope is first cut or
-emptied, so the waterfall skips it until then; no stage is exempt,
-the racing stages that watch the opponent's top cuts included.
-Cleanup has one guard:
-Trudy's script keeps the bottom ropes of its chosen clause's live wires
-until nothing else is legal.
+gadgets, steered by a Game SAT oracle; (2) fight over the wires:
+Fallon disables the wrong level-1 wires, and Trudy wounds the wires
+into the empty clause and empties the top ropes of one chosen clause;
+(3) Fallon's fight one level up, over the level-2 wires out of the root
+coin; (4) cleanup, which empties the clause ropes and whittles every
+remaining rope to its floor.  Trudy's script has no phase-3 stage, so
+its transcripts show phases 1, 2 and 4 only.  Progress is monotone
+(strings only die), so each script is a priority waterfall: the first
+stage with work remaining supplies the move, and a lowest-id cleanup
+cut is the final fallback.  A stage that finds no work stays dry until
+some rope is first cut or emptied, so the waterfall skips it until
+then; no stage is exempt, Fallon's racing stage that watches the
+opponent's top cuts included.  Cleanup has one guard: Trudy's script
+keeps the bottom ropes of its chosen clause's live wires until nothing
+else is legal.
 
 The decisive facts the waterfalls are built on:
 
@@ -31,7 +33,8 @@ The decisive facts the waterfalls are built on:
   complementary sets, so both converge on sparing the same wire.
 * Singleton clauses for variables with a single occurrence have no
   level-1 wires at all, so their survival rests entirely on their
-  level-2 wire; both scripts treat those wires as urgent.
+  level-2 wire; Fallon's script disables those wires first once the
+  opponent has started pumping them.
 
 Legality does the rest: the Lava rules freeze any string whose cut
 would free a coin, so "keep one wire per variable" and "the root stays
@@ -494,15 +497,6 @@ class _ScriptBase(_TrackedPolicy):
                     return sid
         return None
 
-    def _rope_cut(self, ropes: Sequence[_Rope]) -> int | None:
-        live = self.live
-        for rope in ropes:
-            if rope.alive:
-                sid = rope.lowest_legal(live)
-                if sid is not None:
-                    return sid
-        return None
-
     def _sync(self) -> None:
         super()._sync()
         self.stage_at = 0
@@ -532,14 +526,12 @@ class FallonScript(_ScriptBase):
 
     By ``_fallon_class`` over the final assignment: disable the level-1
     bads, then the neutrals and all but the lowest good wire of each
-    true variable, and activate those keepers.  At level 2, disable the
-    danger wires (with racing priority once pumped) and the empty-clause
-    wires, keep the lowest good wire alive and activate it.  Finally
-    empty every clause rope.
+    true variable.  At level 2, disable the danger wires (with racing
+    priority, ahead of the level-1 neutrals, once pumped) and the
+    empty-clause wires.  Cleanup does the rest, clause ropes included.
 
     Each wire is classed once per playout, at the first refresh; every
-    refresh keeps the wires of each class that are not yet disabled,
-    and ``open_clauses`` the clause ropes that are not yet empty.
+    refresh keeps the wires of each class that are not yet disabled.
     """
 
     name = "fallon-script"
@@ -569,13 +561,10 @@ class FallonScript(_ScriptBase):
         for w in _live(classes["l1_good"]):
             same_var = keepers and keepers[-1].source_var == w.source_var
             (surplus if same_var else keepers).append(w)
-        self.l1_keepers = tuple(keepers)
         self.l1_rest = _live(classes["l1_neutral"]) + tuple(surplus)
         self.l1_bad = _live(classes["l1_bad"])
-        self.l2_good, self.l2_empty, self.l2_danger = (
-            _live(classes[k]) for k in ("l2_good", "l2_empty", "l2_danger")
-        )
-        self.open_clauses = tuple(rope for rope in t.clause_rope.values() if rope.alive)
+        self.l2_empty = _live(classes["l2_empty"])
+        self.l2_danger = _live(classes["l2_danger"])
 
     def _l1_bads(self):
         return self._disable_first(self.l1_bad)
@@ -590,33 +579,17 @@ class FallonScript(_ScriptBase):
     def _l1_rest(self):
         return self._disable_first(self.l1_rest)
 
-    def _l1_keepers(self):
-        return self._activate_first(self.l1_keepers)
-
     def _l2_bads(self):
         sid = self._disable_first(sorted(self.l2_danger, key=_by_top_alive))
         if sid is not None:
             return sid
         return self._disable_first(self.l2_empty)
 
-    def _l2_surplus(self):
-        return self._disable_first(self.l2_good[1:])
-
-    def _l2_keeper(self):
-        return self._activate_first(self.l2_good[:1])
-
-    def _ropes(self):
-        return self._rope_cut(self.open_clauses)
-
     stages = (
         (2, _l1_bads),
         (3, _danger_raced),
         (2, _l1_rest),
-        (2, _l1_keepers),
         (3, _l2_bads),
-        (3, _l2_surplus),
-        (3, _l2_keeper),
-        (4, _ropes),
     )
 
 
@@ -632,11 +605,9 @@ class TrudyScript(_ScriptBase):
     before reaching the clause's level-2 wire, minus the tops still to
     pump), and empties that clause's top ropes.  Each empty-clause wire
     is wounded by one string first, pulling HP-ordered attackers onto
-    those long sacrificial ropes before any candidate wire.  Wires the
-    opponent is pumping toward a rival survivor are disabled with
-    priority, and once the pump completes, every other clause still
-    lacking a dead wire is disabled so exactly one survivor remains.
-    Doomed clause ropes are emptied on spare tempo.
+    those long sacrificial ropes before any candidate wire.  Cleanup
+    does the rest, keeping the bottoms of the chosen clause's live wires
+    to the last.
     """
 
     name = "trudy-script"
@@ -675,18 +646,6 @@ class TrudyScript(_ScriptBase):
         self.protected = frozenset(w.bottom for w in mine if w.bottom.alive)
         # c' is fully activated once no wire is left to pump.
         self.to_pump = tuple(w for w in mine if w.bottom.alive and w.top.alive)
-        # Live level-2 wires, not protected, into a non-empty clause that
-        # is not yet doomed: each could still carry a rival survivor.
-        self.rivals = tuple(
-            w
-            for w in t.wires
-            if w.level == 2
-            and w.bottom.alive
-            and w.bottom not in self.protected
-            and w.target != "empty"
-            and w.target not in t.doomed
-        )
-        self.doomed_ropes = tuple(t.clause_rope[k] for k in t.clause_keys if k in t.doomed)
 
     # -- candidate bookkeeping ------------------------------------------
     def _candidates(self) -> list[str]:
@@ -715,28 +674,12 @@ class TrudyScript(_ScriptBase):
                     return sid
         return None
 
-    def _urgent(self):
-        raced = [w for w in self.rivals if w.top.alive < w.top.width]
-        raced.sort(key=_by_top_alive)
-        return self._disable_first(raced)
-
     def _pump(self):
         return self._activate_first(sorted(self.to_pump, key=_by_top_alive))
 
-    def _post_sweep(self):
-        if self.c_prime is None or self.to_pump:
-            return None
-        return self._disable_first(self.rivals)
-
-    def _ropes(self):
-        return self._rope_cut(self.doomed_ropes)
-
     stages = (
         (2, _wounds),
-        (3, _urgent),
         (2, _pump),
-        (3, _post_sweep),
-        (4, _ropes),
     )
 
 

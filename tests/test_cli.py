@@ -696,36 +696,36 @@ def test_an_error_line_quotes_at_most_a_bounded_piece_of_input(case, quoted, tmp
 PLAY_DIGESTS = {
     ("trudy", "random", "random"): "9166b9fa48dbee4f",
     ("trudy", "random", "greedy"): "d63058588dd5a3ab",
-    ("trudy", "random", "trudy-script"): "5bb828afb6152620",
-    ("trudy", "random", "fallon-script"): "fce569d91605fdaa",
+    ("trudy", "random", "trudy-script"): "67743652d8acd0cd",
+    ("trudy", "random", "fallon-script"): "24121cf8f6795bc8",
     ("trudy", "greedy", "random"): "bc721435251e5aa3",
     ("trudy", "greedy", "greedy"): "7a37c95fa42db61f",
-    ("trudy", "greedy", "trudy-script"): "ec2734a64e2bbc27",
-    ("trudy", "greedy", "fallon-script"): "71310faef1c0e184",
-    ("trudy", "trudy-script", "random"): "cc6188c0218fe9d9",
-    ("trudy", "trudy-script", "greedy"): "98ac6078933f2d17",
-    ("trudy", "trudy-script", "trudy-script"): "ec6153b66eac51f5",
-    ("trudy", "trudy-script", "fallon-script"): "7aaff9c69420ffd7",
-    ("trudy", "fallon-script", "random"): "8ef0ae0e081ef675",
-    ("trudy", "fallon-script", "greedy"): "bec356af84c8bd98",
-    ("trudy", "fallon-script", "trudy-script"): "86ed34118dc9fdc5",
-    ("trudy", "fallon-script", "fallon-script"): "75037416802c2827",
+    ("trudy", "greedy", "trudy-script"): "63c46b80e51879a1",
+    ("trudy", "greedy", "fallon-script"): "a9f7ea581261f758",
+    ("trudy", "trudy-script", "random"): "36cf53b46094bc89",
+    ("trudy", "trudy-script", "greedy"): "e1c5aa5a22000727",
+    ("trudy", "trudy-script", "trudy-script"): "9ac654f76948a141",
+    ("trudy", "trudy-script", "fallon-script"): "ca233e3b28308e88",
+    ("trudy", "fallon-script", "random"): "17e884596c5cfcb1",
+    ("trudy", "fallon-script", "greedy"): "36ba333fc610b1fd",
+    ("trudy", "fallon-script", "trudy-script"): "f5a51f66f4e5131e",
+    ("trudy", "fallon-script", "fallon-script"): "e41d1c0656209dde",
     ("fallon", "random", "random"): "08d07f9944189ae5",
     ("fallon", "random", "greedy"): "c8805c49b9d0caec",
-    ("fallon", "random", "trudy-script"): "3b278e76193cc453",
-    ("fallon", "random", "fallon-script"): "ef00007254de021c",
+    ("fallon", "random", "trudy-script"): "58a77211c656f7a4",
+    ("fallon", "random", "fallon-script"): "659db3ed3ed0e355",
     ("fallon", "greedy", "random"): "963dc570857e11e0",
     ("fallon", "greedy", "greedy"): "138fdf6bd58d6df0",
-    ("fallon", "greedy", "trudy-script"): "241e42fbd5a0a55f",
-    ("fallon", "greedy", "fallon-script"): "5c99709a9a8e311d",
-    ("fallon", "trudy-script", "random"): "20789cb681c3ff2d",
-    ("fallon", "trudy-script", "greedy"): "b1eb6435dfbd573d",
-    ("fallon", "trudy-script", "trudy-script"): "3a968a8600a48fff",
-    ("fallon", "trudy-script", "fallon-script"): "3d14301b9ca07b3b",
-    ("fallon", "fallon-script", "random"): "de89d3bc00e2a85f",
-    ("fallon", "fallon-script", "greedy"): "5cd585f637b2be03",
-    ("fallon", "fallon-script", "trudy-script"): "89b0f16dee8013cc",
-    ("fallon", "fallon-script", "fallon-script"): "65382a4f6da567c7",
+    ("fallon", "greedy", "trudy-script"): "99f4824144f6a91e",
+    ("fallon", "greedy", "fallon-script"): "ea497167ece49423",
+    ("fallon", "trudy-script", "random"): "02d38838f111c7b4",
+    ("fallon", "trudy-script", "greedy"): "a032b495fded725e",
+    ("fallon", "trudy-script", "trudy-script"): "39903af8a7356a15",
+    ("fallon", "trudy-script", "fallon-script"): "927f26548d425518",
+    ("fallon", "fallon-script", "random"): "3f88b768abd74fb2",
+    ("fallon", "fallon-script", "greedy"): "d5b9d575f66903c8",
+    ("fallon", "fallon-script", "trudy-script"): "3e8c7ee10cdddc91",
+    ("fallon", "fallon-script", "fallon-script"): "e2c9fe45111574b7",
 }
 
 

@@ -274,46 +274,46 @@ def test_script_sets_a_variable_whose_top_string_is_frozen():
 # with it.
 GOLDEN_FORMULAS = {"majority": MAJORITY, "x1x2": "x1 x2"}
 GOLDEN_TRANSCRIPTS = {
-    ("majority", "trudy", "trudy-script", "random", 1): ("P1", 2979, "d238e1faa49c2586"),
-    ("majority", "trudy", "trudy-script", "random", 2): ("P1", 2979, "34cf8b57e366eaa2"),
-    ("majority", "trudy", "trudy-script", "greedy", 1): ("P1", 2979, "a93a3d663b890341"),
-    ("majority", "trudy", "trudy-script", "greedy", 2): ("P1", 2979, "a93a3d663b890341"),
-    ("majority", "trudy", "trudy-script", "fallon-script", 1): ("P1", 2979, "d7b6c03b69d07d3e"),
-    ("majority", "trudy", "trudy-script", "fallon-script", 2): ("P1", 2979, "d7b6c03b69d07d3e"),
-    ("majority", "trudy", "fallon-script", "random", 1): ("P2", 2980, "b6336d7338fd2447"),
-    ("majority", "trudy", "fallon-script", "random", 2): ("P2", 2980, "d7c347424d8c3a05"),
-    ("majority", "trudy", "fallon-script", "greedy", 1): ("P2", 2980, "f62b3a39afcde41d"),
-    ("majority", "trudy", "fallon-script", "greedy", 2): ("P2", 2980, "f62b3a39afcde41d"),
-    ("majority", "fallon", "fallon-script", "random", 1): ("P1", 2981, "39b743d204baf70e"),
-    ("majority", "fallon", "fallon-script", "random", 2): ("P1", 2981, "ce643e3b18fa71c0"),
-    ("majority", "fallon", "fallon-script", "greedy", 1): ("P1", 2981, "858b11e86e94e0bb"),
-    ("majority", "fallon", "fallon-script", "greedy", 2): ("P1", 2981, "858b11e86e94e0bb"),
-    ("majority", "fallon", "trudy-script", "fallon-script", 1): ("P1", 2981, "3c0753e1470f22b5"),
-    ("majority", "fallon", "trudy-script", "fallon-script", 2): ("P1", 2981, "3c0753e1470f22b5"),
-    ("majority", "fallon", "trudy-script", "random", 1): ("P2", 2980, "952e65823c1e1e68"),
-    ("majority", "fallon", "trudy-script", "random", 2): ("P2", 2980, "64c4f2be7bd15097"),
-    ("majority", "fallon", "trudy-script", "greedy", 1): ("P2", 2980, "00f7776de18f56b5"),
-    ("majority", "fallon", "trudy-script", "greedy", 2): ("P2", 2980, "00f7776de18f56b5"),
-    ("x1x2", "trudy", "fallon-script", "random", 1): ("P2", 1532, "962801a69cf262bb"),
-    ("x1x2", "trudy", "fallon-script", "random", 2): ("P2", 1532, "df989f7f1a7fcccd"),
-    ("x1x2", "trudy", "fallon-script", "greedy", 1): ("P2", 1532, "39f498bb7172e4fe"),
-    ("x1x2", "trudy", "fallon-script", "greedy", 2): ("P2", 1532, "39f498bb7172e4fe"),
-    ("x1x2", "trudy", "trudy-script", "fallon-script", 1): ("P2", 1532, "16b9458ce5f6ce50"),
-    ("x1x2", "trudy", "trudy-script", "fallon-script", 2): ("P2", 1532, "16b9458ce5f6ce50"),
-    ("x1x2", "trudy", "trudy-script", "random", 1): ("P1", 1531, "80c082416637000a"),
-    ("x1x2", "trudy", "trudy-script", "random", 2): ("P1", 1531, "b05605af93600b57"),
-    ("x1x2", "trudy", "trudy-script", "greedy", 1): ("P1", 1531, "ee1b4553f45be040"),
-    ("x1x2", "trudy", "trudy-script", "greedy", 2): ("P1", 1531, "ee1b4553f45be040"),
-    ("x1x2", "fallon", "fallon-script", "random", 1): ("P1", 1531, "1bb8f881a4f2b6df"),
-    ("x1x2", "fallon", "fallon-script", "random", 2): ("P1", 1531, "0469e31e6e64931e"),
-    ("x1x2", "fallon", "fallon-script", "greedy", 1): ("P1", 1531, "85e3e4d2aa4c0d66"),
-    ("x1x2", "fallon", "fallon-script", "greedy", 2): ("P1", 1531, "85e3e4d2aa4c0d66"),
-    ("x1x2", "fallon", "trudy-script", "fallon-script", 1): ("P1", 1531, "e589edad1edad66c"),
-    ("x1x2", "fallon", "trudy-script", "fallon-script", 2): ("P1", 1531, "e589edad1edad66c"),
-    ("x1x2", "fallon", "trudy-script", "random", 1): ("P2", 1530, "a9deba04b78af3b2"),
-    ("x1x2", "fallon", "trudy-script", "random", 2): ("P2", 1530, "48122e62376e33d4"),
-    ("x1x2", "fallon", "trudy-script", "greedy", 1): ("P2", 1530, "d5b40b60d9f135d2"),
-    ("x1x2", "fallon", "trudy-script", "greedy", 2): ("P2", 1530, "d5b40b60d9f135d2"),
+    ("majority", "trudy", "trudy-script", "random", 1): ("P1", 2979, "85143e2d445eca25"),
+    ("majority", "trudy", "trudy-script", "random", 2): ("P1", 2979, "b93411b770a5769e"),
+    ("majority", "trudy", "trudy-script", "greedy", 1): ("P1", 2979, "3748446af24ca40e"),
+    ("majority", "trudy", "trudy-script", "greedy", 2): ("P1", 2979, "3748446af24ca40e"),
+    ("majority", "trudy", "trudy-script", "fallon-script", 1): ("P1", 2979, "f86ac1ce27bbaeaf"),
+    ("majority", "trudy", "trudy-script", "fallon-script", 2): ("P1", 2979, "f86ac1ce27bbaeaf"),
+    ("majority", "trudy", "fallon-script", "random", 1): ("P2", 2980, "ecbb080766b00189"),
+    ("majority", "trudy", "fallon-script", "random", 2): ("P2", 2980, "f602732d1928a204"),
+    ("majority", "trudy", "fallon-script", "greedy", 1): ("P2", 2980, "2fd4b42fe2e09f3d"),
+    ("majority", "trudy", "fallon-script", "greedy", 2): ("P2", 2980, "2fd4b42fe2e09f3d"),
+    ("majority", "fallon", "fallon-script", "random", 1): ("P1", 2981, "87e882c5b524943f"),
+    ("majority", "fallon", "fallon-script", "random", 2): ("P1", 2981, "bb29282dbf2b7852"),
+    ("majority", "fallon", "fallon-script", "greedy", 1): ("P1", 2981, "1822ef4bb63c131c"),
+    ("majority", "fallon", "fallon-script", "greedy", 2): ("P1", 2981, "1822ef4bb63c131c"),
+    ("majority", "fallon", "trudy-script", "fallon-script", 1): ("P1", 2981, "af12ec895283561e"),
+    ("majority", "fallon", "trudy-script", "fallon-script", 2): ("P1", 2981, "af12ec895283561e"),
+    ("majority", "fallon", "trudy-script", "random", 1): ("P2", 2980, "845fc80e658b83c5"),
+    ("majority", "fallon", "trudy-script", "random", 2): ("P2", 2980, "75887af46be1fa06"),
+    ("majority", "fallon", "trudy-script", "greedy", 1): ("P2", 2980, "f765f2beba20626b"),
+    ("majority", "fallon", "trudy-script", "greedy", 2): ("P2", 2980, "f765f2beba20626b"),
+    ("x1x2", "trudy", "fallon-script", "random", 1): ("P2", 1532, "e4501ad6de9833a0"),
+    ("x1x2", "trudy", "fallon-script", "random", 2): ("P2", 1532, "4a8dd497b771c788"),
+    ("x1x2", "trudy", "fallon-script", "greedy", 1): ("P2", 1532, "a5b7fdcd71bad39c"),
+    ("x1x2", "trudy", "fallon-script", "greedy", 2): ("P2", 1532, "a5b7fdcd71bad39c"),
+    ("x1x2", "trudy", "trudy-script", "fallon-script", 1): ("P2", 1532, "ee70b2210559b0af"),
+    ("x1x2", "trudy", "trudy-script", "fallon-script", 2): ("P2", 1532, "ee70b2210559b0af"),
+    ("x1x2", "trudy", "trudy-script", "random", 1): ("P1", 1531, "90a16c522a8ceaa7"),
+    ("x1x2", "trudy", "trudy-script", "random", 2): ("P1", 1531, "405cf1dc825cde92"),
+    ("x1x2", "trudy", "trudy-script", "greedy", 1): ("P1", 1531, "d763bb5bbdc5ca62"),
+    ("x1x2", "trudy", "trudy-script", "greedy", 2): ("P1", 1531, "d763bb5bbdc5ca62"),
+    ("x1x2", "fallon", "fallon-script", "random", 1): ("P1", 1531, "931ed9f1106e077c"),
+    ("x1x2", "fallon", "fallon-script", "random", 2): ("P1", 1531, "973acaaf5c8a1f5e"),
+    ("x1x2", "fallon", "fallon-script", "greedy", 1): ("P1", 1531, "77909fa48b5682b5"),
+    ("x1x2", "fallon", "fallon-script", "greedy", 2): ("P1", 1531, "77909fa48b5682b5"),
+    ("x1x2", "fallon", "trudy-script", "fallon-script", 1): ("P1", 1531, "d5630dea9685a88a"),
+    ("x1x2", "fallon", "trudy-script", "fallon-script", 2): ("P1", 1531, "d5630dea9685a88a"),
+    ("x1x2", "fallon", "trudy-script", "random", 1): ("P2", 1530, "2678a194f402f311"),
+    ("x1x2", "fallon", "trudy-script", "random", 2): ("P2", 1530, "8287441366add839"),
+    ("x1x2", "fallon", "trudy-script", "greedy", 1): ("P2", 1530, "6ac07d00b867e108"),
+    ("x1x2", "fallon", "trudy-script", "greedy", 2): ("P2", 1530, "6ac07d00b867e108"),
 }
 
 
@@ -341,7 +341,7 @@ def test_golden_transcripts(key):
 # N=2: both first movers, each side's script against random, greedy and
 # the opposing script (156 playouts).  The golden transcripts cover two
 # fixtures; this covers the shapes random_formula makes.
-SWEEP_DIGEST = "7905f5df8f28337f3f0ec0c52ca8135305a4e6805cb8f835ad1453fa9eadaa7e"
+SWEEP_DIGEST = "2c04b9c4bb1e4fa789888a72ac74b89ee1f38c725df7b7a9dd4157383569022b"
 
 
 def test_script_sweep_transcripts_are_pinned():
@@ -364,7 +364,7 @@ def test_script_sweep_transcripts_are_pinned():
 # opposing script at seed 1 (24 playouts, about 127,000 plies).  Long
 # epochs on large boards are where a script's waterfall state lives
 # longest; the N=2 sweep above barely reaches them.
-LARGE_BOARD_DIGEST = "c67a15252960d4ca96dc36082bf311e15375e08fe9526dcb504b5ab7c8459ed8"
+LARGE_BOARD_DIGEST = "02528c47daed5700ad1bc6df510634f9b0a33be8b8eacf97b3eb1519c6646f8d"
 
 
 def test_large_board_transcripts_are_pinned():
@@ -508,6 +508,44 @@ def test_dropped_stages_stay_settled_until_the_epoch_moves(N):
     # Every stage was passed by the cursor and re-called somewhere.
     for side, script_class in ((Mover.TRUDY, TrudyScript), (Mover.FALLON, FallonScript)):
         assert rechecked[side] == {stage.__name__ for _, stage in script_class.stages}
+
+
+def _pick_counted(script_class, picks: dict[str, int]):
+    """``script_class`` with each stage wrapped to count, in ``picks``,
+    the cuts it supplies (its non-None returns)."""
+
+    def counted(stage):
+        def wrapped(self):
+            sid = stage(self)
+            if sid is not None:
+                picks[stage.__name__] += 1
+            return sid
+
+        return wrapped
+
+    picks.update((stage.__name__, 0) for _, stage in script_class.stages)
+    stages = tuple((phase, counted(stage)) for phase, stage in script_class.stages)
+    return type(script_class.__name__, (script_class,), {"stages": stages})
+
+
+def test_every_stage_picks_a_cut_in_seeded_play():
+    """No stage is dead: over the playouts of the settling test above,
+    every stage of both scripts supplies at least one cut."""
+    picks = {Mover.TRUDY: {}, Mover.FALLON: {}}
+    counted = {
+        Mover.TRUDY: _pick_counted(TrudyScript, picks[Mover.TRUDY]),
+        Mover.FALLON: _pick_counted(FallonScript, picks[Mover.FALLON]),
+    }
+    for N in (2, 3):
+        for text in ("x1 x2", MAJORITY):
+            for first in Mover:
+                art = compile_gamesat_to_lava(parse_dnf(text), N, first)
+                for side in Mover:
+                    for opp in (UniformRandom(), GreedyDisabler(art, side), counted[side.other](art)):
+                        seats = {art.player_for(side): counted[side](art), art.player_for(side.other): opp}
+                        playout(art, seats[Player.P1], seats[Player.P2], seed=1)
+    for side in Mover:
+        assert picks[side] and all(picks[side].values()), (side, picks[side])
 
 
 def _tracker(art) -> ArtifactTracker:

@@ -375,6 +375,16 @@ def test_strategy_campaign_records_minimal_n():
         assert stats[name]["census_ok"] is True
 
 
+@pytest.mark.parametrize("first", list(Mover), ids=lambda m: m.value)
+@pytest.mark.parametrize("text", ["x1 x2", MAJORITY], ids=["x1x2", "majority"])
+def test_scripts_win_both_fixtures_at_every_n_from_2_to_4(text, first):
+    """The predicted winner's script wins each N on its own, not only the
+    minimal N where ``campaign_strategies`` stops by default."""
+    for N in (2, 3, 4):
+        rep = campaign_strategies(parse_dnf(text), first, (N,), seeds=2)
+        assert rep.ok, (N, rep.counterexamples[:1])
+
+
 def test_campaigns_seat_the_winners_script_at_its_own_seat(monkeypatch):
     """Each playout puts the predicted winner's script in the seat its
     side maps to; a campaign that judged the win from that seat while
