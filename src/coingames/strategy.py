@@ -443,8 +443,8 @@ class _ScriptBase(_TrackedPolicy):
     wire lists up to the tracker's epoch.
 
     A stage that returns None keeps returning None until the epoch
-    moves: its wire and rope tuples are fixed between refreshes, which
-    wires are pumped or raced changes only with a top rope's first cut,
+    moves: its wire tuples are fixed between refreshes, which
+    wires are pumped changes only with a top rope's first cut,
     every rope's ``alive`` only falls, ``frozen`` never clears, and a
     wounded bottom rope never heals.  So the stages still worth asking
     in this epoch are a suffix of ``stages``, from the monotone cursor
