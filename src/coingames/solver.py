@@ -53,21 +53,22 @@ with more than ``MAX_DEPTH`` alive strings is refused whatever its
 budget.
 
 ``naive_solve`` is an independent correctness oracle: plain minimax
-with no short-circuiting, memoized on the full position (alive strings,
-mover, scores gained since the root), packed into one int.  From the
-engine it takes the per-string mask table ``Rules.table``, which
-``Rules.moves`` and ``Rules.freed`` also read, and the freeing rule
-``alive & mask == bit``.  Each position is one walk over that table:
-it skips dead strings and, in Lava, freeing cuts, builds each child's
-key and probes the memo before it recurses, and folds every child into
-one running best, the largest for P1 and the smallest for P2 (a margin
-in Strings-and-Coins, elsewhere whether P1 wins, a bool with False <
-True).  It stays independent of ``solve``: it shares no code with
-``_Search``, ``_value`` or ``_wins``, and its memo key keeps the mover
-and scores, so it does not lean on the mover symmetry that ``solve``
-assumes for Strings-and-Coins.  A fault in either shows up as a
-disagreement.  It is exponential in the string count and capped at 14
-strings.
+with no short-circuiting, memoized on the position (alive strings,
+mover) packed into one int, alive*2 + p1.  Scores never decide which
+cut is legal, whether it frees a coin or who moves next, so they stay
+out of the key: a position is worth what is still to come, P1's margin
+in Strings-and-Coins (a freeing cut adds its coins when P1 cuts and
+takes them off when P2 does) and elsewhere whether P1 wins.  From the
+engine it takes the mask table ``Rules.table``, which ``Rules.moves``
+and ``Rules.freed`` also read, and the freeing rule ``alive & mask ==
+bit``.  It walks that table once per position, probes the memo for
+each child before it recurses, and folds every child into one running
+best, the largest for P1 and the smallest for P2.  It shares no code
+with ``_Search``, ``_value`` or ``_wins``, expands every child (no rope
+quotient, window or early stop), and keeps the mover in its key, so it
+does not lean on the mover symmetry that ``solve`` assumes for
+Strings-and-Coins.  A fault in either shows up as a disagreement.  It
+is exponential in the string count and capped at 14 strings.
 
 A loony position has a degree-2 coin adjacent to exactly one degree-1
 coin; the mover wins Nimstring from it with a scripted opening of one
@@ -257,9 +258,10 @@ def solve(state: GameState, kind: GameKind, budget: int = DEFAULT_BUDGET) -> Sol
 
 def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
     """Oracle twin of ``solve``: plain minimax over the engine's table
-    ``Rules.table``, every child expanded, memoized on the full position
-    (alive strings, mover, scores gained since the root) with a fresh
-    memo per call.  It shares no code with ``_Search``, ``_value`` or
+    ``Rules.table``, every child expanded, memoized on the position
+    (alive strings, mover) with a fresh memo per call: scores never
+    change play, and the mover stays so that no mover symmetry is
+    assumed.  It shares no code with ``_Search``, ``_value`` or
     ``_wins``.  ``states_visited`` counts the distinct positions
     evaluated, terminal ones included.  Refuses positions above
     ``NAIVE_BUDGET`` alive strings."""
@@ -268,25 +270,21 @@ def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
     sac = kind is GameKind.STRINGS_AND_COINS
     rules = Rules(state.board, kind)
     table, lava = rules.table, rules.lava
-    # A coin is freed at most once, so a gain is at most ``coin_count``
-    # and one int packs the position, ((alive*2 + p1)*k + g1)*k + g2; a
-    # tuple key per position would hold three more objects per memo entry.
-    k = state.board.coin_count + 1
-    step = 2 * k * k
-    # Values are absolute: P1's gained margin in Strings-and-Coins, else
-    # whether P1 wins under optimal play.
+    # Values are absolute: P1's margin still to come in Strings-and-Coins,
+    # else whether P1 wins under optimal play.
     memo: dict[int, int | bool] = {}
     probe = memo.get
 
-    def value(alive: int, p1: bool, key: int) -> int | bool:
+    def value(key: int) -> int | bool:
+        alive, p1 = key >> 1, key & 1
         # One fold for every game: P1 keeps the largest child, P2 the
         # smallest, and a win/loss value is a bool, where False < True.
         best = None
-        # A freeing cut keeps the turn and adds its coins to the mover's
-        # digit of the key (none outside Strings-and-Coins); a plain cut
-        # flips the mover's digit.
-        gain = (k if p1 else 1) if sac else 0
-        turn = -k * k if p1 else k * k
+        # A freeing cut keeps the turn and, in Strings-and-Coins, adds its
+        # coins to P1's margin when P1 cuts and takes them off when P2
+        # does; a plain cut also flips the key's mover bit.
+        gain = (1 if p1 else -1) if sac else 0
+        flip = key - 1 if p1 else key + 1
         for bit, a, b in table:
             if not alive & bit:
                 continue
@@ -294,30 +292,29 @@ def naive_solve(state: GameState, kind: GameKind) -> SolveResult:
             if f:
                 if lava:
                     continue
-                child = key - bit * step + f * gain
+                child = key - 2 * bit
                 v = probe(child)
                 if v is None:
-                    v = value(alive ^ bit, p1, child)
+                    v = value(child)
+                if gain:
+                    v += f * gain
             else:
-                child = key - bit * step + turn
+                child = flip - 2 * bit
                 v = probe(child)
                 if v is None:
-                    v = value(alive ^ bit, not p1, child)
+                    v = value(child)
             if best is None or (v > best if p1 else v < best):
                 best = v
-        # With no move the game is over: the scores gained, the key's last
-        # two digits, decide Strings-and-Coins; elsewhere the stuck mover loses.
+        # With no move the game is over: nothing is left to score in
+        # Strings-and-Coins; elsewhere the stuck mover loses.
         if best is None:
-            best = key // k % k - key % k if sac else not p1
+            best = 0 if sac else not p1
         memo[key] = best
         return best
 
     p1 = state.mover is Player.P1
-    alive = bitmask(state.alive)
-    v = value(alive, p1, (alive * 2 + p1) * k * k)
+    v = value(bitmask(state.alive) * 2 + p1)
     if sac:
-        # The gained margin is the net still to come; the start scores
-        # only shift both sides of the final margin alike.
         return SolveResult(kind, net_for_mover=v if p1 else -v, states_visited=len(memo))
     return SolveResult(kind, winner_for_mover=v == p1, states_visited=len(memo))
 

@@ -625,17 +625,20 @@ class TrudyScript(_ScriptBase):
     def reset(self, tracker, seat, seed):
         super().reset(tracker, seat, seed)
         self.c_prime: str | None = None
+        self.picked = False
         self.wound_targets = tuple(
             w for w in tracker.wires if w.level == 2 and w.target == "empty" and w.bottom.width >= 2
         )
 
     def _refresh(self):
-        """Re-pick c' if it stopped being a candidate, then rebuild the
-        lists that hang on c' and on the dooms."""
+        """Pick c' once, and again only when it is doomed, then rebuild
+        the lists that hang on c' and on the dooms."""
         t = self.tracker
-        # The assignment is final by now, so a candidate stops being one
-        # only when it is doomed.
-        if self.c_prime is None or self.c_prime in t.doomed:
+        # The assignment is final by now and the dooms only grow, so the
+        # candidates only shrink: a c' that is not doomed is still the
+        # pick, and a None c' stays None.
+        if not self.picked or self.c_prime in t.doomed:
+            self.picked = True
             assignment = t.assignment
             threats = tuple(u for u in _live(t.wires) if _trudy_threat(t, u, assignment))
             self.c_prime = max(

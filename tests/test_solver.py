@@ -247,13 +247,42 @@ def test_oracle_matches_solver_past_the_criterion_1_cap():
 
 def test_oracle_expansion_on_the_criterion_1_boards_is_pinned():
     """The oracle expands every child, so the positions it visits on
-    criterion 1's 200 boards are a fixed count per rule set."""
+    criterion 1's 200 boards are a fixed count per rule set, and the
+    same for Strings-and-Coins as for Nimstring."""
     totals = dict.fromkeys(GameKind, 0)
     for g in RandomMultigraphs(5, 10, 0.3, seed=2024, small_bias=True).instances(200):
         state = initial_state(g)
         for kind in GameKind:
             totals[kind] += naive_solve(state, kind).states_visited
-    assert totals == {SAC: 18_073, NIM: 14_583, LAVA: 11_568}
+    assert totals == {SAC: totals[NIM], NIM: 14_583, LAVA: 11_568}
+
+
+def test_oracle_expands_the_same_positions_in_strings_and_coins_as_in_nimstring():
+    """The two games have the same cuts and the same turn rule, and the
+    oracle's key holds no score, so on each of criterion 1's 200 boards
+    both expand the same positions."""
+    for i, g in enumerate(RandomMultigraphs(5, 10, 0.3, seed=2024, small_bias=True).instances(200)):
+        state = initial_state(g)
+        assert naive_solve(state, SAC).states_visited == naive_solve(state, NIM).states_visited, i
+
+
+def test_oracle_ignores_the_start_scores():
+    """Scores never change which cut is legal or who moves next, so
+    seeded mid-game Strings-and-Coins positions give the same net and
+    the same expansion from start scores (0, 0) as from random ones."""
+    rng = random.Random(4242)
+    for i in range(60):
+        g = random_multigraph(rng, rng.randint(2, 5), rng.randint(5, 11), 0.3)
+        state = initial_state(g)
+        for _ in range(rng.randint(1, 4)):
+            legal = sorted(legal_moves(state, SAC))
+            if not legal:
+                break
+            state = apply_move(state, SAC, rng.choice(legal))
+        mover = rng.choice(list(Player))
+        bare = naive_solve(GameState(g, state.alive, mover), SAC)
+        scored = naive_solve(GameState(g, state.alive, mover, (rng.randint(0, 9), rng.randint(0, 9))), SAC)
+        assert (scored.net_for_mover, scored.states_visited) == (bare.net_for_mover, bare.states_visited), i
 
 
 def test_oracle_matches_solver_from_mid_game_positions_with_scores():
@@ -279,7 +308,7 @@ def test_oracle_matches_solver_from_mid_game_positions_with_scores():
 
 # sha256 of every ``repr(SolveResult)``, one per line, over the seeded
 # positions of ``test_oracle_results_from_mid_game_positions_are_pinned``.
-NAIVE_MID_GAME_DIGEST = "31aa6cc9ca9d243798755b39db20f81facc0080252f16546d1eef615a8928295"
+NAIVE_MID_GAME_DIGEST = "6365fa0b205d51b3403bee3a262781c70261cead073142b04a4dadb94eb9636f"
 
 
 def test_oracle_results_from_mid_game_positions_are_pinned():
@@ -287,8 +316,8 @@ def test_oracle_results_from_mid_game_positions_are_pinned():
     being solved, then handed to P2 with start scores of 1-9 on each
     side, solved by the oracle: every field of every result is pinned,
     states visited included.  P2 moves first, so the oracle's P2 fold
-    and its P2 score digit are on every path; over half of the Lava
-    positions have a frozen string (one whose cut would free a coin)."""
+    and its P2 sign on freed coins are on every path; over half of the
+    Lava positions have a frozen string (one whose cut would free a coin)."""
     rng = random.Random(2424)
     digest = hashlib.sha256()
     totals = dict.fromkeys(GameKind, 0)
@@ -309,7 +338,7 @@ def test_oracle_results_from_mid_game_positions_are_pinned():
         totals[kind] += result.states_visited
         digest.update(repr(result).encode() + b"\n")
     assert frozen == 22
-    assert totals == {SAC: 9_000, NIM: 13_355, LAVA: 6_445}
+    assert totals == {SAC: 5_995, NIM: 13_355, LAVA: 6_445}
     assert digest.hexdigest() == NAIVE_MID_GAME_DIGEST
 
 
