@@ -36,6 +36,25 @@ not yet reached.  ``states_visited`` counts the distinct positions
 expanded: one searched again under another window counts once, and one
 that the clamp alone answers is not expanded.
 
+Both searches also stop at a safe capture, the standard capture rule
+(Berlekamp, *The Dots-and-Boxes Game*, 2000; Barker and Korf, AAAI
+2012).  A cut s is a safe capture when one end A is a coin of degree 1
+and the other end B is the ground or a coin of degree other than 2: A
+does not hang on a chain.  Taking s is optimal.  In Strings-and-Coins
+the position is worth the f coins s frees plus its value after s, with
+the same mover; in Nimstring the mover wins it exactly when the mover
+wins after s.  The proof is by induction on the alive count, over any
+other cut m.  m is not incident to A, and frees the same coins with s
+alive or cut.  If m is plain, the opponent can take s next, so m is
+worth at most the value after s less 1.  If m is freeing, the induction
+applies after m, except when B has degree 3 and m joins B to a second
+degree-1 coin C; then the positions after m and after s are the same up
+to swapping A with C and s with m.  So once a safe capture's child is
+folded the walk ends: ``_wins`` returns 0 when that child is lost, and
+``_value`` writes its memo and returns by its end-of-walk rule.  The
+stop comes after the value is settled, so values and principal moves
+are those of the full walk; only ``states_visited`` falls.
+
 The search runs over the rope quotient of the position.  Parallel
 strings (a rope: same endpoint pair) are interchangeable, so a position
 is its alive count per rope.  The search keeps one slot per rope
@@ -125,9 +144,9 @@ class _Search:
         self.full_key = top - 1
         self.ropes = [(r, a, b, p) for r, ((a, b), p) in enumerate(zip(groups, place))]
         # Alive degree per coin, then one slot for the ground, which
-        # ``GROUND`` (-1) indexes: it starts at 2, so it never reads 1 and
-        # the ground is never freed.
-        self.deg = [0] * board.coin_count + [2]
+        # ``GROUND`` (-1) indexes: it starts at 3, so it never reads 1 or 2:
+        # the ground is never freed, and a capture into it is always safe.
+        self.deg = [0] * board.coin_count + [3]
         for (a, b), w in zip(groups, self.count):
             self.deg[a] += w
             self.deg[b] += w
@@ -166,6 +185,10 @@ def _wins(s: _Search, key: int, memo: dict[int, int]) -> int:
                 if won is freeing:
                     memo[key] = r + 1
                     return r + 1
+                if freeing and deg[a] != 2 and deg[b] != 2:
+                    # A safe capture, lost: so is the position.
+                    memo[key] = 0
+                    return 0
     memo[key] = 0
     return 0
 
@@ -218,6 +241,11 @@ def _value(s: _Search, key: int, alpha: int, beta: int, memo: dict[int, tuple[in
                         memo[key] = (best, hi)
                         return best
                     a = max(a, best)
+                if f and deg[ea] != 2 and deg[eb] != 2:
+                    # A safe capture: the position is worth f plus its child,
+                    # which ``best`` now holds or bounds as at the walk's end.
+                    memo[key] = (lo, best) if best <= alpha else (best, best)
+                    return best
     memo[key] = (lo, best) if best <= alpha else (best, best)
     return best
 

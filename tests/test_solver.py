@@ -82,7 +82,7 @@ def test_open_chain_net_scores(k: int, net: int, states: int):
 
 @pytest.mark.parametrize(
     "k,mover_wins,move,states",
-    [(1, True, 0, 2), (2, True, 1, 6), (3, False, None, 12), (4, False, None, 17)],
+    [(1, True, 0, 2), (2, True, 1, 5), (3, False, None, 12), (4, False, None, 17)],
 )
 def test_open_chain_nimstring_values(k: int, mover_wins: bool, move, states: int):
     state = initial_state(open_chain(k))
@@ -306,6 +306,105 @@ def test_oracle_matches_solver_from_mid_game_positions_with_scores():
         assert winner_of(state, kind, slow) == winner_of(state, kind, fast), (i, kind)
 
 
+def safe_captures(state: GameState) -> list[tuple[int, int]]:
+    """Each safe capture of ``state`` with the coins it frees, read from
+    the board alone: an alive string from a coin of alive degree 1 to the
+    ground or to a coin whose alive degree is not 2."""
+    g = state.board
+    deg = [0] * g.coin_count
+    for sid in state.alive:
+        for c in g.strings[sid]:
+            if c != GROUND:
+                deg[c] += 1
+    out = []
+    for sid in sorted(state.alive):
+        ends = [None if c == GROUND else deg[c] for c in g.strings[sid]]
+        if 1 in ends and 2 not in ends:
+            out.append((sid, ends.count(1)))
+    return out
+
+
+def capture_heavy_position(rng: random.Random, max_strings: int) -> GameState:
+    """A ``reduce_lava_to_nimstring`` or ``reduce_nimstring_to_sac`` image
+    of a random 1-2-coin board, at ``max_strings`` strings or fewer, with
+    about a tenth of its strings cut and either player to move."""
+    coins = rng.randint(1, 2)
+    if rng.random() < 0.5:
+        h = reduce_lava_to_nimstring(random_multigraph(rng, coins, rng.randint(0, max_strings - 5 * coins), 0.3))
+    else:
+        h = reduce_nimstring_to_sac(random_multigraph(rng, coins, rng.randint(0, max_strings - 3), 0.3))
+    alive = frozenset(sid for sid in range(h.string_count) if rng.random() >= 0.1)
+    return GameState(h, alive, rng.choice(list(Player)))
+
+
+def test_a_safe_capture_keeps_the_oracle_value():
+    """The capture rule of ``solve``, checked with the oracle alone: on
+    the first 100 seeded positions of at most 12 strings that hold a safe
+    capture, random boards and capture-heavy images alike, taking any
+    safe capture s keeps the mover's Nimstring outcome, and the mover's
+    Strings-and-Coins net is the coins s frees plus the net after s,
+    with the same mover."""
+    rng = random.Random(3535)
+    positions = checked = 0
+    while positions < 100:
+        if positions % 2:
+            state = capture_heavy_position(rng, 12)
+        else:
+            g = random_multigraph(rng, rng.randint(1, 4), rng.randint(2, 12), 0.3)
+            alive = frozenset(sid for sid in range(g.string_count) if rng.random() >= 0.2)
+            state = GameState(g, alive, rng.choice(list(Player)))
+        captures = safe_captures(state)
+        if not captures:
+            continue
+        positions += 1
+        nim, sac = naive_solve(state, NIM), naive_solve(state, SAC)
+        for sid, freed in captures:
+            after = GameState(state.board, state.alive - {sid}, state.mover)
+            assert naive_solve(after, NIM).winner_for_mover == nim.winner_for_mover, (positions, sid)
+            assert freed + naive_solve(after, SAC).net_for_mover == sac.net_for_mover, (positions, sid)
+            checked += 1
+    assert checked == 122
+
+
+def test_a_capture_next_to_a_degree_2_coin_can_lose():
+    """Why the rule spares a coin hung on a degree-2 coin: on a 2-chain
+    hung from the ground beside an open 3-chain, taking the free end
+    loses Nimstring and nets -1 in Strings-and-Coins, where the mover
+    wins the first and nets 1 by declining it."""
+    b = GraphBuilder()
+    a, bb = b.add_coins(2)
+    take = b.add_string(a, bb)
+    b.add_string(bb, GROUND)
+    prev = GROUND
+    for c in b.add_coins(3):
+        b.add_string(prev, c)
+        prev = c
+    b.add_string(prev, GROUND)
+    state = initial_state(b.build())
+    assert safe_captures(state) == []
+    after = GameState(state.board, state.alive - {take})
+    assert naive_solve(after, NIM).winner_for_mover is False
+    assert 1 + naive_solve(after, SAC).net_for_mover == -1
+    for solver in (naive_solve, solve):
+        assert solver(state, NIM).winner_for_mover is True
+        assert solver(state, SAC).net_for_mover == 1
+
+
+def test_solver_matches_oracle_on_capture_heavy_boards():
+    """Lemma-1 and Lemma-3 images of 1-2-coin boards, at 14 strings or
+    fewer, with about a tenth of their strings cut and either player to
+    move: ``solve`` agrees with the oracle under every rule set.  Random
+    boards seldom hold a ground chain, and the search meets a safe
+    capture each time it eats one down to its last coin."""
+    rng = random.Random(3636)
+    for i in range(60):
+        state = capture_heavy_position(rng, 14)
+        for kind in GameKind:
+            fast, slow = solve(state, kind), naive_solve(state, kind)
+            assert fast.winner_for_mover == slow.winner_for_mover, (i, kind)
+            assert fast.net_for_mover == slow.net_for_mover, (i, kind)
+
+
 # sha256 of every ``repr(SolveResult)``, one per line, over the seeded
 # positions of ``test_oracle_results_from_mid_game_positions_are_pinned``.
 NAIVE_MID_GAME_DIGEST = "6365fa0b205d51b3403bee3a262781c70261cead073142b04a4dadb94eb9636f"
@@ -485,7 +584,7 @@ def test_budget_counts_quotient_states():
 
 # sha256 of every ``repr(SolveResult)``, one per line, over the seeded
 # positions of ``test_solve_results_from_mid_game_positions_are_pinned``.
-MID_GAME_SOLVE_DIGEST = "68bc083f0be7beb7a298e67fb05ddd8b48d17743aa64d397e570fb159f4fcaeb"
+MID_GAME_SOLVE_DIGEST = "38a514d0e15f320893257716f4faaa3956a949f61d9a615676016c295e29cd00"
 
 
 def test_solve_results_from_mid_game_positions_are_pinned():
@@ -510,7 +609,7 @@ def test_solve_results_from_mid_game_positions_are_pinned():
 
 # sha256 of every ``repr(SolveResult)``, one per line, over the seeded
 # Lemma-3 pairs of ``test_win_loss_solves_on_many_ropes_are_pinned``.
-MANY_ROPES_SOLVE_DIGEST = "3ad7532c3975fde9728c9ca2af36de8c9f039eddf22430cc0e761710e3a28549"
+MANY_ROPES_SOLVE_DIGEST = "dda30362897a136523b1a4b8ea255f6044f5aa7d9c7fb1b41ba1af8ab110dad3"
 
 
 def test_win_loss_solves_on_many_ropes_are_pinned():
@@ -542,7 +641,7 @@ def test_win_loss_solves_on_many_ropes_are_pinned():
 
 # sha256 of every ``repr(SolveResult)``, one per line, over the seeded
 # boards of ``test_win_loss_solves_on_lava_item_boards_are_pinned``.
-LAVA_ITEM_SOLVE_DIGEST = "c0c23f8d49b027aae2884e233db01f81ddbe03d30ef235d37e4ac0ebb7bf7816"
+LAVA_ITEM_SOLVE_DIGEST = "5cbde150814d5088e7152c989617703e64e592afdb56938771c90078fb535cb8"
 
 
 def test_win_loss_solves_on_lava_item_boards_are_pinned():
