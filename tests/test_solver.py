@@ -390,6 +390,18 @@ def test_a_capture_next_to_a_degree_2_coin_can_lose():
         assert solver(state, SAC).net_for_mover == 1
 
 
+def test_a_capture_that_fails_low_stores_an_upper_bound():
+    """A Strings-and-Coins walk stopped at a safe capture whose child
+    failed low knows only an upper bound, and must memoize it as one:
+    stored as exact, it makes this 11-string board read 1, not 3."""
+    b = GraphBuilder(coin_count=5)
+    for a, e in [(0, GROUND), (3, 4), (0, GROUND), (2, GROUND), (4, GROUND), (3, 0),
+                 (4, 0), (1, GROUND), (3, 1), (3, 1), (2, GROUND)]:
+        b.add_string(a, e)
+    state = initial_state(b.build())
+    assert solve(state, SAC).net_for_mover == naive_solve(state, SAC).net_for_mover == 3
+
+
 def test_solver_matches_oracle_on_capture_heavy_boards():
     """Lemma-1 and Lemma-3 images of 1-2-coin boards, at 14 strings or
     fewer, with about a tenth of their strings cut and either player to
