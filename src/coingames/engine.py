@@ -21,7 +21,8 @@ state's alive set into a mask and call ``Rules.moves`` and
 ``Rules.freed``; the oracle ``solver.naive_solve`` walks the table
 itself.  The three functions stay public because the benchmark
 (``perfbench/``) traces them and calls ``legal_moves``.  ``LiveBoard``
-is the mutable playout board with O(1) updates per cut.
+is the mutable playout board with O(1) updates per cut, and one bulk
+update for a run of parallel cuts that frees and freezes nothing.
 
 A self-loop (a string from a coin to itself) leaves freeing undefined,
 so a board with one is refused at two doors: building a ``GameState``
@@ -178,7 +179,8 @@ class LiveBoard:
     O(1) updates per cut.  For Coins-are-Lava it also maintains an exact
     count of legal strings, exploiting that illegality is monotone: once
     a coin's degree drops to 1 its last string can never become legal
-    again, because degrees never rise.
+    again, because degrees never rise.  ``run_room`` and ``cut_run``
+    apply that freeze rule to runs of parallel cuts.
     """
 
     def __init__(self, board: Multigraph, kind: GameKind, mover: Player = Player.P1):
@@ -241,6 +243,43 @@ class LiveBoard:
         elif self._sac:
             self.scores[0 if self.mover is Player.P1 else 1] += freed
         return freed
+
+    def run_room(self, sid: int, other: int) -> int:
+        """The most rounds that can be played, each cutting one string
+        parallel to ``sid`` and then one parallel to ``other`` (the same
+        string or not), before a coin falls to degree 1: after them every
+        endpoint keeps degree 2 or more, so nothing is frozen or freed.
+        0 if not even one."""
+        ends = self._strings[sid] + self._strings[other]
+        degree = self.degree
+        room = len(self.alive)
+        for c in ends:
+            if c >= 0:
+                room = min(room, (degree[c] - 2) // ends.count(c))
+        return max(room, 0)
+
+    def cut_run(self, sid: int, count: int) -> None:
+        """Apply ``count`` cuts of the strings ``sid``, ``sid + 1``, ...
+        in turn, as ``count`` calls of ``cut`` would: a run of alive
+        strings with the same endpoints, neither of which may fall below
+        degree 2.  Such cuts free and freeze nothing, so each flips the
+        mover in every game.  A run that breaks these terms raises
+        IllegalMove and changes nothing."""
+        stop = sid + count
+        alive, strings, degree = self.alive, self._strings, self.degree
+        if count < 1 or sid < 0 or stop > len(alive) or False in alive[sid:stop]:
+            raise IllegalMove(f"strings {sid}..{stop - 1} are not a run of alive strings")
+        ends = strings[sid]
+        if strings[sid:stop].count(ends) != count or any(c >= 0 and degree[c] - count < 2 for c in ends):
+            raise IllegalMove(f"strings {sid}..{stop - 1} are not a run of cuts that freeze nothing")
+        alive[sid:stop] = [False] * count
+        self.alive_count -= count
+        self.legal_count -= count
+        for c in ends:
+            if c >= 0:
+                degree[c] -= count
+        if count & 1:
+            self.mover = self.mover.other
 
     def outcome(self) -> Outcome | None:
         moves = self.legal_count if self._lava else self.alive_count

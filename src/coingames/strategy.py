@@ -67,6 +67,19 @@ observe.  A policy's ``choose`` compares epochs inline and calls
 stage only while in phase 1, and its stages read rope counters
 directly.  The transcript is not formatted during play:
 ``PlayoutRecord`` formats it from the cuts and phases on demand.
+
+Between two epoch moves a tracked policy cuts one rope over and over,
+so a game of two of them is a few hundred *runs* however large N is.
+After each ply ``playout`` asks both policies whether they are
+``steady``: whether each will go on cutting the lowest alive string of
+the rope it cut last.  If both are, it plays k whole rounds at once,
+stopping short of the next event: the most rounds that leave each rope
+a string (``ArtifactTracker.run_room``; a rope's first cut has already
+moved the epoch) and every coin of the two ropes at degree 2 or more,
+so that nothing freezes (``LiveBoard.run_room``).  ``LiveBoard.cut_run``
+and ``ArtifactTracker.observe_run`` apply them, and their cuts reach
+neither ``choose`` nor ``observe``.  The cuts, phases, winner and
+census are those of the game played ply by ply.
 """
 
 from __future__ import annotations
@@ -178,8 +191,7 @@ class ArtifactTracker:
         self.assignment = self._induced_assignment()
 
     def _register(self, rope: _Rope) -> None:
-        for sid in range(rope.start, rope.stop):
-            self.rope_of[sid] = rope
+        self.rope_of[rope.start : rope.stop] = [rope] * rope.width
 
     def observe(self, sid: int) -> None:
         rope = self.rope_of[sid]
@@ -195,6 +207,29 @@ class ArtifactTracker:
                 self.doomed.add(key)
             elif rope in self._var_ropes:
                 self.assignment = self._induced_assignment()
+
+    def run_room(self, rope: _Rope, other: _Rope) -> int:
+        """The most rounds, each cutting one string of ``rope`` and then
+        one of ``other`` (the same rope or not), that leave the epoch
+        where it is: 0 if a rope is still whole, else as many as keep
+        each rope holding a string."""
+        if rope.alive == rope.width or other.alive == other.width:
+            return 0
+        if rope is other:
+            return (rope.alive - 1) // 2
+        return min(rope.alive, other.alive) - 1
+
+    def observe_run(self, sid: int, count: int) -> None:
+        """``observe`` for the cuts of ``sid`` and the ``count - 1``
+        strings above it, the lowest alive strings of a rope that has
+        been cut before; refuses a run that would move the epoch.  It
+        moves the rope's cursor past them, so that the next
+        ``lowest_legal`` does not walk them one by one."""
+        rope = self.rope_of[sid]
+        if rope is None or not 0 < count < rope.alive < rope.width or sid != rope.stop - rope.alive:
+            raise StrategyError(f"tracker cannot take a run of {count} at string {sid}")
+        rope.alive -= count
+        rope.cursor = sid + count
 
     def census(self) -> dict:
         """Alive strings per gadget, keyed in plan order."""
@@ -249,8 +284,11 @@ def is_trudy_terminal(census: dict) -> bool:
 class Policy:
     """Interface: reset before a playout with the playout's tracker
     (which carries the artifact and the live board, and has already seen
-    each cut when ``observe`` runs), observe every cut by either player,
-    choose a legal string id when it is this policy's turn."""
+    each cut when ``observe`` runs), observe the cuts by either player,
+    choose a legal string id when it is this policy's turn, and say
+    whether it is ``steady``.  ``observe`` sees every cut of a playout
+    only if one of its two policies is never steady: cuts that
+    ``playout`` fast-forwards are passed to neither policy."""
 
     name = "policy"
     phase: int | str = "-"
@@ -263,6 +301,17 @@ class Policy:
 
     def choose(self) -> int:
         raise NotImplementedError
+
+    def steady(self, other_rope: _Rope | None) -> bool:
+        """Whether this policy's next choices are the lowest alive
+        string of the rope it cut last, round after round, while the
+        opponent cuts ``other_rope`` from its lowest alive string up,
+        until a rope is first cut or emptied or a coin falls to degree 1.
+        While both policies say so, ``playout`` applies whole rounds at
+        once and passes their cuts to neither ``choose`` nor
+        ``observe``; a policy that must see every cut keeps the default,
+        False."""
+        return False
 
 
 def _live(wires) -> tuple[_Wire, ...]:
@@ -360,11 +409,31 @@ class _TrackedPolicy(Policy):
     def _refresh(self) -> None:
         raise NotImplementedError
 
+    def steady(self, other_rope):
+        """Steady while the epoch has not moved since the last choice.
+
+        A script in phase 1 is never steady: its last cut came from the
+        variable stage (any other stage, or cleanup, ends phase 1), and
+        a variable rope holds one string, so that cut moved the epoch.
+        Within an epoch every stage and cleanup keep choosing the same
+        rope, as the settling rule in ``_ScriptBase`` says, except where
+        wires are sorted by rope counts.  Greedy's lowest-HP bottom and
+        Trudy's lowest pumped top keep their lead: the lead loses at
+        least its own string per round and a rival wire at most the one
+        the opponent cuts, so the gap between them never closes.
+        Fallon's sorts of the danger wires by their tops can be
+        overtaken, and ``FallonScript.steady`` rules that case out."""
+        return self.epoch == self.tracker.epoch
+
     def _cleanup_move(self) -> int:
         alive, frozen = self.live.alive, self.live.frozen
         rope_of, protected = self.tracker.rope_of, self.protected
         total = len(alive)
         sid = self.scan_at
+        rope = rope_of[sid] if sid < total else None
+        if rope is not None and rope.cursor > sid:
+            # Every string of a rope below its cursor is dead.
+            sid = rope.cursor
         while sid < total:
             # Lava legality is monotone, so a skipped string never
             # becomes cuttable later.
@@ -543,9 +612,24 @@ class FallonScript(_ScriptBase):
     def reset(self, tracker, seat, seed):
         super().reset(tracker, seat, seed)
         self.classes: defaultdict[str, list[_Wire]] | None = None
+        self.raced: _Rope | None = None
+
+    def steady(self, other_rope):
+        """Also False while the last cut came from a sort of the danger
+        wires by their tops and ``other_rope`` is the top of another
+        danger wire: the opponent's cuts there can move that wire ahead
+        of the one being disabled.  ``raced`` is set exactly then: each
+        call of a racing stage sets it, to None when it finds no cut,
+        and every refresh clears it.  A danger top that the opponent
+        cuts is pumped, so ``l2_danger`` covers both sorts."""
+        if self.epoch != self.tracker.epoch:
+            return False
+        raced = self.raced
+        return raced is None or not any(w.top is other_rope and w.bottom is not raced for w in self.l2_danger)
 
     def _refresh(self):
         t = self.tracker
+        self.raced = None
         classes = self.classes
         if classes is None:
             # The variables are all set by now, so the assignment, and
@@ -566,21 +650,27 @@ class FallonScript(_ScriptBase):
         self.l2_empty = _live(classes["l2_empty"])
         self.l2_danger = _live(classes["l2_danger"])
 
+    def _race(self, danger) -> int | None:
+        """Disable the first of ``danger`` by ``_by_top_alive``, and keep
+        its bottom rope in ``raced`` (None if there is no such cut) for
+        ``steady``."""
+        sid = self._disable_first(sorted(danger, key=_by_top_alive))
+        self.raced = None if sid is None else self.tracker.rope_of[sid]
+        return sid
+
     def _l1_bads(self):
         return self._disable_first(self.l1_bad)
 
     def _danger_raced(self):
         # A pumped level-2 wire into a no-level-1 singleton is a race
         # the opponent can win; kill those bottoms before anything else.
-        pumped = [w for w in self.l2_danger if w.top.alive < w.top.width]
-        pumped.sort(key=_by_top_alive)
-        return self._disable_first(pumped)
+        return self._race([w for w in self.l2_danger if w.top.alive < w.top.width])
 
     def _l1_rest(self):
         return self._disable_first(self.l1_rest)
 
     def _l2_bads(self):
-        sid = self._disable_first(sorted(self.l2_danger, key=_by_top_alive))
+        sid = self._race(self.l2_danger)
         if sid is not None:
             return sid
         return self._disable_first(self.l2_empty)
@@ -752,7 +842,12 @@ def playout(
     policy_p2.reset(tracker, Player.P2, seed)
     choose_p1, observe_p1 = policy_p1.choose, policy_p1.observe
     choose_p2, observe_p2 = policy_p2.choose, policy_p2.observe
+    steady_p1, steady_p2 = policy_p1.steady, policy_p2.steady
+    # A policy that keeps the default ``steady`` is never steady, and
+    # then no ply needs to ask.
+    bulk = Policy.steady not in (type(policy_p1).steady, type(policy_p2).steady)
     cut, track = live.cut, tracker.observe
+    cut_run, track_run, rope_of = live.cut_run, tracker.observe_run, tracker.rope_of
     p1 = Player.P1
     cuts: list[int] = []
     phases: list[int | str] = []
@@ -775,6 +870,41 @@ def playout(
         add_phase(policy.phase)
         observe_p1(sid, p1_moved)
         observe_p2(sid, not p1_moved)
+        # While both policies are steady, the next mover cuts ``theirs``
+        # (the rope of its last cut) and this one ``mine``, round after
+        # round: play the rounds up to the next event at once.
+        if not bulk:
+            continue
+        mine = rope_of[sid]
+        if len(cuts) < 2 or not (steady_p2 if p1_moved else steady_p1)(mine):
+            continue
+        theirs = rope_of[cuts[-2]]
+        if not (steady_p1 if p1_moved else steady_p2)(theirs):
+            continue
+        k = tracker.run_room(theirs, mine)
+        if k:
+            k = min(k, live.run_room(theirs.start, mine.start))
+        if not k:
+            continue
+        # A steady policy cuts the lowest alive string of its rope, so
+        # under two of them each rope's alive strings are
+        # [stop - alive, stop).
+        a = theirs.stop - theirs.alive
+        if theirs is mine:
+            cut_run(a, 2 * k)
+            track_run(a, 2 * k)
+            cuts += range(a, a + 2 * k)
+        else:
+            b = mine.stop - mine.alive
+            cut_run(a, k)
+            cut_run(b, k)
+            track_run(a, k)
+            track_run(b, k)
+            run = [a] * (2 * k)
+            run[::2] = range(a, a + k)
+            run[1::2] = range(b, b + k)
+            cuts += run
+        phases += [(policy_p2 if p1_moved else policy_p1).phase, policy.phase] * k
     stuck = live.mover
     return PlayoutRecord(
         winner=stuck.other,

@@ -250,3 +250,87 @@ def test_cut_frees_pendant_endpoints(seed: int):
             if c != GROUND and live.degree[c] == 1
         )
         assert live.cut(sid) == expect
+
+
+
+def _rope_board(rng: random.Random):
+    """A board of 2-5 ropes, each a run of consecutive parallel strings
+    between two of 3 coins or a coin and the ground: the board and each
+    rope's (first id, width)."""
+    b = GraphBuilder()
+    coins = b.add_coins(3)
+    ropes = []
+    for _ in range(rng.randint(2, 5)):
+        a, c = rng.sample([*coins, GROUND], 2)
+        width = rng.randint(1, 7)
+        ropes.append((b.add_rope(a, c, width)[0], width))
+    return b.build(), ropes
+
+
+def _snapshot(live):
+    return (live.alive[:], live.degree[:], live.frozen[:], live.alive_count, live.legal_count, live.mover, live.scores[:])
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+def test_a_run_of_parallel_cuts_is_that_many_cuts(kind):
+    """``run_room(a, b)`` counts the rounds (a cut parallel to ``a``,
+    then one parallel to ``b``) that leave every endpoint at degree 2 or
+    more: ``cut`` plays that many, or as many as the ropes hold, with no
+    new freeze, and one round more brings a coin to degree 1.
+    ``cut_run`` of the same cuts leaves the board, mover and scores as
+    ``cut`` does, in any game.  A run one string longer, or over a dead
+    string, is refused with the board untouched."""
+    rng = random.Random(kind.value)
+    checked = 0
+    for _ in range(200):
+        g, ropes = _rope_board(rng)
+        (sa, wa), (sb, wb) = rng.choice(ropes), rng.choice(ropes)
+        per_ply, bulk = LiveBoard(g, kind), LiveBoard(g, kind)
+        room = per_ply.run_room(sa, sb)
+        # The strings each rope holds bound the rounds that can be cut.
+        held = wa // 2 if sa == sb else min(wa, wb)
+        k = min(room, held)
+        frozen = per_ply.frozen[:]
+        cuts = list(range(sa, sa + 2 * k)) if sa == sb else [s for i in range(k) for s in (sa + i, sb + i)]
+        for sid in cuts:
+            per_ply.cut(sid)
+        ends = [c for c in g.strings[sa] + g.strings[sb] if c >= 0]
+        if room < held:
+            # One round more takes each endpoint's share off its degree.
+            assert min(per_ply.degree[c] - ends.count(c) for c in ends) <= 1
+        if not k:
+            continue
+        assert per_ply.frozen == frozen and min(per_ply.degree[c] for c in ends) >= 2
+        checked += 1
+        for start, count in ((sa, 2 * k), (sb, 0)) if sa == sb else ((sa, k), (sb, k)):
+            if count:
+                bulk.cut_run(start, count)
+        expected = LiveBoard(g, kind)
+        for sid in cuts:
+            expected.cut(sid)
+        assert _snapshot(bulk) == _snapshot(expected)
+    assert checked > 40
+
+
+def test_a_run_that_would_freeze_or_leave_its_rope_is_refused():
+    """Rope A (ids 0-4) joins c0 to c1, rope B (ids 5-7) c1 to the
+    ground.  Three rounds leave c0 and c1 at degree 2; a fourth cut of A
+    would freeze c0's last string.  Runs past a rope's end, over a dead
+    string, off the board or of no cuts are refused, the board
+    untouched."""
+    b = GraphBuilder()
+    c0, c1 = b.add_coins(2)
+    b.add_rope(c0, c1, 5)
+    b.add_rope(c1, GROUND, 3)
+    live = LiveBoard(b.build(), GameKind.COINS_ARE_LAVA)
+    assert (live.run_room(0, 5), live.run_room(0, 0), live.run_room(5, 5)) == (3, 1, 3)
+    before = _snapshot(live)
+    for start, count in ((0, 4), (4, 2), (-1, 1), (6, 3), (0, 0)):
+        with pytest.raises(IllegalMove):
+            live.cut_run(start, count)
+        assert _snapshot(live) == before
+    live.cut_run(0, 3)
+    live.cut_run(5, 3)
+    assert live.mover is Player.P1 and live.degree[:2] == [2, 2] and live.run_room(3, 3) == 0
+    with pytest.raises(IllegalMove):
+        live.cut_run(2, 1)

@@ -26,7 +26,7 @@ from coingames.strategy import (
     playout,
     script_for,
 )
-from coingames.verify import random_formula
+from coingames.verify import enumerate_small_formulas, random_formula
 
 
 MAJORITY = "x1 x2\nx1 x3\nx2 x3"
@@ -457,6 +457,16 @@ def test_tracker_keeps_dooms_assignment_and_epoch(seed, text, first, side):
     assert auditor.plies == record.plies
 
 
+def _never_steady(self, other_rope):
+    return False
+
+
+def _per_ply(policy_class):
+    """``policy_class`` that is never steady, so that ``playout`` plays
+    each of its cuts by ``choose``: the reference for the fast-forward."""
+    return type(policy_class.__name__, (policy_class,), {"steady": _never_steady})
+
+
 def _settle_audited(script_class):
     """``script_class`` with its settling rule checked: ``_sync`` runs
     only once the epoch has moved, right after it the stage cursor is
@@ -472,6 +482,10 @@ def _settle_audited(script_class):
             super().reset(tracker, seat, seed)
             self.rechecked: dict[str, int] = {}
             self.refreshes = 0
+
+        def steady(self, other_rope):
+            # Never steady, so that playout passes every cut to observe.
+            return False
 
         def _sync(self):
             assert self.epoch != self.tracker.epoch, "_sync called with the epoch unmoved"
@@ -512,7 +526,8 @@ def test_dropped_stages_stay_settled_until_the_epoch_moves(N):
 
 def _pick_counted(script_class, picks: dict[str, int]):
     """``script_class`` with each stage wrapped to count, in ``picks``,
-    the cuts it supplies (its non-None returns)."""
+    the cuts it supplies (its non-None returns).  It is never steady, so
+    that every cut of the script comes from a stage or cleanup."""
 
     def counted(stage):
         def wrapped(self):
@@ -525,7 +540,7 @@ def _pick_counted(script_class, picks: dict[str, int]):
 
     picks.update((stage.__name__, 0) for _, stage in script_class.stages)
     stages = tuple((phase, counted(stage)) for phase, stage in script_class.stages)
-    return type(script_class.__name__, (script_class,), {"stages": stages})
+    return type(script_class.__name__, (script_class,), {"stages": stages, "steady": _never_steady})
 
 
 def test_every_stage_picks_a_cut_in_seeded_play():
@@ -600,3 +615,114 @@ def test_uniform_random_draws_as_randrange(n):
         live.alive[sid] = False
     with pytest.raises(StrategyError, match="no legal cut"):
         policy.choose()
+
+
+def _tracked_matchups(art, side, wrap=lambda cls: cls):
+    """The script of ``side`` seated against each tracked opponent: the
+    opposing script, greedy aimed at the script and greedy aimed at the
+    other side; each policy class passes through ``wrap`` first.  Yields
+    (P1 policy, P2 policy)."""
+
+    def script(s):
+        return wrap(TrudyScript if s is Mover.TRUDY else FallonScript)(art)
+
+    for opp in (script(side.other), wrap(GreedyDisabler)(art, side), wrap(GreedyDisabler)(art, side.other)):
+        seats = {art.player_for(side): script(side), art.player_for(side.other): opp}
+        yield seats[Player.P1], seats[Player.P2]
+
+
+def _assert_fast_forward_is_per_ply(art):
+    """Every tracked matchup on ``art``, either side's script: the
+    fast-forwarded playout has the per-ply one's cuts, phases, winner
+    and census."""
+    for side in Mover:
+        fast = _tracked_matchups(art, side)
+        for (p1, p2), (r1, r2) in zip(fast, _tracked_matchups(art, side, _per_ply)):
+            got, want = playout(art, p1, p2), playout(art, r1, r2)
+            assert got.cuts == want.cuts and got.phases == want.phases
+            assert (got.winner, got.census) == (want.winner, want.census)
+
+
+@pytest.mark.parametrize(
+    "text, N",
+    [(text, N) for text in ("x1 x2", MAJORITY, "x1 x2\nx1 x3") for N in (2, 3, 4)] + [(MAJORITY, 5)],
+)
+def test_fast_forwarded_playouts_equal_per_ply_ones(text, N):
+    for first in Mover:
+        _assert_fast_forward_is_per_ply(compile_gamesat_to_lava(parse_dnf(text), N, first))
+
+
+def test_fast_forward_equals_per_ply_on_small_formulas():
+    """A seeded slice of the compiler-legal (4, 3) formulas at N=2."""
+    legal = [
+        f
+        for f in enumerate_small_formulas(4, 3)
+        if all(len(c) >= 2 for c in f.clauses) and 0 not in f.occurrences()
+    ]
+    for f in random.Random(17).sample(legal, 16):
+        for first in Mover:
+            _assert_fast_forward_is_per_ply(compile_gamesat_to_lava(f, 2, first))
+
+
+def test_a_raced_danger_cut_is_not_steady_while_another_danger_top_is_cut():
+    """On ``x1 x2`` neither singleton clause has a level-1 wire, so both
+    of their level-2 wires are danger wires.  Whenever the Fallon
+    script's last cut came from a sort of them by their tops and it is
+    otherwise steady, it is not steady against cuts on the other danger
+    wire's top, which could move that wire ahead, and stays steady
+    against its own wire's top."""
+    art = compiled("x1 x2", Mover.TRUDY)
+    fallon = FallonScript(art)
+    seen = set()
+
+    class Probe(TrudyScript):
+        def choose(self):
+            if fallon.raced is not None and fallon.steady(None):
+                seen.add(fallon.stages[fallon.stage_at][1].__name__)
+                for w in fallon.l2_danger:
+                    assert fallon.steady(w.top) is (w.bottom is fallon.raced)
+            return super().choose()
+
+    seats = {art.player_for(Mover.FALLON): fallon, art.player_for(Mover.TRUDY): Probe(art)}
+    playout(art, seats[Player.P1], seats[Player.P2])
+    assert seen == {"_danger_raced", "_l2_bads"}
+
+
+def test_script_games_choose_a_bounded_number_of_times():
+    """Majority, script against script: from N=3 to N=5 the game grows
+    tenfold, while the cuts that a policy chooses one at a time (the
+    rest are fast-forwarded) stay near 220."""
+    chosen, plies = {}, {}
+    for N in (3, 4, 5):
+        art = compile_gamesat_to_lava(parse_dnf(MAJORITY), N, Mover.TRUDY)
+        calls = []
+
+        def counted(cls):
+            def choose(self):
+                calls.append(1)
+                return cls.choose(self)
+
+            return type(cls.__name__, (cls,), {"choose": choose})
+
+        record = playout(art, counted(TrudyScript)(art), counted(FallonScript)(art))
+        chosen[N], plies[N] = len(calls), record.plies
+    assert plies[5] > 10 * plies[3]
+    assert max(chosen.values()) <= 250 and max(chosen.values()) - min(chosen.values()) <= 20, chosen
+
+
+def test_the_tracker_refuses_a_run_that_moves_the_epoch():
+    """A run of cuts must start at the lowest alive string of a rope
+    already cut, and leave it a string; a refused run leaves the tracker
+    as it was."""
+    art = compiled(MAJORITY, Mover.TRUDY)
+    tracker = _tracker(art)
+    rope = tracker.clause_rope["real:0"]
+    with pytest.raises(StrategyError, match="cannot take a run"):
+        tracker.observe_run(rope.start, 1)  # a first cut
+    tracker.observe(rope.start)
+    for sid, count in ((rope.start + 2, 1), (rope.start + 1, rope.width - 1), (rope.start + 1, 0)):
+        with pytest.raises(StrategyError, match="cannot take a run"):
+            tracker.observe_run(sid, count)
+    assert (rope.alive, rope.cursor, tracker.epoch) == (rope.width - 1, rope.start, 1)
+    tracker.observe_run(rope.start + 1, rope.width - 2)
+    assert (rope.alive, rope.cursor, tracker.epoch) == (1, rope.stop - 1, 1)
