@@ -69,7 +69,8 @@ directly.  The transcript is not formatted during play:
 ``PlayoutRecord`` formats it from the cuts and phases on demand.
 
 Between two epoch moves a tracked policy cuts one rope over and over,
-so a game of two of them is a few hundred *runs* however large N is.
+so a game between two of them is under a hundred *runs* at every N
+tried, while its plies grow as N^5.
 After each ply ``playout`` asks both policies whether they are
 ``steady``: whether each will go on cutting the lowest alive string of
 the rope it cut last.  If both are, it plays k whole rounds at once,
